@@ -340,7 +340,10 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
     Identifies active individual constraints, fits their multipliers by
     sign-constrained least squares, and reports the worst stationarity
     residual, the worst complementarity product of the coupling
-    multipliers, and the smallest fitted multiplier.
+    multipliers, and the smallest fitted multiplier.  The fit uses BVLS, an
+    exact active-set solver: these systems are small and dense, and their
+    active sets are often degenerate (flow conservation rows are always
+    rank-deficient), where the iterative default can run for minutes.
     """
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
@@ -362,7 +365,7 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
         lb = np.concatenate([np.zeros(len(ineq)),
                              np.full(len(eq), -np.inf)])
         ub = np.full(len(rows), np.inf)
-        sol = lsq_linear(Gamma.T, -G[i], bounds=(lb, ub))
+        sol = lsq_linear(Gamma.T, -G[i], bounds=(lb, ub), method="bvls")
         resid = G[i] + Gamma.T @ sol.x
         stationarity = max(stationarity,
                            float(np.max(np.abs(resid), initial=0.0)))

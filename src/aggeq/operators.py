@@ -14,15 +14,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .game import (AggregativeGame, Box, BoxBudget, DiagonalPrice,
-                   PriceTimesUsage, QuadraticCost, QuadraticTracking,
-                   StrategyProfile, ZeroUtility, aggregate_matrix)
+from .game import (AggregativeGame, DiagonalPrice, PriceTimesUsage,
+                   QuadraticCost, QuadraticTracking, ZeroUtility,
+                   aggregate_matrix)
 from .projection import ProfileProjector
 
 NASH = "nash"
 WARDROP = "wardrop"
 
 FD_STEP_SCALE = 1e-6
+# Sampled constants handle this many slot-block entries (samples x n x M)
+# per pass: enough samples for one bisection probe to be a single array
+# pass over many slots, few enough to keep each temporary near 0.5 MB.
+SAMPLE_CHUNK_ENTRIES = 1 << 16
 
 
 class GameOperator:
@@ -61,37 +65,46 @@ class GameOperator:
             return _assemble_from_slot_blocks(blocks)
         return self._fd_jacobian(X)
 
-    def slot_blocks(self, X: np.ndarray) -> Optional[np.ndarray]:
-        """(n, M, M) per-component Jacobian blocks when the price acts
-        componentwise and the utility is separable per component.
+    def slot_terms(self, X: np.ndarray) -> Optional[tuple]:
+        """(g, u) with slot block H_t = diag(g_t) + u_t 1^T, or None.
 
-        The full Jacobian is block-diagonal under the agent/component
-        reordering, so eigen and singular values are unions over these
-        blocks.  Returns None when the structure does not apply.
+        Applies when the price acts componentwise and the utility is
+        separable per component; the full Jacobian is then block-diagonal
+        under the agent/component reordering, one M x M block per slot t.
+        ``X`` is an (M, n) profile or an (S, M, n) stack of profiles; g and
+        u have shape (n, M) or (S, n, M).  With c_t = p'_t / M:
+
+        * Wardrop: g = gamma, u = c_t 1;
+        * Nash: g = gamma + c_t, u = c_t 1 + (p''_t / M^2) x_t.
         """
         cost = self.game.cost
         if not (isinstance(cost, PriceTimesUsage)
                 and isinstance(cost.price, DiagonalPrice)
                 and isinstance(cost.utility, (ZeroUtility, QuadraticTracking))):
             return None
-        M, n = self.game.M, self.game.n
-        z = aggregate_matrix(X)
-        dp = cost.price.diag(z)
+        M = self.game.M
+        z = np.add.reduce(X, axis=-2) / M
+        c = (cost.price.diag(z) / M)[..., None]
         if isinstance(cost.utility, QuadraticTracking):
             gamma = cost.utility.gamma
         else:
             gamma = np.zeros(M)
-        blocks = np.empty((n, M, M))
-        ones = np.ones((M, M))
-        eye = np.eye(M)
-        for t in range(n):
-            H = (dp[t] / M) * ones + np.diag(gamma)
-            if self.flavor == NASH:
-                ddp_t = cost.price.diag2(z)[t]
-                H = H + (dp[t] / M) * eye + (ddp_t / M**2) * np.outer(
-                    X[:, t], np.ones(M))
-            blocks[t] = H
-        return blocks
+        g = np.broadcast_to(gamma, c.shape[:-1] + (M,))
+        u = np.broadcast_to(c, g.shape)
+        if self.flavor == NASH:
+            g = g + c
+            u = u + (cost.price.diag2(z) / M**2)[..., None] \
+                * np.swapaxes(X, -1, -2)
+        return g, u
+
+    def slot_blocks(self, X: np.ndarray) -> Optional[np.ndarray]:
+        """(n, M, M) per-component Jacobian blocks, or None when the slot
+        structure of ``slot_terms`` does not apply."""
+        terms = self.slot_terms(X)
+        if terms is None:
+            return None
+        g, u = terms
+        return g[:, :, None] * np.eye(self.game.M) + u[:, :, None]
 
     def _fd_jacobian(self, X: np.ndarray) -> np.ndarray:
         x = X.reshape(-1)
@@ -105,9 +118,6 @@ class GameOperator:
             xm[j] -= h
             J[:, j] = (self.evaluate(xp) - self.evaluate(xm)) / (2.0 * h)
         return J
-
-    def is_affine(self) -> bool:
-        return isinstance(self.game.cost, QuadraticCost)
 
 
 def _quadratic_jacobian(cost: QuadraticCost, M: int, flavor: str) -> np.ndarray:
@@ -238,15 +248,91 @@ def _exact_quadratic_constants(cost: QuadraticCost, M: int, flavor: str
     return alpha, lip
 
 
-def _slot_block_constants(blocks: np.ndarray) -> tuple:
-    """(alpha, L_F) of a Jacobian given its per-component blocks."""
-    alpha = np.inf
-    lip = 0.0
-    for H in blocks:
-        S = 0.5 * (H + H.T)
-        alpha = min(alpha, float(np.min(np.linalg.eigvalsh(S))))
-        lip = max(lip, float(np.linalg.norm(H, 2)))
-    return float(alpha), float(lip)
+def _count_negative_2x2(a, b, c):
+    """Number of negative eigenvalues of each symmetric [[a, b], [b, c]]."""
+    det = a * c - b * b
+    return np.where(det < 0, 1,
+                    np.where(a + c < 0, np.where(det > 0, 2, 1), 0))
+
+
+def _min_eig_diag_plus_rank2(D: np.ndarray, v: np.ndarray, K: np.ndarray
+                             ) -> np.ndarray:
+    """Smallest eigenvalue of each diag(D[k]) + W K[k] W^T, W = [1, v[k]].
+
+    D and v are (m, M) and K is (m, 2, 2), symmetric and invertible.  The
+    update W K W^T has the eigenvalues of K G, G = W^T W the 2 x 2 Gram
+    matrix, and zero when M > 2 (for M = 1 only trace(K G)).  A row whose
+    diagonal is uniform, D[k] = d 1, therefore has the spectrum
+    d + eig(K G), plus d itself when M > 2.  Every other row gets Weyl
+    bounds from the same numbers and is bisected on the eigenvalue count
+    below lambda: by Sylvester's law of inertia applied to the bordered
+    matrix [[D - lambda, W], [W^T, -K^{-1}]], that count is
+    #{D_i < lambda} + neg(-K^{-1} - W^T (D - lambda)^{-1} W) - pos(K),
+    where only the last two terms are 2 x 2 inertias (Golub, "Some modified
+    matrix eigenvalue problems", SIAM Review 1973).  O(M) per row and probe.
+    """
+    m, M = D.shape
+    s, q = v.sum(axis=1), np.einsum("km,km->k", v, v)
+    tr = M * K[:, 0, 0] + 2.0 * s * K[:, 0, 1] + q * K[:, 1, 1]
+    if M == 1:
+        e_lo = e_hi = tr
+    else:
+        det = (K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] ** 2) * (M * q - s * s)
+        half_gap = np.sqrt(np.maximum(0.25 * tr * tr - det, 0.0))
+        e_lo, e_hi = 0.5 * tr - half_gap, 0.5 * tr + half_gap
+        if M > 2:
+            e_lo, e_hi = np.minimum(e_lo, 0.0), np.maximum(e_hi, 0.0)
+    d_lo, d_hi = D.min(axis=1), D.max(axis=1)
+    out = d_lo + e_lo
+    rows = np.flatnonzero(d_hi > d_lo)
+    if rows.size == 0:
+        return out
+    D, v, K = D[rows], v[rows], K[rows]
+    lo = out[rows]
+    hi = np.minimum(d_lo[rows] + e_hi[rows], d_hi[rows] + e_lo[rows])
+    tol = 4.0 * np.finfo(float).eps * (np.abs(D).max(axis=1)
+                                       + np.maximum(-e_lo, e_hi)[rows])
+    det_K = K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] ** 2
+    inv_a, inv_b, inv_c = (K[:, 1, 1] / det_K, -K[:, 0, 1] / det_K,
+                           K[:, 0, 0] / det_K)
+    pos_K = _count_negative_2x2(-K[:, 0, 0], -K[:, 0, 1], -K[:, 1, 1])
+    powers = np.stack([np.ones_like(v), v, v * v], axis=1)
+    for _ in range(200):
+        open_ = hi - lo > tol
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        shifted = D - mid[:, None]
+        # A probe on a pole of (D - lambda)^{-1} counts that D_i as lying
+        # tol below it, a perturbation within the accuracy sought.
+        shifted = np.where(shifted == 0.0, -tol[:, None], shifted)
+        r = np.einsum("kjm,km->kj", powers, 1.0 / shifted)
+        count = ((shifted < 0).sum(axis=1) - pos_K
+                 + _count_negative_2x2(-inv_a - r[:, 0], -inv_b - r[:, 1],
+                                       -inv_c - r[:, 2]))
+        below = open_ & (count >= 1)
+        hi = np.where(below, mid, hi)
+        lo = np.where(open_ & ~below, mid, lo)
+    out[rows] = 0.5 * (lo + hi)
+    return out
+
+
+def _slot_constants(g: np.ndarray, u: np.ndarray) -> tuple:
+    """(alpha, L_F) over slot blocks H = diag(g) + u 1^T, rows of (m, M).
+
+    sym(H) = diag(g) + [1, u] [[0, 1/2], [1/2, 0]] [1, u]^T and
+    H^T H = diag(g^2) + [1, g u] [[|u|^2, 1], [1, 0]] [1, g u]^T, so both
+    constants are extreme eigenvalues of a diagonal plus a rank-2 term.
+    """
+    m = g.shape[0]
+    K_sym = np.broadcast_to([[0.0, 0.5], [0.5, 0.0]], (m, 2, 2))
+    alpha = _min_eig_diag_plus_rank2(g, u, K_sym)
+    # lambda_max(H^T H) = -lambda_min(-H^T H).
+    neg_K_gram = np.zeros((m, 2, 2))
+    neg_K_gram[:, 0, 0] = -np.einsum("km,km->k", u, u)
+    neg_K_gram[:, 0, 1] = neg_K_gram[:, 1, 0] = -1.0
+    lip2 = -_min_eig_diag_plus_rank2(-g * g, g * u, neg_K_gram)
+    return float(alpha.min()), float(np.sqrt(max(lip2.max(), 0.0)))
 
 
 def monotonicity_analysis(op: GameOperator,
@@ -258,28 +344,36 @@ def monotonicity_analysis(op: GameOperator,
     Affine (quadratic-cost) mappings get exact constants from the constant
     Jacobian.  Otherwise the constants are the worst case over sampled
     Jacobians: the minimum symmetrized eigenvalue and the maximum spectral
-    norm, flagged as estimates.
+    norm, flagged as estimates.  Mappings with slot structure (see
+    ``GameOperator.slot_terms``) get them exactly from that structure at
+    O(nM) per sample; the others from finite-difference Jacobians.
     """
     game = op.game
     if isinstance(game.cost, QuadraticCost):
         alpha, lip = _exact_quadratic_constants(game.cost, game.M, op.flavor)
         return MonotonicityReport(alpha, lip, exact=True, samples=0)
+    if n_samples < 1:
+        raise DimensionError("n_samples must be positive")
     if sampler is None:
         sampler = default_sampler(game)
     rng = np.random.default_rng(seed)
+    chunk = max(1, SAMPLE_CHUNK_ENTRIES // (game.M * game.n))
     alpha = np.inf
     lip = 0.0
-    for _ in range(n_samples):
-        X = sampler(rng)
-        blocks = op.slot_blocks(X)
-        if blocks is not None:
-            a, l = _slot_block_constants(blocks)
-        else:
-            J = op._fd_jacobian(np.asarray(X, dtype=float))
-            a = float(np.min(np.linalg.eigvalsh(0.5 * (J + J.T))))
-            l = float(np.linalg.norm(J, 2))
-        alpha = min(alpha, a)
-        lip = max(lip, l)
+    for start in range(0, n_samples, chunk):
+        samples = np.stack([np.asarray(sampler(rng), dtype=float)
+                            for _ in range(min(chunk, n_samples - start))])
+        terms = op.slot_terms(samples)
+        if terms is not None:
+            g, u = (np.reshape(a, (-1, game.M)) for a in terms)
+            a, l = _slot_constants(g, u)
+            alpha, lip = min(alpha, a), max(lip, l)
+            continue
+        for X in samples:
+            J = op._fd_jacobian(X)
+            alpha = min(alpha, float(np.min(np.linalg.eigvalsh(
+                0.5 * (J + J.T)))))
+            lip = max(lip, float(np.linalg.norm(J, 2)))
     return MonotonicityReport(float(alpha), float(lip), exact=False,
                               samples=n_samples)
 

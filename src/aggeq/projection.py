@@ -7,8 +7,7 @@ All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,17 +17,6 @@ from .game import (Box, BoxBudget, FlowPolytope, HalfspaceIntersection,
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
-
-
-@dataclass(frozen=True)
-class NonnegativeOrthant:
-    dim: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    B: np.ndarray
-    b_od: np.ndarray
 
 
 def project_box(y, lo, hi) -> np.ndarray:
@@ -234,23 +222,6 @@ def dykstra(y, projectors: Sequence[Callable], tol: float = DYKSTRA_TOL,
         last=x, gap=gap)
 
 
-def projector(spec) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact projection callable for a target-set description."""
-    if isinstance(spec, Box):
-        return lambda y: project_box(y, spec.lo, spec.hi)
-    if isinstance(spec, BoxBudget):
-        return lambda y: project_box_budget(y, spec.lo, spec.hi, spec.theta)
-    if isinstance(spec, NonnegativeOrthant):
-        return project_nonneg
-    if isinstance(spec, (AffineSubspace, FlowPolytope)):
-        if isinstance(spec, AffineSubspace):
-            return lambda y: project_affine(y, spec.B, spec.b_od)
-        return lambda y: project_individual(spec, y)
-    if isinstance(spec, HalfspaceIntersection):
-        return lambda y: project_individual(spec, y)
-    raise DimensionError(f"no projector for {type(spec).__name__}")
-
-
 def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
     """Projection onto an individual constraint set, dispatched per variant."""
     if isinstance(cs, Box):
@@ -317,7 +288,6 @@ class ProfileProjector:
               and all(cs.B is first.B for cs in self.individual)):
             self._mode = "flow"
             self._B = first.B
-            self._pinv_BBt = np.linalg.pinv(self._B @ self._B.T)
             self._b_ods = np.stack([cs.b_od for cs in self.individual])
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 from types import SimpleNamespace
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from aggeq.analysis import (ConstantsEstimate, VerificationReport,
                             vi_gap_sampled, wardrop_epsilon_bound)
 from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
-                        QuadraticCost)
+                        FlowPolytope, QuadraticCost)
 from aggeq.operators import NASH, WARDROP
 from aggeq.synthetic import build_quadratic_game
 
@@ -90,6 +92,30 @@ class TestKktResidual:
         out = kkt_residual(game, NASH, np.array([3.0]), np.zeros(1))
         assert out["stationarity"] <= 1e-9
         assert out["min_mu"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_flow_agent_with_degenerate_active_set(self):
+        # Two parallel 0 -> 1 edges (0 and 2) and their reverses (1 and 3).
+        # The agent routes on edge 0 while edge 2 costs 2 less.  Every bound
+        # is active and the conservation rows are rank-deficient (they sum
+        # to zero), so the active set is degenerate.  Only edge 0's upper
+        # bound and edge 2's lower bound disagree with the costs: a shift t
+        # along the conservation direction leaves residuals 1 + t and t - 1,
+        # at best 1 and -1, with zero multipliers on both bounds.
+        B = np.array([[-1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
+        cost = QuadraticCost(Q=np.zeros((4, 4)), C=np.zeros((4, 4)),
+                             c=np.array([[1.0, 2.0, -1.0, 3.0]]))
+        game = AggregativeGame(
+            M=1, n=4, cost=cost,
+            individual=(FlowPolytope(B, np.array([-1.0, 1.0])),),
+            coupling=CouplingConstraint.per_component_cap(np.full(4, 10.0),
+                                                          1))
+        start = time.perf_counter()
+        out = kkt_residual(game, NASH, np.array([1.0, 0.0, 0.0, 0.0]),
+                           np.zeros(4))
+        assert time.perf_counter() - start < 1.0
+        assert out["degenerate_active_set"]
+        assert out["stationarity"] == pytest.approx(1.0, abs=1e-12)
+        assert out["min_mu"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEpsilonNash:

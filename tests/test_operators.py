@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from aggeq import operators
+from aggeq.apps.ev import build_ev_game, generate_ev_params
+from aggeq.apps.traffic import build_network, build_route_choice_game
+from aggeq.errors import DimensionError
 from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility)
-from aggeq.operators import (NASH, WARDROP, ExtendedOperator, build_operator,
+from aggeq.operators import (NASH, WARDROP, ExtendedOperator,
+                             _min_eig_diag_plus_rank2, build_operator,
                              default_sampler, monotonicity_analysis,
                              operator_gap, quadratic_monotonicity_conditions)
 from aggeq.synthetic import build_quadratic_game
@@ -138,6 +143,147 @@ class TestJacobians:
                                atol=1e-12)
 
 
+def dense_slot_blocks(game, flavor, X):
+    """(n, M, M) Jacobian blocks assembled entry by entry from the price
+    derivatives, independently of ``GameOperator.slot_terms``."""
+    M, n = game.M, game.n
+    cost = game.cost
+    z = X.mean(axis=0)
+    dp, ddp = cost.price.diag(z), cost.price.diag2(z)
+    gamma = getattr(cost.utility, "gamma", np.zeros(M))
+    blocks = np.empty((n, M, M))
+    for t in range(n):
+        H = (dp[t] / M) * np.ones((M, M)) + np.diag(gamma)
+        if flavor == NASH:
+            H = H + (dp[t] / M) * np.eye(M) + (ddp[t] / M**2) * np.outer(
+                X[:, t], np.ones(M))
+        blocks[t] = H
+    return blocks
+
+
+def dense_slot_constants(blocks):
+    """(alpha, L_F) from dense eigenproblems on each slot block: the
+    reference for the structured constants."""
+    alpha = np.inf
+    lip = 0.0
+    for H in blocks:
+        S = 0.5 * (H + H.T)
+        alpha = min(alpha, float(np.min(np.linalg.eigvalsh(S))))
+        lip = max(lip, float(np.linalg.norm(H, 2)))
+    return float(alpha), float(lip)
+
+
+def route_choice_game(M):
+    # Two parallel routes each way; f and h put sampled edge loads where
+    # the travel-time curve bends, so p'' is not zero.
+    edges = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0),
+             (0, 1, 2.0, 2.0), (1, 0, 2.0, 2.0)]
+    net = build_network([0, 1], edges, f=0.3, h=2.0)
+    od_pairs = [((0, 1), (1, 0))[i % 2] for i in range(M)]
+    return build_route_choice_game(net, od_pairs=od_pairs, seed=M)
+
+
+def sqrt_price_gammas(gamma, n=4, seed=0):
+    M = len(gamma)
+    ref = np.random.default_rng(seed).uniform(size=(M, n))
+    return sqrt_price_game(M=M, n=n, seed=seed,
+                           utility=QuadraticTracking(np.asarray(gamma), ref))
+
+
+STRUCTURED_CASES = {
+    # Uniform diagonal (gamma = 0); under Wardrop u is parallel to 1.
+    "ev-M1": lambda: build_ev_game(generate_ev_params(1, seed=0)),
+    "ev-M2": lambda: build_ev_game(generate_ev_params(2, seed=0)),
+    "ev-M3": lambda: build_ev_game(generate_ev_params(3, seed=0)),
+    "ev-M50": lambda: build_ev_game(generate_ev_params(50, seed=0)),
+    # Heterogeneous gamma.
+    "route-M1": lambda: route_choice_game(1),
+    "route-M2": lambda: route_choice_game(2),
+    "route-M3": lambda: route_choice_game(3),
+    "route-M50": lambda: route_choice_game(50),
+    "sqrt-M1": lambda: sqrt_price_game(M=1),
+    "sqrt-M2": lambda: sqrt_price_game(M=2),
+    "sqrt-M3": lambda: sqrt_price_game(M=3),
+    "sqrt-M50": lambda: sqrt_price_game(M=50),
+    # Uniform gamma > 0, so under Wardrop rank [1, u] = 1; and repeated
+    # gamma values, so probes meet repeated poles.
+    "sqrt-uniform-gamma": lambda: sqrt_price_gammas(np.full(5, 1.3)),
+    "sqrt-repeated-gamma": lambda: sqrt_price_gammas([1.0, 1.0, 2.0, 2.0,
+                                                      2.0, 0.5]),
+}
+
+
+class TestStructuredConstants:
+    """Constants from the slot blocks' diagonal-plus-rank-2 structure
+    against dense eigenproblems on the same sampled points."""
+
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
+    def test_matches_dense_oracle(self, case, flavor):
+        game = STRUCTURED_CASES[case]()
+        op = build_operator(game, flavor)
+        n_samples = 4
+        rep = monotonicity_analysis(op, n_samples=n_samples, seed=3)
+        sampler = default_sampler(game)
+        rng = np.random.default_rng(3)
+        alpha, lip = np.inf, 0.0
+        for _ in range(n_samples):
+            X = sampler(rng)
+            blocks = dense_slot_blocks(game, flavor, X)
+            assert np.allclose(op.slot_blocks(X), blocks, rtol=1e-12,
+                               atol=0.0)
+            a, l = dense_slot_constants(blocks)
+            alpha, lip = min(alpha, a), max(lip, l)
+        assert not rep.exact and rep.samples == n_samples
+        assert abs(rep.lipschitz - lip) <= 1e-10 * lip
+        # alpha is 0 in exact arithmetic for the EV Wardrop map, so it is
+        # compared on the scale of the blocks.
+        assert abs(rep.alpha - alpha) <= 1e-10 * max(abs(alpha), lip)
+
+    @pytest.mark.parametrize("case", ["route-M3", "ev-M3"])
+    def test_chunks_cover_every_sample(self, case, monkeypatch):
+        game = STRUCTURED_CASES[case]()
+        op = build_operator(game, NASH)
+        whole = monotonicity_analysis(op, n_samples=5, seed=1)
+        calls = []
+        sampler = default_sampler(game)
+        monkeypatch.setattr(operators, "SAMPLE_CHUNK_ENTRIES",
+                            2 * game.M * game.n)
+        split = monotonicity_analysis(
+            op, sampler=lambda rng: calls.append(1) or sampler(rng),
+            n_samples=5, seed=1)
+        assert len(calls) == 5 and split.samples == 5
+        assert split.alpha == pytest.approx(whole.alpha, rel=1e-13)
+        assert split.lipschitz == pytest.approx(whole.lipschitz, rel=1e-13)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7])
+    def test_min_eig_helper_matches_eigvalsh(self, M):
+        rng = np.random.default_rng(M)
+        m = 40
+        D = rng.normal(size=(m, M))
+        D[::2] = D[::2, :1]  # every other row has a uniform diagonal
+        D[1::4, : M // 2] = D[1::4, -1:]  # repeated entries
+        v = rng.normal(size=(m, M))
+        v[::3] = 0.7  # rank-1 updates
+        K = rng.normal(size=(m, 2, 2))
+        K = K + np.swapaxes(K, 1, 2)
+        W = np.stack([np.ones((m, M)), v], axis=2)
+        dense = np.linalg.eigvalsh(
+            D[:, :, None] * np.eye(M) + W @ K @ np.swapaxes(W, 1, 2))
+        got = _min_eig_diag_plus_rank2(D, v, K)
+        scale = np.abs(dense).max(axis=1)
+        assert np.all(np.abs(got - dense[:, 0]) <= 1e-12 * scale)
+
+    def test_min_eig_helper_probe_on_pole(self):
+        # diag(0, 4) + W K W^T = [[0, 2], [2, 4]].  The update has the
+        # eigenvalues -2 and 2, so the Weyl bracket is [-2, 2] and the
+        # first probe lands on the pole D_0 = 0.
+        got = _min_eig_diag_plus_rank2(np.array([[0.0, 4.0]]),
+                                       np.array([[1.0, -1.0]]),
+                                       np.diag([1.0, -1.0])[None])
+        assert got[0] == pytest.approx(2.0 - 2.0 * np.sqrt(2.0), abs=1e-14)
+
+
 class TestOperatorGap:
     def test_zero_gap_without_coupling(self):
         game = quadratic_game(C=np.zeros((1, 1)))
@@ -224,6 +370,11 @@ class TestMonotonicity:
             inc = (op.evaluate_blocks(X1)
                    - op.evaluate_blocks(X2)).reshape(-1)
             assert float(inc @ d) >= (rep.alpha - 1e-7) * float(d @ d)
+
+    def test_sampled_constants_need_a_sample(self):
+        op = build_operator(sqrt_price_game(), NASH)
+        with pytest.raises(DimensionError):
+            monotonicity_analysis(op, n_samples=0)
 
     def test_monotone_price_gives_monotone_wardrop(self):
         game = sqrt_price_game(M=3, n=3, utility=ZeroUtility())
