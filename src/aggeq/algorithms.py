@@ -111,30 +111,6 @@ def _own_gradient_lipschitz(game: AggregativeGame, i: int) -> float:
     raise DimensionError("cost model lacks a curvature bound")
 
 
-def _greedy_linear_box_budget(q: np.ndarray, cs: BoxBudget) -> np.ndarray:
-    """Exact minimizer of q^T x over {lo <= x <= hi, sum(x) >= theta}.
-
-    Negative-cost components fill to their caps; remaining budget is met by
-    the cheapest components in ascending cost order.
-    """
-    lo, hi = cs.lo, cs.hi
-    x = np.where(q < 0.0, hi, lo)
-    need = cs.theta - float(np.sum(x))
-    if need <= 1e-15:
-        return x
-    order = np.argsort(q, kind="stable")
-    for t in order:
-        if q[t] < 0.0:
-            continue
-        room = hi[t] - x[t]
-        add = min(room, need)
-        x[t] += add
-        need -= add
-        if need <= 1e-15:
-            break
-    return x
-
-
 def best_response(game: AggregativeGame, i: int, z, lam,
                   inner_tol: float = 1e-6,
                   inner_max_iter: int = 100_000) -> np.ndarray:
@@ -150,7 +126,9 @@ def best_response(game: AggregativeGame, i: int, z, lam,
     if (isinstance(cost, PriceTimesUsage)
             and isinstance(cost.utility, ZeroUtility)
             and isinstance(cs, BoxBudget)):
-        return _greedy_linear_box_budget(cost.price.value(z) + charge, cs)
+        q = cost.price.value(z) + charge
+        return _greedy_linear_box_budget_batch(q[None, :], cs.lo, cs.hi,
+                                               cs.theta)[0]
     if (isinstance(cost, PriceTimesUsage)
             and isinstance(cost.utility, QuadraticTracking)
             and cost.utility.gamma[i] > 0):
@@ -184,7 +162,8 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
             and isinstance(cost.utility, ZeroUtility)
             and proj._mode == "box_budget"):
         q = cost.price.value(z)[None, :] + charge
-        return _greedy_linear_box_budget_batch(q, proj)
+        return _greedy_linear_box_budget_batch(q, proj._lo, proj._hi,
+                                               proj._theta)
     if (isinstance(cost, PriceTimesUsage)
             and isinstance(cost.utility, QuadraticTracking)
             and np.all(cost.utility.gamma > 0)):
@@ -207,23 +186,23 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
     raise ConvergenceError("optimal responses did not converge", last=X)
 
 
-def _greedy_linear_box_budget_batch(Q_costs: np.ndarray,
-                                    proj: ProfileProjector) -> np.ndarray:
-    lo, hi, theta = proj._lo, proj._hi, proj._theta
+def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
+                                    theta) -> np.ndarray:
+    """Exact minimizer of q^T x over {lo <= x <= hi, sum(x) >= theta} for
+    every row q of Q_costs.
+
+    Negative-cost components fill to their caps; the rest of each budget is
+    met by the cheapest components in ascending cost order, each taking what
+    its cheaper ones left, up to its room.
+    """
     X = np.where(Q_costs < 0.0, hi, lo)
     need = theta - X.sum(axis=1)
-    todo = np.nonzero(need > 1e-15)[0]
-    order = np.argsort(Q_costs[todo], axis=1, kind="stable")
-    for i, row in zip(todo, order):
-        rem = need[i]
-        for t in row:
-            if Q_costs[i, t] < 0.0:
-                continue
-            add = min(hi[i, t] - X[i, t], rem)
-            X[i, t] += add
-            rem -= add
-            if rem <= 1e-15:
-                break
+    need = np.where(need > 1e-15, need, 0.0)
+    rows = np.arange(len(X))[:, None]
+    order = np.argsort(Q_costs, axis=1, kind="stable")
+    room = (hi - X)[rows, order]
+    before = np.cumsum(room, axis=1) - room
+    X[rows, order] += np.clip(need[:, None] - before, 0.0, room)
     return X
 
 

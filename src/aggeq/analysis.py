@@ -99,21 +99,25 @@ def _price_lipschitz(game: AggregativeGame) -> tuple:
     raise DimensionError("cannot bound the aggregate coupling of this cost")
 
 
-def estimate_constants(game: AggregativeGame,
-                       alpha: Optional[float] = None) -> ConstantsEstimate:
-    """R from the tightest common box, L2 = R * L_p, alpha of the Nash map."""
+def coupling_constants(game: AggregativeGame) -> tuple:
+    """(R, L_p, source): R from the tightest common box, L_p and its source
+    from the price/aggregate coupling.  No monotonicity sampling."""
     lo, hi = game.bounding_box()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InfeasibleSetError("unbounded individual sets")
     R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    L_p, source = _price_lipschitz(game)
+    return (R, *_price_lipschitz(game))
+
+
+def estimate_constants(game: AggregativeGame,
+                       alpha: Optional[float] = None) -> ConstantsEstimate:
+    """R from the tightest common box, L2 = R * L_p, alpha of the Nash map."""
+    R, L_p, source = coupling_constants(game)
     if alpha is None:
         rep = monotonicity_analysis(build_operator(game, NASH))
         alpha = rep.safe_alpha()
         if not rep.exact and source == "exact":
             source = "formula"
-        if not rep.exact:
-            source = "sampled" if source == "sampled" else source
     extras = dict(game.meta)
     extras["n"] = game.n
     return ConstantsEstimate(R=R, L2=R * L_p, alpha=float(alpha),

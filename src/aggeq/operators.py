@@ -196,9 +196,9 @@ def operator_gap(game: AggregativeGame, x, L2: Optional[float] = None
     gap = float(np.linalg.norm((f_n - f_w).reshape(-1)))
     exact = L2 is not None
     if L2 is None:
-        from .analysis import estimate_constants
-        est = estimate_constants(game)
-        L2, exact = est.L2, est.source in ("exact", "formula")
+        from .analysis import coupling_constants
+        R, L_p, source = coupling_constants(game)
+        L2, exact = R * L_p, source in ("exact", "formula")
     bound = L2 / np.sqrt(game.M)
     if exact and gap > bound + 1e-9:
         raise AssertionError(

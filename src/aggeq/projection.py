@@ -69,62 +69,70 @@ def project_affine(y, B, b_od) -> np.ndarray:
 
 
 def project_box_budget(y, lo, hi, theta) -> np.ndarray:
-    """Projection onto {x in [lo, hi] : sum(x) >= theta}.
-
-    Dual bisection on the single budget multiplier mu >= 0:
-    x(mu) = clamp(y + mu, lo, hi) with sum(x(mu)) monotone increasing in mu.
-    """
+    """Projection onto {x in [lo, hi] : sum(x) >= theta}: a one-row call of
+    project_box_budget_batch."""
     y = np.asarray(y, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise InfeasibleSetError("box requires lo <= hi componentwise")
-    if theta > float(np.sum(hi)) + 1e-12:
-        raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
-    x = np.clip(y, lo, hi)
-    if float(np.sum(x)) >= theta - 1e-12:
-        return x
-    mu_lo = 0.0
-    mu_hi = float(theta + np.max(np.abs(y), initial=0.0) * y.size
-                  + np.max(np.abs(lo)) + np.max(np.abs(hi)) + 1.0)
-    for _ in range(200):
-        mu = 0.5 * (mu_lo + mu_hi)
-        s = float(np.sum(np.clip(y + mu, lo, hi)))
-        if s < theta:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        if mu_hi - mu_lo < 1e-14:
-            break
-    return np.clip(y + mu_hi, lo, hi)
+    return project_box_budget_batch(y[None, :], lo, hi,
+                                    np.reshape(theta, 1))[0]
 
 
 def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
-    """Vectorized project_box_budget over the rows of Y.
+    """Projection of every row of Y onto {x in [lo, hi] : sum(x) >= theta}.
 
-    lo, hi are (M, n); theta is (M,).  Used by the solvers' hot loops.
+    lo, hi broadcast to the (M, n) shape of Y; theta is (M,).  A row whose
+    clip misses its budget is clip(y + mu, lo, hi) with mu > 0 the budget
+    multiplier.  s(mu) = sum(clip(y + mu, lo, hi)) is piecewise linear with
+    breakpoints lo - y (slope +1) and hi - y (slope -1): sorting them and
+    accumulating slope times gap gives s at every breakpoint, and mu is
+    refitted in closed form on the free set of the segment where s reaches
+    theta (the continuous quadratic knapsack breakpoint search, Helgason,
+    Kennington & Lall 1980).  One correction step on that free set makes
+    every such row's floating-point sum at least theta.  Raises
+    InfeasibleSetError when some row has lo > hi or theta > sum(hi).
     """
     Y = np.asarray(Y, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), Y.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), Y.shape)
-    theta = np.asarray(theta, dtype=float)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), Y.shape[:1])
+    if np.any(lo > hi):
+        raise InfeasibleSetError("box requires lo <= hi componentwise")
+    if np.any(theta > hi.sum(axis=1) + 1e-12):
+        raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
     X = np.clip(Y, lo, hi)
     need = X.sum(axis=1) < theta - 1e-12
     if not np.any(need):
         return X
-    Yn, lon, hin, tn = Y[need], lo[need], hi[need], theta[need]
-    mu_lo = np.zeros(len(tn))
-    mu_hi = (tn + np.abs(Yn).max(axis=1) * Y.shape[1]
-             + np.abs(lon).max(axis=1) + np.abs(hin).max(axis=1) + 1.0)
-    for _ in range(200):
-        mu = 0.5 * (mu_lo + mu_hi)
-        s = np.clip(Yn + mu[:, None], lon, hin).sum(axis=1)
-        low = s < tn
-        mu_lo = np.where(low, mu, mu_lo)
-        mu_hi = np.where(low, mu_hi, mu)
-        if np.max(mu_hi - mu_lo) < 1e-14:
-            break
-    X[need] = np.clip(Yn + mu_hi[:, None], lon, hin)
+    y, l, h, t = Y[need], lo[need], hi[need], theta[need]
+    m, n = y.shape
+    rows = np.arange(m)
+    bp = np.concatenate([l - y, h - y], axis=1)
+    order = np.argsort(bp, axis=1)
+    b = bp.ravel()[order + 2 * n * rows[:, None]]
+    # free[:, j]: count of components strictly inside the box for mu between
+    # b[:, j] and b[:, j + 1]; rise[:, j] = s(b[:, j + 1]) - sum(lo).
+    free = np.cumsum(np.where(order < n, 1.0, -1.0), axis=1)
+    rise = np.cumsum(free[:, :-1] * np.diff(b, axis=1), axis=1)
+    # s reaches theta on the segment [b[:, k], b[:, k + 1]], which has
+    # positive length and a free component; k == 2n - 1 only when theta
+    # rounds above s(b[:, -1]) = sum(hi): there x = hi, and count >= 1
+    # only keeps the discarded refit finite.
+    k = np.count_nonzero(rise < (t - l.sum(axis=1))[:, None], axis=1)
+    full = k == 2 * n - 1
+    k = np.minimum(k, 2 * n - 2)
+    left = b[rows, k][:, None]
+    at_hi = h - y <= left
+    inside = (l - y <= left) & ~at_hi
+    count = np.maximum(free[rows, k], 1.0)
+    mu = (t - np.where(inside, y, np.where(at_hi, h, l)).sum(axis=1)) / count
+    mu[full] = np.inf
+    x = np.clip(y + mu[:, None], l, h)
+    # Rounding can leave a sum a few ulps short of theta.  The free
+    # components take the deficit plus a bound on the rounding of the two
+    # n-term sums and of the additions themselves: n * eps * sum(|x|).
+    deficit = t - x.sum(axis=1)
+    step = (deficit + n * np.finfo(float).eps * np.abs(x).sum(axis=1)) / count
+    X[need] = np.where(inside & (deficit > 0)[:, None],
+                       np.minimum(x + step[:, None], h), x)
     return X
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aggeq.algorithms import (SOLVERS, EquilibriumResult, SolverConfig,
+                              _greedy_linear_box_budget_batch,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
@@ -29,6 +30,24 @@ def quadratic_cap_game(M=2, n=1, q=1.0, c_val=-2.0, K=0.5, hi=2.0):
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling)
+
+
+def greedy_loop_oracle(q, lo, hi, theta):
+    """Test oracle: the per-agent loop the EV best response used before
+    the batched fill."""
+    x = np.where(q < 0.0, hi, lo)
+    need = theta - float(np.sum(x))
+    if need <= 1e-15:
+        return x
+    for t in np.argsort(q, kind="stable"):
+        if q[t] < 0.0:
+            continue
+        add = min(hi[t] - x[t], need)
+        x[t] += add
+        need -= add
+        if need <= 1e-15:
+            break
+    return x
 
 
 class TestAutoStepSize:
@@ -81,6 +100,38 @@ class TestBestResponse:
             coupling=CouplingConstraint.per_component_cap(np.ones(3), 1))
         out = best_response(game, 0, z=np.zeros(3), lam=np.zeros(3))
         assert np.allclose(out, [0.0, 1.0, 1.0])
+
+    def test_greedy_batch_matches_loop_oracle(self):
+        rng = np.random.default_rng(3)
+        M, n = 300, 12
+        Q = np.round(rng.normal(size=(M, n)), 1)  # negative and tied costs
+        lo = rng.uniform(0.0, 0.5, size=(M, n))
+        hi = lo + rng.uniform(0.0, 1.5, size=(M, n))
+        theta = lo.sum(axis=1) + rng.uniform(size=M) * (hi - lo).sum(axis=1)
+        met = rng.random(M) < 0.2
+        theta[met] = np.where(Q < 0.0, hi, lo)[met].sum(axis=1) - 0.1
+        out = _greedy_linear_box_budget_batch(Q, lo, hi, theta)
+        assert np.any(np.diff(np.sort(Q, axis=1), axis=1) == 0.0)
+        for i in range(M):
+            oracle = greedy_loop_oracle(Q[i], lo[i], hi[i], theta[i])
+            assert np.max(np.abs(out[i] - oracle)) <= 1e-12
+
+    def test_single_agent_greedy_is_one_row_of_batch(self):
+        rng = np.random.default_rng(4)
+        n = 6
+        costs = np.round(rng.normal(size=n), 1)
+        price = DiagonalPrice(lambda z: costs, lambda z: np.zeros(n),
+                              lambda z: np.zeros(n))
+        cost = PriceTimesUsage(utility=ZeroUtility(), price=price, n=n)
+        cs = BoxBudget(np.zeros(n), rng.uniform(0.5, 1.0, size=n), 2.0)
+        game = AggregativeGame(
+            M=1, n=n, cost=cost, individual=(cs,),
+            coupling=CouplingConstraint.per_component_cap(np.ones(n), 1))
+        lam = rng.uniform(0.0, 0.3, size=n)
+        out = best_response(game, 0, z=np.zeros(n), lam=lam)
+        q = costs + game.coupling.agent_block(0).T @ lam
+        oracle = greedy_loop_oracle(q, cs.lo, cs.hi, cs.theta)
+        assert np.max(np.abs(out - oracle)) <= 1e-12
 
     def test_closed_form_matches_projected_gradient(self):
         rng = np.random.default_rng(0)

@@ -14,6 +14,7 @@ from aggeq.errors import ConfigError, DimensionError, InfeasibleSetError
 from aggeq.game import DiagonalPrice
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis)
+from aggeq.projection import ProfileProjector
 
 TWO_ROUTE_EDGES = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0),
                    (0, 1, 2.0, 2.0), (1, 0, 2.0, 2.0)]
@@ -32,6 +33,10 @@ class TestEvBuilder:
         assert game.M == 100 and game.n == 24
         assert game.meta["xtilde0"] == pytest.approx(params.xtilde0)
         assert np.allclose(game.coupling.cap, 0.55)
+
+    def test_ev_game_reaches_batched_box_budget_projection(self):
+        game = build_ev_game(generate_ev_params(M=30, seed=2))
+        assert ProfileProjector(game.individual)._mode == "box_budget"
 
     def test_generated_population_properties(self):
         params = generate_ev_params(M=50, seed=1)

@@ -317,6 +317,25 @@ class TestOperatorGap:
             assert gap <= bound + 1e-9
 
 
+    def test_bound_needs_no_monotonicity_sampling(self, monkeypatch):
+        from aggeq import analysis
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return operators.monotonicity_analysis(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "monotonicity_analysis", counting)
+        game = sqrt_price_game(M=4, n=3)
+        X = default_sampler(game)(np.random.default_rng(2))
+        gap, bound = operator_gap(game, X.reshape(-1))
+        assert calls == []
+        est = analysis.estimate_constants(game)
+        assert len(calls) == 1
+        assert bound == est.L2 / np.sqrt(game.M)
+        assert gap <= bound
+
+
 class TestMonotonicity:
     def test_identity_quadratic_exact(self):
         game = quadratic_game(M=3, n=2, q=1.0, C=np.zeros((2, 2)))

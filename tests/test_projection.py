@@ -12,6 +12,48 @@ from aggeq.projection import (ProfileProjector, dykstra, project_affine,
 TWO_NODE_B = np.array([[-1.0, -1.0], [1.0, 1.0]])  # two parallel edges
 
 
+def bisection_box_budget_batch(Y, lo, hi, theta):
+    """Test oracle: the dual bisection that project_box_budget_batch used
+    before the breakpoint search, up to 200 passes on the multiplier."""
+    Y = np.asarray(Y, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), Y.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), Y.shape)
+    theta = np.asarray(theta, dtype=float)
+    X = np.clip(Y, lo, hi)
+    need = X.sum(axis=1) < theta - 1e-12
+    if not np.any(need):
+        return X
+    Yn, lon, hin, tn = Y[need], lo[need], hi[need], theta[need]
+    mu_lo = np.zeros(len(tn))
+    mu_hi = (tn + np.abs(Yn).max(axis=1) * Y.shape[1]
+             + np.abs(lon).max(axis=1) + np.abs(hin).max(axis=1) + 1.0)
+    for _ in range(200):
+        mu = 0.5 * (mu_lo + mu_hi)
+        s = np.clip(Yn + mu[:, None], lon, hin).sum(axis=1)
+        low = s < tn
+        mu_lo = np.where(low, mu, mu_lo)
+        mu_hi = np.where(low, mu_hi, mu)
+        if np.max(mu_hi - mu_lo) < 1e-14:
+            break
+    X[need] = np.clip(Yn + mu_hi[:, None], lon, hin)
+    return X
+
+
+def hard_box_budget_batch(rng, m, n):
+    """Random rows with ties among the breakpoints, components with
+    lo == hi, budgets equal to sum(hi) and rows the clip already meets."""
+    lo = np.round(rng.uniform(-1.0, 1.0, size=(m, n)), 1)
+    hi = lo + np.round(rng.uniform(0.0, 2.0, size=(m, n)), 1)
+    fixed = rng.random((m, n)) < 0.2
+    hi[fixed] = lo[fixed]
+    Y = np.round(rng.uniform(-3.0, 3.0, size=(m, n)), 1)
+    frac = rng.uniform(0.0, 1.0, size=m)
+    theta = lo.sum(axis=1) + frac * (hi.sum(axis=1) - lo.sum(axis=1))
+    full = rng.random(m) < 0.15
+    theta[full] = hi[full].sum(axis=1)
+    return Y, lo, hi, theta
+
+
 class TestClosedFormProjectors:
     def test_box_clamp(self):
         assert np.allclose(project_box([1.5, -0.2], [0, 0], [1, 1]),
@@ -97,6 +139,60 @@ class TestBoxBudget:
                 lambda v: project_halfspace(v, -np.ones(n), -theta),
             ])
             assert np.max(np.abs(direct - via_dykstra)) <= 1e-6
+
+
+class TestBreakpointSearch:
+    """project_box_budget_batch against the bisection it replaced, and the
+    KKT conditions of its output checked directly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    def test_matches_bisection_on_hard_batches(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            Y, lo, hi, theta = hard_box_budget_batch(rng, 60, n)
+            X = project_box_budget_batch(Y, lo, hi, theta)
+            oracle = bisection_box_budget_batch(Y, lo, hi, theta)
+            assert np.max(np.abs(X - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 24])
+    def test_kkt_conditions(self, n):
+        rng = np.random.default_rng(100 + n)
+        tol = 1e-12
+        for _ in range(10):
+            Y, lo, hi, theta = hard_box_budget_batch(rng, 100, n)
+            X = project_box_budget_batch(Y, lo, hi, theta)
+            missed = np.clip(Y, lo, hi).sum(axis=1) < theta - 1e-12
+            assert np.all(X.sum(axis=1)[missed] >= theta[missed])
+            assert np.all(X >= lo) and np.all(X <= hi)
+            for y, x, l, h, t in zip(Y, X, lo, hi, theta):
+                # The mu with x = clip(y + mu, lo, hi) form an interval:
+                # a free component pins mu, one at hi bounds it below, one
+                # at lo bounds it above, and lo == hi leaves it open.
+                at_hi = (x == h) & (l < h)
+                at_lo = (x == l) & (l < h)
+                free = (x > l) & (x < h)
+                mu_lo = max([0.0, *(h - y)[at_hi], *(x - y)[free]])
+                mu_hi = min([np.inf, *(l - y)[at_lo], *(x - y)[free]])
+                assert mu_lo <= mu_hi + tol
+                if x.sum() > t + 1e-9:
+                    # complementarity: a slack budget admits mu = 0
+                    assert mu_lo <= tol
+
+    def test_infeasible_row_raises(self):
+        lo = np.zeros((4, 3))
+        hi = np.ones((4, 3))
+        theta = np.array([1.0, 2.0, 3.5, 0.5])
+        Y = np.zeros((4, 3))
+        # The bisection returned row 2 short of its budget without a word.
+        short = bisection_box_budget_batch(Y, lo, hi, theta)
+        assert short[2].sum() < theta[2]
+        with pytest.raises(InfeasibleSetError):
+            project_box_budget_batch(Y, lo, hi, theta)
+
+    def test_rejects_bad_bounds(self):
+        with pytest.raises(InfeasibleSetError):
+            project_box_budget_batch(np.zeros((2, 2)), [[0, 0], [1, 0]],
+                                     np.zeros((2, 2)), [0.0, 0.0])
 
 
 class TestDykstra:
