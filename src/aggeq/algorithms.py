@@ -234,11 +234,27 @@ def _trace_row(k, residual, violation, primal, dual):
             "primal_updates": primal, "dual_updates": dual}
 
 
-def _check_divergence(X, radius, lam=None):
-    worst = float(np.max(np.abs(X), initial=0.0))
-    if lam is not None:
-        worst = max(worst, float(np.max(lam, initial=0.0)))
-    if worst > DIVERGENCE_FACTOR * radius:
+def _change(X_new, X, lam_new, lam) -> float:
+    """Inf-norm of the step between successive (x, lam) iterates."""
+    return max(float(np.abs(X_new - X).max(initial=0.0)),
+               float(np.abs(lam_new - lam).max(initial=0.0)))
+
+
+def _forward_step(op, proj, X, tau, Y, aY, lam):
+    """proj(X - tau * (F(Y) + A^T lam)), summed in place in F's array.
+    aY = A y; under the per-component cap it is the aggregate F needs."""
+    coupling = op.game.coupling
+    F = op.evaluate_blocks(Y, aY if coupling.cap is not None else None)
+    F += coupling.adjoint_blocks(lam)
+    F *= tau
+    return proj(np.subtract(X, F, out=F))
+
+
+def _check_divergence(X, radius, lam):
+    """Raise when a multiplier exceeds DIVERGENCE_FACTOR * radius.  Only lam
+    is tested: every primal iterate is a projection onto bounded sets inside
+    game.bounding_box(), so max|X| <= radius and could never trip it."""
+    if float(lam.max(initial=0.0)) > DIVERGENCE_FACTOR * radius:
         raise ConvergenceError(
             "iterates diverged; the step size is likely too large for the"
             " problem's constants", last=X)
@@ -286,9 +302,7 @@ def two_level_wardrop(game: AggregativeGame, config: SolverConfig,
         lam = np.maximum(0.0, lam - tau * game.coupling.residual(X))
         dual += 1
         _check_divergence(X, radius, lam)
-        residual = max(
-            float(np.max(np.abs(X - X_prev), initial=0.0)),
-            float(np.max(np.abs(lam - lam_prev), initial=0.0)))
+        residual = _change(X, X_prev, lam, lam_prev)
         violation = float(np.max(-game.coupling.residual(X), initial=0.0))
         trace.append(_trace_row(k, residual, violation, primal, dual))
         if residual <= config.tol:
@@ -348,27 +362,24 @@ def asymmetric_projection(game: AggregativeGame, flavor: str,
                       RuntimeWarning, stacklevel=2)
     proj = ProfileProjector(game.individual)
     radius = _domain_radius(game)
+    coupling = game.coupling
     X = _initial_profile(game, proj)
-    lam = np.zeros(game.coupling.m)
-    ax = game.coupling.apply(X)
+    lam = np.zeros(coupling.m)
+    ax = coupling.apply(X)
     primal = dual = 0
     trace = []
     converged = False
     for k in range(1, config.max_iter + 1):
-        F = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
-        X_new = proj(X - tau * F)
-        ax_new = game.coupling.apply(X_new)
-        lam_new = np.maximum(
-            0.0, lam - tau * (game.coupling.b - 2.0 * ax_new + ax))
+        X_new = _forward_step(op, proj, X, tau, X, ax, lam)
+        ax_new = coupling.apply(X_new)
+        lam_new = np.maximum(0.0, lam - tau * (coupling.b - 2.0 * ax_new + ax))
         primal += 1
         dual += 1
         _check_divergence(X_new, radius, lam_new)
-        residual = max(
-            float(np.max(np.abs(X_new - X), initial=0.0)),
-            float(np.max(np.abs(lam_new - lam), initial=0.0)))
+        residual = _change(X_new, X, lam_new, lam)
         X, lam, ax = X_new, lam_new, ax_new
         if k % 25 == 0 or residual <= config.tol:
-            violation = float(np.max(ax - game.coupling.b, initial=0.0))
+            violation = float(np.max(ax - coupling.b, initial=0.0))
             trace.append(_trace_row(k, residual, violation, primal, dual))
         if residual <= config.tol:
             converged = True
@@ -390,30 +401,26 @@ def extragradient(game: AggregativeGame, flavor: str, config: SolverConfig,
                              "extragradient")
     proj = ProfileProjector(game.individual)
     radius = _domain_radius(game)
+    coupling = game.coupling
     X = _initial_profile(game, proj)
-    lam = np.zeros(game.coupling.m)
+    lam = np.zeros(coupling.m)
     primal = dual = 0
     trace = []
     converged = False
     for k in range(1, config.max_iter + 1):
-        Fx = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
-        Fl = game.coupling.residual(X)
-        X_half = proj(X - tau * Fx)
-        lam_half = np.maximum(0.0, lam - tau * Fl)
-        Fx_h = (op.evaluate_blocks(X_half)
-                + game.coupling.adjoint_blocks(lam_half))
-        Fl_h = game.coupling.residual(X_half)
-        X_new = proj(X - tau * Fx_h)
-        lam_new = np.maximum(0.0, lam - tau * Fl_h)
+        ax = coupling.apply(X)
+        X_half = _forward_step(op, proj, X, tau, X, ax, lam)
+        lam_half = np.maximum(0.0, lam - tau * (coupling.b - ax))
+        ax_half = coupling.apply(X_half)
+        X_new = _forward_step(op, proj, X, tau, X_half, ax_half, lam_half)
+        lam_new = np.maximum(0.0, lam - tau * (coupling.b - ax_half))
         primal += 1
         dual += 1
         _check_divergence(X_new, radius, lam_new)
-        residual = max(
-            float(np.max(np.abs(X_new - X), initial=0.0)),
-            float(np.max(np.abs(lam_new - lam), initial=0.0)))
+        residual = _change(X_new, X, lam_new, lam)
         X, lam = X_new, lam_new
         if k % 25 == 0 or residual <= config.tol:
-            violation = float(np.max(-game.coupling.residual(X), initial=0.0))
+            violation = float(np.max(-coupling.residual(X), initial=0.0))
             trace.append(_trace_row(k, residual, violation, primal, dual))
         if residual <= config.tol:
             converged = True

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..errors import DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, BoxBudget, CouplingConstraint,
-                    DiagonalPrice, PriceTimesUsage, ZeroUtility)
+                    DiagonalPrice, PriceTimesUsage, ZeroUtility,
+                    sum_rounding_bound)
 
 DEFAULT_PRICE_COEFF = 0.15
 DEFAULT_KAPPA = 12.0
@@ -75,7 +76,7 @@ class EvParams:
         if np.any(theta < 0) or np.any(xtilde < 0):
             raise InfeasibleSetError("required charge and slot caps must be"
                                      " nonnegative")
-        if np.any(xtilde.sum(axis=1) < theta - 1e-12):
+        if np.any(xtilde.sum(axis=1) < theta - sum_rounding_bound(xtilde)):
             raise InfeasibleSetError(
                 "some agent cannot meet its requirement inside its window")
         for name, val in (("theta", theta), ("xtilde", xtilde), ("d", d),

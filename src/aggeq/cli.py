@@ -213,10 +213,10 @@ def _fmt(v):
     return v
 
 
-def _write_run_outputs(out_dir, game, result, report=None, extra=None):
+def _write_run_outputs(out_dir, game, result):
     X = result.x.as_matrix()
-    rows = [(i, t, repr(float(X[i, t])))
-            for i in range(game.M) for t in range(game.n)]
+    rows = ((i, t, repr(float(X[i, t])))
+            for i in range(game.M) for t in range(game.n))
     write_csv(os.path.join(out_dir, "equilibrium.csv"),
               ["agent", "component", "value"], rows)
     write_csv(os.path.join(out_dir, "duals.csv"), ["constraint", "lambda"],
@@ -224,15 +224,15 @@ def _write_run_outputs(out_dir, game, result, report=None, extra=None):
     write_csv(os.path.join(out_dir, "trace.csv"),
               ["k", "residual", "max_violation", "primal_updates",
                "dual_updates"],
-              [(r["k"], repr(r["residual"]), repr(r["max_violation"]),
+              ((r["k"], repr(r["residual"]), repr(r["max_violation"]),
                 r["primal_updates"], r["dual_updates"])
-               for r in result.trace])
-    if report is not None:
-        row = report.as_row()
-        row.update(extra or {})
-        keys = sorted(row)
-        write_csv(os.path.join(out_dir, "report.csv"), keys,
-                  [[_fmt(row[k]) for k in keys]])
+               for r in result.trace))
+
+
+def _write_report(out_dir, row):
+    keys = sorted(row)
+    write_csv(os.path.join(out_dir, "report.csv"), keys,
+              [[_fmt(row[k]) for k in keys]])
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -242,15 +242,17 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     except ConvergenceError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
+    # Written before verification, so a verification error keeps them.
+    _write_run_outputs(cfg.output_dir, game, result)
     report = verify_equilibrium(game, _flavor_of(cfg.algorithm),
                                 result.x, result.lam,
                                 seed=cfg.seed,
                                 feas_tol=max(1e-6, 10.0 * cfg.tol))
-    extra = {"converged": int(result.converged), "algorithm": cfg.algorithm,
-             "M": game.M, "seed": cfg.seed,
-             "primal_updates": result.primal_updates,
-             "dual_updates": result.dual_updates}
-    _write_run_outputs(cfg.output_dir, game, result, report, extra)
+    _write_report(cfg.output_dir, {
+        **report.as_row(), "converged": int(result.converged),
+        "algorithm": cfg.algorithm, "M": game.M, "seed": cfg.seed,
+        "primal_updates": result.primal_updates,
+        "dual_updates": result.dual_updates})
     if not result.converged:
         print("solver hit max_iter without reaching tol", file=sys.stderr)
         return 1
@@ -367,10 +369,7 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
     report = verify_equilibrium(game, _flavor_of(cfg.algorithm), X, lam,
                                 seed=cfg.seed,
                                 feas_tol=max(1e-6, 10.0 * cfg.tol))
-    row = report.as_row()
-    keys = sorted(row)
-    write_csv(os.path.join(cfg.output_dir, "report.csv"), keys,
-              [[_fmt(row[k]) for k in keys]])
+    _write_report(cfg.output_dir, report.as_row())
     return 0 if report.feasibility.feasible else 1
 
 

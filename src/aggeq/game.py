@@ -80,6 +80,12 @@ def aggregate_matrix(X: np.ndarray) -> np.ndarray:
     return np.add.reduce(X, axis=0) / X.shape[0]
 
 
+def sum_rounding_bound(a) -> np.ndarray:
+    """n * eps * sum(|a|) over the last axis of a: a bound on the rounding
+    error of summing its n entries in floating point."""
+    return a.shape[-1] * np.finfo(float).eps * np.abs(a).sum(axis=-1)
+
+
 def aggregate(x: Union[StrategyProfile, np.ndarray], M: Optional[int] = None,
               n: Optional[int] = None) -> np.ndarray:
     """Population average (1/M) sum_i x^i of a strategy profile."""
@@ -141,7 +147,8 @@ class BoxBudget:
             raise DimensionError("lo and hi must have the same shape")
         if np.any(lo > hi):
             raise InfeasibleSetError("box requires lo <= hi componentwise")
-        if self.theta > float(np.sum(hi)) + 1e-12:
+        excess = self.theta - float(np.sum(hi))
+        if excess > 0.0 and excess > sum_rounding_bound(hi):
             raise InfeasibleSetError(
                 f"budget theta={self.theta} exceeds sum(hi)={np.sum(hi)}"
             )
@@ -184,6 +191,9 @@ class FlowPolytope:
             raise InfeasibleSetError("b_od entries must be in {-1, 0, 1}")
         if abs(float(np.sum(b_od))) > 1e-12:
             raise InfeasibleSetError("b_od must sum to zero")
+        x0 = np.linalg.lstsq(B, b_od, rcond=None)[0]
+        if np.max(np.abs(B @ x0 - b_od), initial=0.0) > 1e-8:
+            raise InfeasibleSetError("system B x = b_od is inconsistent")
         B = B.copy()
         B.setflags(write=False)
         b_od = b_od.copy()
@@ -307,9 +317,10 @@ class CouplingConstraint:
         return self.b - self.apply(X)
 
     def adjoint_blocks(self, lam: np.ndarray) -> np.ndarray:
-        """(M, n) matrix whose row i is A_(:,i)^T lam."""
+        """(M, n) matrix whose row i is A_(:,i)^T lam; for the cap form a
+        read-only view repeating lam / M in every row."""
         if self.cap is not None:
-            return np.tile(lam / self.M, (self.M, 1))
+            return np.broadcast_to(lam / self.M, (self.M, self.n))
         return (self.A.T @ lam).reshape(self.M, self.n)
 
     def norm(self) -> float:
@@ -510,7 +521,10 @@ class QuadraticCost(CostModel):
         return self.C.T @ np.asarray(x_i, dtype=float)
 
     def grad_own_all(self, X, z):
-        return X @ self.Q.T + (self.C @ z)[None, :] + self.c
+        out = X @ self.Q.T
+        out += self.C @ z
+        out += self.c
+        return out
 
     def grad_agg_all(self, X, z):
         return X @ self.C

@@ -42,12 +42,17 @@ class GameOperator:
         self.game = game
         self.flavor = flavor
 
-    def evaluate_blocks(self, X: np.ndarray) -> np.ndarray:
+    def evaluate_blocks(self, X: np.ndarray,
+                        z: Optional[np.ndarray] = None) -> np.ndarray:
+        """F(X) as an (M, n) matrix; z is X's aggregate (None computes it)."""
         X = np.asarray(X, dtype=float)
-        z = aggregate_matrix(X)
+        if z is None:
+            z = aggregate_matrix(X)
         out = self.game.cost.grad_own_all(X, z)
         if self.flavor == NASH:
-            out = out + self.game.cost.grad_agg_all(X, z) / self.game.M
+            agg = self.game.cost.grad_agg_all(X, z)
+            agg /= self.game.M
+            out += agg
         return out
 
     def evaluate(self, x) -> np.ndarray:
@@ -150,12 +155,8 @@ class ExtendedOperator:
         self.coupling = base.game.coupling
 
     def evaluate(self, x, lam) -> tuple:
-        game = self.base.game
-        X = game.profile(x).as_matrix()
-        lam = np.asarray(lam, dtype=float)
-        primal = (self.base.evaluate_blocks(X)
-                  + self.coupling.adjoint_blocks(lam))
-        dual = self.coupling.residual(X)
+        X = self.base.game.profile(x).as_matrix()
+        primal, dual = self.evaluate_blocks(X, np.asarray(lam, dtype=float))
         return primal.reshape(-1), dual
 
     def evaluate_blocks(self, X, lam) -> tuple:

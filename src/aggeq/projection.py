@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
 from .game import (Box, BoxBudget, FlowPolytope, HalfspaceIntersection,
-                   IndividualConstraintSet)
+                   IndividualConstraintSet, sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
@@ -33,17 +33,6 @@ def project_nonneg(y) -> np.ndarray:
     return np.maximum(np.asarray(y, dtype=float), 0.0)
 
 
-def _affine_solver(B):
-    """Least-squares action u -> B^+ u via a rank-revealing solve."""
-    B = np.asarray(B, dtype=float)
-
-    def solve(u):
-        sol, *_ = np.linalg.lstsq(B, u, rcond=None)
-        return sol
-
-    return solve
-
-
 def project_affine(y, B, b_od) -> np.ndarray:
     """Projection of y onto {x : B x = b_od}.
 
@@ -53,9 +42,8 @@ def project_affine(y, B, b_od) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     B = np.asarray(B, dtype=float)
     b_od = np.asarray(b_od, dtype=float)
-    solve = _affine_solver(B)
     # Consistency: the min-norm solution must satisfy the system.
-    x0 = solve(b_od)
+    x0 = np.linalg.lstsq(B, b_od, rcond=None)[0]
     if np.max(np.abs(B @ x0 - b_od), initial=0.0) > 1e-8:
         raise InfeasibleSetError("system B x = b_od is inconsistent")
     out = y - B.T @ np.linalg.lstsq(B @ B.T, B @ y - b_od, rcond=None)[0]
@@ -88,7 +76,9 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     theta (the continuous quadratic knapsack breakpoint search, Helgason,
     Kennington & Lall 1980).  One correction step on that free set makes
     every such row's floating-point sum at least theta.  Raises
-    InfeasibleSetError when some row has lo > hi or theta > sum(hi).
+    InfeasibleSetError when some row has lo > hi or theta above sum(hi) by
+    more than that sum's rounding bound; a clip within its sum's rounding
+    bound of theta counts as meeting the budget.
     """
     Y = np.asarray(Y, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), Y.shape)
@@ -96,10 +86,13 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     theta = np.broadcast_to(np.asarray(theta, dtype=float), Y.shape[:1])
     if np.any(lo > hi):
         raise InfeasibleSetError("box requires lo <= hi componentwise")
-    if np.any(theta > hi.sum(axis=1) + 1e-12):
+    over = theta - hi.sum(axis=1)
+    if np.any(over > 0.0) and np.any(over > sum_rounding_bound(hi)):
         raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
-    X = np.clip(Y, lo, hi)
-    need = X.sum(axis=1) < theta - 1e-12
+    X = np.minimum(np.maximum(Y, lo), hi)
+    short = theta - X.sum(axis=1)
+    need = short > 0.0
+    need[need] = short[need] > sum_rounding_bound(X[need])
     if not np.any(need):
         return X
     y, l, h, t = Y[need], lo[need], hi[need], theta[need]
@@ -130,7 +123,7 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     # components take the deficit plus a bound on the rounding of the two
     # n-term sums and of the additions themselves: n * eps * sum(|x|).
     deficit = t - x.sum(axis=1)
-    step = (deficit + n * np.finfo(float).eps * np.abs(x).sum(axis=1)) / count
+    step = (deficit + sum_rounding_bound(x)) / count
     X[need] = np.where(inside & (deficit > 0)[:, None],
                        np.minimum(x + step[:, None], h), x)
     return X
@@ -237,7 +230,6 @@ def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
     if isinstance(cs, BoxBudget):
         return project_box_budget(y, cs.lo, cs.hi, cs.theta)
     if isinstance(cs, FlowPolytope):
-        _cached_affine_projector(cs.B, cs.b_od)  # consistency check
         return project_flow_polytope(np.asarray(y, dtype=float),
                                      cs.B, cs.b_od)
     if isinstance(cs, HalfspaceIntersection):
@@ -249,30 +241,6 @@ def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
             projs.insert(0, lambda v: np.clip(v, cs.box.lo, cs.box.hi))
         return dykstra(y, projs)
     raise DimensionError(f"no projection for {type(cs).__name__}")
-
-
-_AFFINE_CACHE: dict = {}
-
-
-def _cached_affine_projector(B, b_od):
-    """Affine projector reusing a factorization keyed on the matrix identity."""
-    key = (id(B), B.shape, b_od.tobytes())
-    hit = _AFFINE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    BBt = B @ B.T
-    pinv_BBt = np.linalg.pinv(BBt)
-    x0 = B.T @ (pinv_BBt @ b_od)
-    if np.max(np.abs(B @ x0 - b_od), initial=0.0) > 1e-8:
-        raise InfeasibleSetError("system B x = b_od is inconsistent")
-
-    def proj(y):
-        return y - B.T @ (pinv_BBt @ (B @ y - b_od))
-
-    if len(_AFFINE_CACHE) > 4096:
-        _AFFINE_CACHE.clear()
-    _AFFINE_CACHE[key] = proj
-    return proj
 
 
 class ProfileProjector:
@@ -300,7 +268,8 @@ class ProfileProjector:
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         if self._mode == "box":
-            return np.clip(Y, self._lo, self._hi)
+            # np.clip's values, at a third of its cost with array bounds.
+            return np.minimum(np.maximum(Y, self._lo), self._hi)
         if self._mode == "box_budget":
             return project_box_budget_batch(Y, self._lo, self._hi, self._theta)
         if self._mode == "flow":

@@ -9,7 +9,9 @@ from aggeq.errors import ConvergenceError, DimensionError
 from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility, aggregate_matrix)
-from aggeq.operators import NASH, WARDROP, build_operator
+from aggeq.apps.ev import build_ev_game, generate_ev_params
+from aggeq.operators import (NASH, WARDROP, build_operator,
+                             monotonicity_analysis)
 from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
 
@@ -48,6 +50,158 @@ def greedy_loop_oracle(q, lo, hi, theta):
         if need <= 1e-15:
             break
     return x
+
+
+def reference_mapping(game, flavor, X):
+    """Test oracle: F(X) summed into fresh arrays, with the aggregate
+    computed from X, as GameOperator.evaluate_blocks did before it took the
+    aggregate from its caller and summed in place."""
+    cost = game.cost
+    z = np.add.reduce(X, axis=0) / game.M
+    if isinstance(cost, QuadraticCost):
+        out = X @ cost.Q.T + (cost.C @ z)[None, :] + cost.c
+        agg = X @ cost.C
+    else:
+        out = cost.grad_own_all(X, z)
+        agg = cost.grad_agg_all(X, z)
+    return out + agg / game.M if flavor == NASH else out
+
+
+def reference_adjoint(coupling, lam):
+    """Test oracle: A^T lam as a full (M, n) copy."""
+    if coupling.cap is not None:
+        return np.tile(lam / coupling.M, (coupling.M, 1))
+    return (coupling.A.T @ lam).reshape(coupling.M, coupling.n)
+
+
+def reference_projector(game):
+    """Test oracle: np.clip for boxes, else the profile projector."""
+    if all(isinstance(cs, Box) for cs in game.individual):
+        lo = np.stack([cs.lo for cs in game.individual])
+        hi = np.stack([cs.hi for cs in game.individual])
+        return lambda Y: np.clip(Y, lo, hi)
+    return ProfileProjector(game.individual)
+
+
+def apa_reference_loop(game, flavor, config, rep):
+    """Test oracle: the asymmetric-projection loop with one fresh array per
+    operation and the aggregate computed twice per update, as it was
+    before the loop reused it.  The divergence check, which only raises,
+    is left out."""
+    tau = auto_step_size(rep.safe_alpha(), rep.safe_lipschitz(),
+                         game.coupling.norm(), "apa")
+    proj = reference_projector(game)
+    X = proj(np.zeros((game.M, game.n)))
+    lam = np.zeros(game.coupling.m)
+    ax = game.coupling.apply(X)
+    primal = dual = 0
+    trace = []
+    for k in range(1, config.max_iter + 1):
+        F = (reference_mapping(game, flavor, X)
+             + reference_adjoint(game.coupling, lam))
+        X_new = proj(X - tau * F)
+        ax_new = game.coupling.apply(X_new)
+        lam_new = np.maximum(
+            0.0, lam - tau * (game.coupling.b - 2.0 * ax_new + ax))
+        primal += 1
+        dual += 1
+        residual = max(
+            float(np.max(np.abs(X_new - X), initial=0.0)),
+            float(np.max(np.abs(lam_new - lam), initial=0.0)))
+        X, lam, ax = X_new, lam_new, ax_new
+        if k % 25 == 0 or residual <= config.tol:
+            violation = float(np.max(ax - game.coupling.b, initial=0.0))
+            trace.append({"k": k, "residual": residual,
+                          "max_violation": violation,
+                          "primal_updates": primal, "dual_updates": dual})
+        if residual <= config.tol:
+            return X, lam, trace, primal, dual, True
+    return X, lam, trace, primal, dual, False
+
+
+def extragradient_reference_loop(game, flavor, config, rep):
+    """Test oracle: the extragradient loop as it was before it reused the
+    aggregate, with the divergence check left out."""
+    tau = auto_step_size(rep.alpha, rep.safe_lipschitz(),
+                         game.coupling.norm(), "extragradient")
+    proj = reference_projector(game)
+    X = proj(np.zeros((game.M, game.n)))
+    lam = np.zeros(game.coupling.m)
+    primal = dual = 0
+    trace = []
+    for k in range(1, config.max_iter + 1):
+        Fx = (reference_mapping(game, flavor, X)
+              + reference_adjoint(game.coupling, lam))
+        Fl = game.coupling.residual(X)
+        X_half = proj(X - tau * Fx)
+        lam_half = np.maximum(0.0, lam - tau * Fl)
+        Fx_h = (reference_mapping(game, flavor, X_half)
+                + reference_adjoint(game.coupling, lam_half))
+        Fl_h = game.coupling.residual(X_half)
+        X_new = proj(X - tau * Fx_h)
+        lam_new = np.maximum(0.0, lam - tau * Fl_h)
+        primal += 1
+        dual += 1
+        residual = max(
+            float(np.max(np.abs(X_new - X), initial=0.0)),
+            float(np.max(np.abs(lam_new - lam), initial=0.0)))
+        X, lam = X_new, lam_new
+        if k % 25 == 0 or residual <= config.tol:
+            violation = float(np.max(-game.coupling.residual(X), initial=0.0))
+            trace.append({"k": k, "residual": residual,
+                          "max_violation": violation,
+                          "primal_updates": primal, "dual_updates": dual})
+        if residual <= config.tol:
+            return X, lam, trace, primal, dual, True
+    return X, lam, trace, primal, dual, False
+
+
+def dense_coupling_game():
+    """Quadratic game under two dense coupling rows, where A x is not the
+    aggregate the mapping needs."""
+    base = build_quadratic_game(12, n=3, seed=3)
+    rng = np.random.default_rng(3)
+    A = rng.uniform(0.0, 1.0, size=(2, 36)) / 36.0
+    return AggregativeGame(
+        M=12, n=3, cost=base.cost, individual=base.individual,
+        coupling=CouplingConstraint.dense(A, [0.15, 0.2], 12, 3))
+
+
+REFERENCE_GAMES = {
+    "quadratic": lambda: build_quadratic_game(20, n=6, seed=2),
+    "ev": lambda: build_ev_game(generate_ev_params(20, seed=5)),
+    "dense": dense_coupling_game,
+}
+
+
+class TestReferenceLoops:
+    """The solvers against their loops before the per-update temporaries
+    were removed: the arithmetic is the same, so the results are equal to
+    the last bit."""
+
+    @pytest.mark.parametrize("kind, flavor, solver", [
+        ("quadratic", NASH, "apa"), ("quadratic", WARDROP, "apa"),
+        ("quadratic", WARDROP, "extragradient"),
+        ("ev", NASH, "apa"), ("ev", WARDROP, "extragradient"),
+        ("dense", NASH, "apa"), ("dense", WARDROP, "extragradient"),
+    ])
+    def test_bit_identical_to_reference(self, kind, flavor, solver):
+        game = REFERENCE_GAMES[kind]()
+        config = SolverConfig(tol=1e-7, max_iter=3000)
+        rep = monotonicity_analysis(build_operator(game, flavor), seed=0)
+        if solver == "apa":
+            res = asymmetric_projection(game, flavor, config, constants=rep)
+            ref = apa_reference_loop(game, flavor, config, rep)
+        else:
+            res = extragradient(game, flavor, config, constants=rep)
+            ref = extragradient_reference_loop(game, flavor, config, rep)
+        X, lam, trace, primal, dual, converged = ref
+        assert len(trace) >= 3
+        assert res.x.as_matrix().tobytes() == X.tobytes()
+        assert res.lam.tobytes() == lam.tobytes()
+        assert res.trace == trace
+        assert (res.primal_updates, res.dual_updates, res.converged) \
+            == (primal, dual, converged)
 
 
 class TestAutoStepSize:

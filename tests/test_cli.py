@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from aggeq import cli
 from aggeq.cli import main, substream
+from aggeq.errors import InfeasibleSetError
 
 RUN_FILES = ("equilibrium.csv", "duals.csv", "trace.csv", "report.csv")
 
@@ -64,6 +66,22 @@ class TestRun:
         assert code == 0
         report = read_rows(out / "report.csv")[0]
         assert report["algorithm"] == "extragradient"
+
+    def test_failed_verification_keeps_the_solver_outputs(self, tmp_path,
+                                                          monkeypatch):
+        cfg = write_config(tmp_path, QUADRATIC_CONFIG)
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert main(["run", "--config", cfg, "--out", str(good)]) == 0
+
+        def fail(*args, **kwargs):
+            raise InfeasibleSetError("verification failed")
+
+        monkeypatch.setattr(cli, "verify_equilibrium", fail)
+        assert main(["run", "--config", cfg, "--out", str(bad)]) == 1
+        for name in RUN_FILES[:3]:
+            assert (bad / name).read_bytes() == (good / name).read_bytes(), \
+                name
+        assert not (bad / "report.csv").exists()
 
     def test_negative_tol_exits_2_without_outputs(self, tmp_path):
         cfg = write_config(tmp_path, QUADRATIC_CONFIG)

@@ -186,6 +186,20 @@ class TestCouplingConstraint:
                            dense.adjoint_blocks(lam), atol=1e-12)
         assert cap.norm() == pytest.approx(dense.norm(), abs=1e-12)
 
+    def test_cap_adjoint_is_a_read_only_view(self):
+        rng = np.random.default_rng(6)
+        M, n = 5, 3
+        cap = CouplingConstraint.per_component_cap(np.ones(n), M)
+        dense = CouplingConstraint.dense(cap.matrix(), np.ones(n), M, n)
+        lam = rng.uniform(size=n)
+        view = cap.adjoint_blocks(lam)
+        assert view.shape == (M, n)
+        assert np.allclose(view, dense.adjoint_blocks(lam), rtol=0.0,
+                           atol=1e-15)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
     def test_cap_norm_value(self):
         cap = CouplingConstraint.per_component_cap(np.ones(3), 9)
         assert cap.norm() == pytest.approx(1.0 / 3.0)
@@ -210,6 +224,14 @@ class TestIndividualSets:
             FlowPolytope(B, [0.5, -0.5])
         with pytest.raises(InfeasibleSetError):
             FlowPolytope(B, [1.0, 1.0])
+
+    def test_flow_polytope_rejects_unreachable_destination(self):
+        # Edges 0 -> 1 and 2 -> 3: the origin and the destination lie in
+        # different components, so no flow conserves at every node.
+        B = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        with pytest.raises(InfeasibleSetError, match="inconsistent"):
+            FlowPolytope(B, [-1.0, 0.0, 0.0, 1.0])
+        FlowPolytope(B, [-1.0, 1.0, 0.0, 0.0])
 
     def test_violation_values(self):
         box = Box([0.0], [1.0])

@@ -189,6 +189,35 @@ class TestBreakpointSearch:
         with pytest.raises(InfeasibleSetError):
             project_box_budget_batch(Y, lo, hi, theta)
 
+    def test_budget_tolerance_scales_with_the_bounds(self):
+        # Entries near 1e3 and budgets equal to sum(hi) through another
+        # summation order: theta exceeds the row sum by a few ulps of it,
+        # far more than 1e-12, and the set is still feasible.
+        rng = np.random.default_rng(7)
+        m, n = 2000, 24
+        lo = 1e3 * rng.uniform(-1.0, 1.0, size=(m, n))
+        hi = lo + 1e3 * rng.uniform(0.0, 2.0, size=(m, n))
+        Y = 1e3 * rng.uniform(-3.0, 3.0, size=(m, n))
+        theta = lo.sum(axis=1) + 1.0 * (hi.sum(axis=1) - lo.sum(axis=1))
+        assert np.any(theta > hi.sum(axis=1) + 1e-12)
+        for i in range(m):
+            BoxBudget(lo[i], hi[i], theta[i])
+        X = project_box_budget_batch(Y, lo, hi, theta)
+        assert np.all(X >= lo) and np.all(X <= hi)
+        clip_sum = np.clip(Y, lo, hi).sum(axis=1)
+        rounding = n * np.finfo(float).eps * np.abs(hi).sum(axis=1)
+        assert np.all(X.sum(axis=1) >= theta - rounding)
+        missed = (clip_sum < theta - rounding) & (theta <= hi.sum(axis=1))
+        assert np.count_nonzero(missed) > m // 2
+        assert np.all(X.sum(axis=1)[missed] >= theta[missed])
+        # A budget clearly above sum(hi) is still rejected.
+        over = theta + 1e-9 * np.abs(hi).sum(axis=1)
+        with pytest.raises(InfeasibleSetError):
+            BoxBudget(lo[0], hi[0], over[0])
+        with pytest.raises(InfeasibleSetError):
+            project_box_budget_batch(Y, lo, hi, np.where(
+                np.arange(m) == 5, over, theta))
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(InfeasibleSetError):
             project_box_budget_batch(np.zeros((2, 2)), [[0, 0], [1, 0]],
