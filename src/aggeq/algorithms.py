@@ -9,15 +9,22 @@ Three solvers share the interface game -> EquilibriumResult:
 * ``extragradient``: two-evaluation scheme on the primal-dual mapping,
   needing only plain monotonicity.
 
-All iterates stay individually feasible (projections enforce it) and the
-multipliers stay nonnegative.  Stopping is on the inf-norm of successive
-(x, lambda) iterates.
+Each solver sets up its constants and step size, then hands a generator
+of (x, lambda, primal updates) steps to one iteration loop, ``_drive``.
+That loop owns the starting point, the divergence check, the stop on the
+inf-norm of successive (x, lambda) iterates, the trace (``TRACE_COLUMNS``;
+a row per outer two-level iteration, else every 25 updates and at
+convergence) and the result.  Iterates stay individually feasible
+(projections enforce it) and multipliers nonnegative.  ``SOLVERS``, the
+one registry, maps each algorithm name to its flavor and solver for the
+CLI and the tests.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +32,8 @@ from .errors import ConvergenceError, DimensionError
 from .game import (AggregativeGame, BoxBudget, PriceTimesUsage, QuadraticCost,
                    QuadraticTracking, StrategyProfile, ZeroUtility,
                    aggregate_matrix)
-from .operators import (NASH, WARDROP, GameOperator, MonotonicityReport,
-                        build_operator, monotonicity_analysis)
+from .operators import (NASH, WARDROP, MonotonicityReport, build_operator,
+                        monotonicity_analysis)
 from .projection import ProfileProjector, project_individual
 
 DIVERGENCE_FACTOR = 1e6
@@ -46,6 +53,10 @@ class SolverConfig:
             raise DimensionError("tau must be positive when given")
         if self.tol <= 0:
             raise DimensionError("tol must be positive")
+        if self.max_iter < 1:
+            raise DimensionError("max_iter must be at least 1")
+        if self.inner_tol <= 0:
+            raise DimensionError("inner_tol must be positive")
 
 
 @dataclass
@@ -207,18 +218,12 @@ def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
 
 
 # ---------------------------------------------------------------------------
-# Shared solver plumbing
+# The shared iteration loop
 # ---------------------------------------------------------------------------
 
-
-def _domain_radius(game: AggregativeGame) -> float:
-    lo, hi = game.bounding_box()
-    return float(max(np.max(np.abs(lo)), np.max(np.abs(hi)), 1.0))
-
-
-def _initial_profile(game: AggregativeGame,
-                     proj: ProfileProjector) -> np.ndarray:
-    return proj(np.zeros((game.M, game.n)))
+# Fields of a trace row, in the order trace.csv writes them.
+TRACE_COLUMNS = ("k", "residual", "max_violation", "primal_updates",
+                 "dual_updates")
 
 
 def _constants(game: AggregativeGame, flavor: str,
@@ -229,9 +234,14 @@ def _constants(game: AggregativeGame, flavor: str,
     return monotonicity_analysis(build_operator(game, flavor), seed=seed)
 
 
-def _trace_row(k, residual, violation, primal, dual):
-    return {"k": k, "residual": residual, "max_violation": violation,
-            "primal_updates": primal, "dual_updates": dual}
+def _strong_monotonicity(rep: MonotonicityReport, scheme: str) -> float:
+    """The usable strong-monotonicity constant; raise when it is zero."""
+    alpha = rep.safe_alpha()
+    if alpha <= 0:
+        raise ConvergenceError(
+            f"{scheme} needs a strongly monotone mapping, estimated"
+            f" constant {rep.alpha:.3e}")
+    return alpha
 
 
 def _change(X_new, X, lam_new, lam) -> float:
@@ -260,6 +270,38 @@ def _check_divergence(X, radius, lam):
             " problem's constants", last=X)
 
 
+def _drive(game: AggregativeGame, flavor: str, config: SolverConfig,
+           steps, trace_every: int = 25) -> EquilibriumResult:
+    """Run ``steps(proj, X, lam)``, a generator of (X, lam, primal updates)
+    iterations, from the projected origin and zero multipliers.  Each
+    iteration is one dual update, and config.max_iter >= 1 of them run at
+    most."""
+    proj = ProfileProjector(game.individual)
+    X = proj(np.zeros((game.M, game.n)))
+    coupling = game.coupling
+    lam = np.zeros(coupling.m)
+    lo, hi = game.bounding_box()
+    radius = float(max(np.max(np.abs(lo)), np.max(np.abs(hi)), 1.0))
+    primal, trace = 0, []
+    for k, (X_new, lam_new, updates) in zip(range(1, config.max_iter + 1),
+                                            steps(proj, X, lam)):
+        primal += updates
+        _check_divergence(X_new, radius, lam_new)
+        residual = _change(X_new, X, lam_new, lam)
+        X, lam = X_new, lam_new
+        converged = residual <= config.tol
+        if converged or k % trace_every == 0:
+            # max(A x - b, 0): an exactly tight row reads 0.0, never -0.0.
+            excess = coupling.apply(X) - coupling.b
+            violation = float(excess.max(initial=0.0))
+            trace.append(dict(zip(TRACE_COLUMNS,
+                                  (k, residual, violation, primal, k))))
+        if converged:
+            break
+    return EquilibriumResult(StrategyProfile.from_matrix(X), lam, flavor,
+                             primal, k, trace, converged)
+
+
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
@@ -275,41 +317,23 @@ def two_level_wardrop(game: AggregativeGame, config: SolverConfig,
     Outer level: projected ascent on the coupling multipliers.
     """
     rep = _constants(game, WARDROP, constants, config.seed)
-    alpha = rep.safe_alpha()
-    if alpha <= 0:
-        raise ConvergenceError(
-            "two-level scheme needs a strongly monotone mapping,"
-            f" estimated constant {rep.alpha:.3e}")
-    a_norm = game.coupling.norm()
+    alpha = _strong_monotonicity(rep, "two-level scheme")
     tau = config.tau
     if tau is None:
-        tau = auto_step_size(alpha, rep.safe_lipschitz(), a_norm, "two-level")
+        tau = auto_step_size(alpha, rep.safe_lipschitz(),
+                             game.coupling.norm(), "two-level")
     # The outer residual cannot drop below the inner solve's noise floor, so
     # the inner loops must run tighter than the outer tolerance.
     config = replace(config,
                      inner_tol=min(config.inner_tol, 0.01 * config.tol))
-    proj = ProfileProjector(game.individual)
-    radius = _domain_radius(game)
-    X = _initial_profile(game, proj)
-    lam = np.zeros(game.coupling.m)
-    primal = dual = 0
-    trace = []
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        X_prev, lam_prev = X, lam
-        X, inner_steps = _inner_wardrop(game, proj, X, lam, config)
-        primal += inner_steps
-        lam = np.maximum(0.0, lam - tau * game.coupling.residual(X))
-        dual += 1
-        _check_divergence(X, radius, lam)
-        residual = _change(X, X_prev, lam, lam_prev)
-        violation = float(np.max(-game.coupling.residual(X), initial=0.0))
-        trace.append(_trace_row(k, residual, violation, primal, dual))
-        if residual <= config.tol:
-            converged = True
-            break
-    return EquilibriumResult(StrategyProfile.from_matrix(X), lam, WARDROP,
-                             primal, dual, trace, converged)
+
+    def steps(proj, X, lam):
+        while True:
+            X, inner_steps = _inner_wardrop(game, proj, X, lam, config)
+            lam = np.maximum(0.0, lam - tau * game.coupling.residual(X))
+            yield X, lam, inner_steps
+
+    return _drive(game, WARDROP, config, steps, trace_every=1)
 
 
 def _inner_wardrop(game, proj, X, lam, config):
@@ -347,45 +371,25 @@ def asymmetric_projection(game: AggregativeGame, flavor: str,
     """
     op = build_operator(game, flavor)
     rep = _constants(game, flavor, constants, config.seed)
-    alpha, l_f = rep.safe_alpha(), rep.safe_lipschitz()
-    if alpha <= 0:
-        raise ConvergenceError(
-            "this scheme needs a strongly monotone mapping, estimated"
-            f" constant {rep.alpha:.3e}")
-    a_norm = game.coupling.norm()
+    alpha = _strong_monotonicity(rep, "asymmetric projection scheme")
+    l_f, a_norm = rep.safe_lipschitz(), game.coupling.norm()
     tau = config.tau
     if tau is None:
         tau = auto_step_size(alpha, l_f, a_norm, "apa")
     elif tau > auto_step_size(alpha, l_f, a_norm, "apa") / 0.9 + 1e-12:
-        import warnings
         warnings.warn("supplied tau exceeds the convergence threshold",
                       RuntimeWarning, stacklevel=2)
-    proj = ProfileProjector(game.individual)
-    radius = _domain_radius(game)
     coupling = game.coupling
-    X = _initial_profile(game, proj)
-    lam = np.zeros(coupling.m)
-    ax = coupling.apply(X)
-    primal = dual = 0
-    trace = []
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        X_new = _forward_step(op, proj, X, tau, X, ax, lam)
-        ax_new = coupling.apply(X_new)
-        lam_new = np.maximum(0.0, lam - tau * (coupling.b - 2.0 * ax_new + ax))
-        primal += 1
-        dual += 1
-        _check_divergence(X_new, radius, lam_new)
-        residual = _change(X_new, X, lam_new, lam)
-        X, lam, ax = X_new, lam_new, ax_new
-        if k % 25 == 0 or residual <= config.tol:
-            violation = float(np.max(ax - coupling.b, initial=0.0))
-            trace.append(_trace_row(k, residual, violation, primal, dual))
-        if residual <= config.tol:
-            converged = True
-            break
-    return EquilibriumResult(StrategyProfile.from_matrix(X), lam, flavor,
-                             primal, dual, trace, converged)
+
+    def steps(proj, X, lam):
+        ax = coupling.apply(X)
+        while True:
+            X = _forward_step(op, proj, X, tau, X, ax, lam)
+            ax0, ax = ax, coupling.apply(X)
+            lam = np.maximum(0.0, lam - tau * (coupling.b - 2.0 * ax + ax0))
+            yield X, lam, 1
+
+    return _drive(game, flavor, config, steps)
 
 
 def extragradient(game: AggregativeGame, flavor: str, config: SolverConfig,
@@ -394,48 +398,41 @@ def extragradient(game: AggregativeGame, flavor: str, config: SolverConfig,
     """Extragradient on the primal-dual mapping; monotonicity suffices."""
     op = build_operator(game, flavor)
     rep = _constants(game, flavor, constants, config.seed)
-    a_norm = game.coupling.norm()
     tau = config.tau
     if tau is None:
-        tau = auto_step_size(rep.alpha, rep.safe_lipschitz(), a_norm,
-                             "extragradient")
-    proj = ProfileProjector(game.individual)
-    radius = _domain_radius(game)
+        tau = auto_step_size(rep.alpha, rep.safe_lipschitz(),
+                             game.coupling.norm(), "extragradient")
     coupling = game.coupling
-    X = _initial_profile(game, proj)
-    lam = np.zeros(coupling.m)
-    primal = dual = 0
-    trace = []
-    converged = False
-    for k in range(1, config.max_iter + 1):
-        ax = coupling.apply(X)
-        X_half = _forward_step(op, proj, X, tau, X, ax, lam)
-        lam_half = np.maximum(0.0, lam - tau * (coupling.b - ax))
-        ax_half = coupling.apply(X_half)
-        X_new = _forward_step(op, proj, X, tau, X_half, ax_half, lam_half)
-        lam_new = np.maximum(0.0, lam - tau * (coupling.b - ax_half))
-        primal += 1
-        dual += 1
-        _check_divergence(X_new, radius, lam_new)
-        residual = _change(X_new, X, lam_new, lam)
-        X, lam = X_new, lam_new
-        if k % 25 == 0 or residual <= config.tol:
-            violation = float(np.max(-coupling.residual(X), initial=0.0))
-            trace.append(_trace_row(k, residual, violation, primal, dual))
-        if residual <= config.tol:
-            converged = True
-            break
-    return EquilibriumResult(StrategyProfile.from_matrix(X), lam, flavor,
-                             primal, dual, trace, converged)
+
+    def steps(proj, X, lam):
+        while True:
+            ax = coupling.apply(X)
+            X_half = _forward_step(op, proj, X, tau, X, ax, lam)
+            lam_half = np.maximum(0.0, lam - tau * (coupling.b - ax))
+            ax_half = coupling.apply(X_half)
+            X = _forward_step(op, proj, X, tau, X_half, ax_half, lam_half)
+            lam = np.maximum(0.0, lam - tau * (coupling.b - ax_half))
+            yield X, lam, 1
+
+    return _drive(game, flavor, config, steps)
 
 
+class Solver(NamedTuple):
+    """A registered scheme: the equilibrium it seeks and how to run it."""
+    flavor: str
+    solve: Callable[..., EquilibriumResult]
+
+
+# The one name-to-solver map, for the CLI and the tests.  Each entry looks
+# its scheme up as a module attribute when called, so a wrapper installed
+# on that attribute sees every solve; the game stays the first argument.
 SOLVERS = {
-    "two-level": lambda game, config, **kw: two_level_wardrop(
-        game, config, **kw),
-    "apa-nash": lambda game, config, **kw: asymmetric_projection(
-        game, NASH, config, **kw),
-    "apa-wardrop": lambda game, config, **kw: asymmetric_projection(
-        game, WARDROP, config, **kw),
-    "extragradient": lambda game, config, **kw: extragradient(
-        game, WARDROP, config, **kw),
+    "two-level": Solver(WARDROP, lambda game, config, **kw:
+                        two_level_wardrop(game, config, **kw)),
+    "apa-nash": Solver(NASH, lambda game, config, **kw:
+                       asymmetric_projection(game, NASH, config, **kw)),
+    "apa-wardrop": Solver(WARDROP, lambda game, config, **kw:
+                          asymmetric_projection(game, WARDROP, config, **kw)),
+    "extragradient": Solver(WARDROP, lambda game, config, **kw:
+                            extragradient(game, WARDROP, config, **kw)),
 }

@@ -21,10 +21,9 @@ from .game import (AggregativeGame, Box, BoxBudget, DiagonalPrice,
                    FeasibilityReport, FlowPolytope, HalfspaceIntersection,
                    PriceTimesUsage, QuadraticCost, QuadraticTracking,
                    ZeroUtility, aggregate_matrix, feasibility_report)
-from .operators import (NASH, WARDROP, build_operator, default_sampler,
+from .operators import (NASH, build_operator, default_sampler,
                         monotonicity_analysis)
-from .projection import (ProfileProjector, project_box_budget_batch,
-                         project_individual)
+from .projection import project_box_budget_batch, project_individual
 
 ACTIVE_TOL = 1e-6
 
@@ -509,8 +508,12 @@ def verify_equilibrium(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
                        feas_tol: float = 1e-6) -> VerificationReport:
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
-    kkt = kkt_residual(game, flavor, X, lam)
+    # Feasibility first: the sampled VI gap rejects an infeasible x_bar, and
+    # the KKT fit would be spent on it for nothing.
     feas = feasibility_report(game, X, tol=feas_tol)
+    if not feas.feasible:
+        raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
+    kkt = kkt_residual(game, flavor, X, lam)
     gap = vi_gap_sampled(game, flavor, X, n_samples=n_samples, seed=seed,
                          feas_tol=feas_tol)
     eps = epsilon_nash(game, X) if compute_epsilon else float("nan")

@@ -3,8 +3,9 @@
 Subcommands: ``run`` (solve one instance and write equilibrium, duals,
 trace, and verification files), ``sweep-m`` (solve Nash and Wardrop across
 population sizes, recording distances against their theoretical bounds),
-``compare`` (iteration counts per algorithm), and ``verify`` (re-check a
-stored equilibrium file).
+``compare`` (iteration counts per Wardrop algorithm), and ``verify``
+(re-check a stored equilibrium file).  Algorithm names, their flavors and
+their solvers come from ``aggeq.algorithms.SOLVERS``.
 
 Configs are flat INI files; command-line flags override config keys.
 All randomness flows from one seed through named substreams.  Exit codes:
@@ -19,13 +20,12 @@ import csv
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .algorithms import (SolverConfig, asymmetric_projection, extragradient,
-                         two_level_wardrop)
+from .algorithms import SOLVERS, TRACE_COLUMNS, SolverConfig
 from .analysis import (distance_bounds, estimate_constants,
                        verify_equilibrium)
 from .apps.ev import build_ev_game, generate_ev_params
@@ -33,10 +33,9 @@ from .apps.traffic import build_route_choice_game, load_network
 from .errors import AggeqError, ConfigError, ConvergenceError
 from .game import (AggregativeGame, Box, CouplingConstraint, QuadraticCost,
                    aggregate_matrix)
-from .operators import NASH, WARDROP, build_operator, monotonicity_analysis
+from .operators import WARDROP, build_operator, monotonicity_analysis
 from .synthetic import build_quadratic_game
 
-ALGORITHMS = ("two-level", "apa-nash", "apa-wardrop", "extragradient")
 KINDS = ("ev", "traffic", "quadratic", "custom-file")
 
 _SUBSTREAMS = {"agents": 0, "od-pairs": 1, "sampling": 2, "offsets": 3}
@@ -89,31 +88,32 @@ def _parse_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     if seed is None:
         raise ConfigError("a seed is required (config key or --seed)")
     algorithm = pick("algorithm", "apa-nash")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
+    if algorithm not in SOLVERS:
+        raise ConfigError(f"algorithm must be one of {tuple(SOLVERS)}")
     tau_raw = pick("tau", "auto")
     tau = None if str(tau_raw).lower() == "auto" else float(tau_raw)
-    if tau is not None and tau <= 0:
-        raise ConfigError("tau must be positive or 'auto'")
-    tol = float(pick("tol", 1e-4))
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    max_iter = int(pick("max_iter", 100_000))
-    if max_iter <= 0:
-        raise ConfigError("max_iter must be positive")
+    M = int(pick("m", 100))
     m_list = ()
     if "m_list" in exp:
         m_list = tuple(int(v) for v in exp["m_list"].split(","))
         if any(b <= a for a, b in zip(m_list, m_list[1:])):
             raise ConfigError("m_list must be strictly increasing")
+    if min((M,) + m_list) < 1:
+        raise ConfigError("population sizes m and m_list must be at least 1")
+    n_rep = int(pick("n_rep", 1))
+    if n_rep < 1:
+        raise ConfigError("n_rep must be at least 1")
     sections = {name: dict(parser[name]) for name in parser.sections()
                 if name != "experiment"}
-    return ExperimentConfig(
-        kind=kind, seed=int(seed), M=int(pick("m", 100)), m_list=m_list,
-        algorithm=algorithm, tau=tau, tol=tol, max_iter=max_iter,
+    cfg = ExperimentConfig(
+        kind=kind, seed=int(seed), M=M, m_list=m_list,
+        algorithm=algorithm, tau=tau, tol=float(pick("tol", 1e-4)),
+        max_iter=int(pick("max_iter", 100_000)),
         inner_tol=float(pick("inner_tol", 1e-6)),
         output_dir=str(pick("output_dir", ".")),
-        n_rep=int(pick("n_rep", 1)), sections=sections)
+        n_rep=n_rep, sections=sections)
+    cfg.solver_config()  # raises DimensionError on a bad solver setting
+    return cfg
 
 
 def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
@@ -174,22 +174,6 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
     raise ConfigError(f"unknown kind {cfg.kind!r}")
 
 
-def _solve(game, algorithm: str, solver_cfg: SolverConfig):
-    if algorithm == "two-level":
-        return two_level_wardrop(game, solver_cfg)
-    if algorithm == "apa-nash":
-        return asymmetric_projection(game, NASH, solver_cfg)
-    if algorithm == "apa-wardrop":
-        return asymmetric_projection(game, WARDROP, solver_cfg)
-    if algorithm == "extragradient":
-        return extragradient(game, WARDROP, solver_cfg)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
-def _flavor_of(algorithm: str) -> str:
-    return NASH if algorithm == "apa-nash" else WARDROP
-
-
 def write_csv(path: str, header: list, rows: list) -> None:
     """Atomic CSV write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -221,12 +205,8 @@ def _write_run_outputs(out_dir, game, result):
               ["agent", "component", "value"], rows)
     write_csv(os.path.join(out_dir, "duals.csv"), ["constraint", "lambda"],
               [(j, repr(float(v))) for j, v in enumerate(result.lam)])
-    write_csv(os.path.join(out_dir, "trace.csv"),
-              ["k", "residual", "max_violation", "primal_updates",
-               "dual_updates"],
-              ((r["k"], repr(r["residual"]), repr(r["max_violation"]),
-                r["primal_updates"], r["dual_updates"])
-               for r in result.trace))
+    write_csv(os.path.join(out_dir, "trace.csv"), TRACE_COLUMNS,
+              ([_fmt(r[key]) for key in TRACE_COLUMNS] for r in result.trace))
 
 
 def _write_report(out_dir, row):
@@ -238,14 +218,13 @@ def _write_report(out_dir, row):
 def cmd_run(cfg: ExperimentConfig) -> int:
     game = build_game(cfg)
     try:
-        result = _solve(game, cfg.algorithm, cfg.solver_config())
+        result = SOLVERS[cfg.algorithm].solve(game, cfg.solver_config())
     except ConvergenceError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
     # Written before verification, so a verification error keeps them.
     _write_run_outputs(cfg.output_dir, game, result)
-    report = verify_equilibrium(game, _flavor_of(cfg.algorithm),
-                                result.x, result.lam,
+    report = verify_equilibrium(game, result.flavor, result.x, result.lam,
                                 seed=cfg.seed,
                                 feas_tol=max(1e-6, 10.0 * cfg.tol))
     _write_report(cfg.output_dir, {
@@ -264,10 +243,8 @@ def _wardrop_solver_for(game, solver_cfg):
     scheme; fall back to extragradient when the constant is zero."""
     rep = monotonicity_analysis(build_operator(game, WARDROP),
                                 seed=solver_cfg.seed)
-    if rep.safe_alpha() > 0:
-        return asymmetric_projection(game, WARDROP, solver_cfg,
-                                     constants=rep)
-    return extragradient(game, WARDROP, solver_cfg, constants=rep)
+    name = "apa-wardrop" if rep.safe_alpha() > 0 else "extragradient"
+    return SOLVERS[name].solve(game, solver_cfg, constants=rep)
 
 
 def cmd_sweep_m(cfg: ExperimentConfig) -> int:
@@ -278,7 +255,7 @@ def cmd_sweep_m(cfg: ExperimentConfig) -> int:
     for M in m_values:
         game = build_game(cfg, M=M)
         try:
-            res_n = asymmetric_projection(game, NASH, solver_cfg)
+            res_n = SOLVERS["apa-nash"].solve(game, solver_cfg)
             res_w = _wardrop_solver_for(game, solver_cfg)
         except (ConvergenceError, AggeqError) as exc:
             print(f"M={M}: {exc}", file=sys.stderr)
@@ -308,17 +285,16 @@ def cmd_sweep_m(cfg: ExperimentConfig) -> int:
 def cmd_compare(cfg: ExperimentConfig) -> int:
     rows = []
     failures = 0
-    algorithms = ("two-level", "apa-wardrop", "extragradient")
-    for algo in algorithms:
+    solver_cfg = cfg.solver_config()
+    wardrop = [(algo, solver) for algo, solver in SOLVERS.items()
+               if solver.flavor == WARDROP]
+    for algo, solver in wardrop:
         primal, dual, ok = [], [], []
         for rep in range(cfg.n_rep):
             seed = cfg.seed + rep
             game = build_game(cfg, seed=seed)
-            solver_cfg = SolverConfig(tau=cfg.tau, tol=cfg.tol,
-                                      max_iter=cfg.max_iter,
-                                      inner_tol=cfg.inner_tol, seed=seed)
             try:
-                res = _solve(game, algo, solver_cfg)
+                res = solver.solve(game, replace(solver_cfg, seed=seed))
             except ConvergenceError as exc:
                 print(f"{algo} rep {rep}: {exc}", file=sys.stderr)
                 ok.append(False)
@@ -366,7 +342,7 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
         with open(duals_file, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 lam[int(row["constraint"])] = float(row["lambda"])
-    report = verify_equilibrium(game, _flavor_of(cfg.algorithm), X, lam,
+    report = verify_equilibrium(game, SOLVERS[cfg.algorithm].flavor, X, lam,
                                 seed=cfg.seed,
                                 feas_tol=max(1e-6, 10.0 * cfg.tol))
     _write_report(cfg.output_dir, report.as_row())
@@ -391,7 +367,7 @@ def _common_flags(p):
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--algorithm", default=None, choices=ALGORITHMS)
+    p.add_argument("--algorithm", default=None, choices=tuple(SOLVERS))
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--kind", default=None, choices=KINDS)
@@ -404,7 +380,7 @@ def main(argv=None) -> int:
                  "output_dir": args.out, "kind": args.kind}
     try:
         cfg = _parse_config(args.config, overrides)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from aggeq.algorithms import (SOLVERS, EquilibriumResult, SolverConfig,
+                              _batch_best_response,
                               _greedy_linear_box_budget_batch,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
@@ -156,6 +159,45 @@ def extragradient_reference_loop(game, flavor, config, rep):
     return X, lam, trace, primal, dual, False
 
 
+def two_level_reference_loop(game, config, rep):
+    """Test oracle: the two-level loop, inner averaging included, as it was
+    before the solvers shared one iteration loop, with the divergence
+    check left out."""
+    tau = auto_step_size(rep.safe_alpha(), rep.safe_lipschitz(),
+                         game.coupling.norm(), "two-level")
+    inner_tol = min(config.inner_tol, 0.01 * config.tol)
+    proj = ProfileProjector(game.individual)
+    X = proj(np.zeros((game.M, game.n)))
+    lam = np.zeros(game.coupling.m)
+    primal = dual = 0
+    trace = []
+    for k in range(1, config.max_iter + 1):
+        X_prev, lam_prev = X, lam
+        z = aggregate_matrix(X)
+        for h in range(1, config.inner_max_iter + 1):
+            X = _batch_best_response(game, proj, X, z, lam, inner_tol,
+                                     config.inner_max_iter)
+            primal += 1
+            sigma = aggregate_matrix(X)
+            z_new = sigma if h == 1 else (1.0 - 1.0 / h) * z + sigma / h
+            if h > 1 and float(np.max(np.abs(z_new - z), initial=0.0)
+                               ) <= inner_tol:
+                break
+            z = z_new
+        lam = np.maximum(0.0, lam - tau * game.coupling.residual(X))
+        dual += 1
+        residual = max(
+            float(np.max(np.abs(X - X_prev), initial=0.0)),
+            float(np.max(np.abs(lam - lam_prev), initial=0.0)))
+        violation = float(np.max(-game.coupling.residual(X), initial=0.0))
+        trace.append({"k": k, "residual": residual,
+                      "max_violation": violation,
+                      "primal_updates": primal, "dual_updates": dual})
+        if residual <= config.tol:
+            return X, lam, trace, primal, dual, True
+    return X, lam, trace, primal, dual, False
+
+
 def dense_coupling_game():
     """Quadratic game under two dense coupling rows, where A x is not the
     aggregate the mapping needs."""
@@ -175,26 +217,33 @@ REFERENCE_GAMES = {
 
 
 class TestReferenceLoops:
-    """The solvers against their loops before the per-update temporaries
-    were removed: the arithmetic is the same, so the results are equal to
-    the last bit."""
+    """The solvers against their own loops from before the per-update
+    temporaries were removed and the three loops became one: the
+    arithmetic is the same, so the results are equal to the last bit."""
 
     @pytest.mark.parametrize("kind, flavor, solver", [
         ("quadratic", NASH, "apa"), ("quadratic", WARDROP, "apa"),
         ("quadratic", WARDROP, "extragradient"),
+        ("quadratic", WARDROP, "two-level"),
         ("ev", NASH, "apa"), ("ev", WARDROP, "extragradient"),
         ("dense", NASH, "apa"), ("dense", WARDROP, "extragradient"),
     ])
     def test_bit_identical_to_reference(self, kind, flavor, solver):
         game = REFERENCE_GAMES[kind]()
-        config = SolverConfig(tol=1e-7, max_iter=3000)
+        # The two-level inner loops run to tol / 100, so a looser tol keeps
+        # its run short; it still takes over a hundred outer iterations.
+        tol = 1e-5 if solver == "two-level" else 1e-7
+        config = SolverConfig(tol=tol, max_iter=3000)
         rep = monotonicity_analysis(build_operator(game, flavor), seed=0)
         if solver == "apa":
             res = asymmetric_projection(game, flavor, config, constants=rep)
             ref = apa_reference_loop(game, flavor, config, rep)
-        else:
+        elif solver == "extragradient":
             res = extragradient(game, flavor, config, constants=rep)
             ref = extragradient_reference_loop(game, flavor, config, rep)
+        else:
+            res = two_level_wardrop(game, config, constants=rep)
+            ref = two_level_reference_loop(game, config, rep)
         X, lam, trace, primal, dual, converged = ref
         assert len(trace) >= 3
         assert res.x.as_matrix().tobytes() == X.tobytes()
@@ -355,7 +404,7 @@ class TestSolverBehavior:
     def test_slack_coupling_keeps_duals_zero(self):
         game = build_quadratic_game(M=6, n=4, K=100.0, seed=0)
         for name, solver in SOLVERS.items():
-            res = solver(game, SolverConfig(tol=1e-5))
+            res = solver.solve(game, SolverConfig(tol=1e-5))
             assert res.converged, name
             assert np.max(res.lam) <= 1e-8, name
 
@@ -412,7 +461,7 @@ class TestSolverBehavior:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_iterates_feasible_and_duals_nonnegative(self, name):
         game = quadratic_cap_game(M=3, n=2, K=0.4)
-        res = SOLVERS[name](game, SolverConfig(tol=1e-5))
+        res = SOLVERS[name].solve(game, SolverConfig(tol=1e-5))
         assert res.converged
         assert np.min(res.lam) >= 0.0
         X = res.x.as_matrix()
@@ -423,7 +472,7 @@ class TestSolverBehavior:
     def test_complementarity_at_convergence(self, name):
         game = quadratic_cap_game(M=3, n=2, K=0.4)
         tol = 1e-6
-        res = SOLVERS[name](game, SolverConfig(tol=tol))
+        res = SOLVERS[name].solve(game, SolverConfig(tol=tol))
         slack = game.coupling.residual(res.x.as_matrix())
         assert np.max(np.abs(res.lam * slack)) <= 10.0 * tol * (
             1.0 + np.max(res.lam))
@@ -457,6 +506,34 @@ class TestSolverBehavior:
             SolverConfig(tau=-1.0)
         with pytest.raises(DimensionError):
             SolverConfig(tol=0.0)
+        with pytest.raises(DimensionError):
+            SolverConfig(max_iter=0)
+        with pytest.raises(DimensionError):
+            SolverConfig(inner_tol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_tight_coupling_reads_positive_zero_violation(self, name):
+        """The one violation formula, max(A x - b, 0), gives +0.0 on an
+        exactly tight row, where b - A x negated would give -0.0."""
+        cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
+                             c=np.array([[-2.0]]))
+        game = AggregativeGame(
+            M=1, n=1, cost=cost, individual=(Box([0.0], [1.0]),),
+            coupling=CouplingConstraint.per_component_cap([1.0], 1))
+        res = SOLVERS[name].solve(game, SolverConfig(tol=1e-8))
+        assert res.converged
+        assert res.x.as_matrix()[0, 0] == game.coupling.b[0] == 1.0
+        last = res.trace[-1]["max_violation"]
+        assert last == 0.0 and math.copysign(1.0, last) == 1.0
+
+    def test_registry_flavors(self):
+        assert [(name, s.flavor) for name, s in SOLVERS.items()] == [
+            ("two-level", WARDROP), ("apa-nash", NASH),
+            ("apa-wardrop", WARDROP), ("extragradient", WARDROP)]
+        game = quadratic_cap_game()
+        for name, solver in SOLVERS.items():
+            res = solver.solve(game, SolverConfig(tol=1e-5))
+            assert res.flavor == solver.flavor, name
 
     def test_result_reports_updates(self):
         game = quadratic_cap_game()

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from aggeq import analysis
 from aggeq.algorithms import SolverConfig, asymmetric_projection, extragradient
 from aggeq.analysis import (ConstantsEstimate, VerificationReport,
                             distance_bounds, epsilon_nash, estimate_constants,
@@ -277,3 +278,21 @@ class TestVerifyEquilibrium:
         assert row["feasible"] == 1
         assert row["epsilon_nash"] >= 0.0
         assert row["kkt_stationarity"] <= 1e-3
+
+    def test_infeasible_point_fails_before_kkt_work(self, monkeypatch):
+        game = single_agent_game()
+        calls = []
+        kkt = analysis.kkt_residual
+
+        def counting_kkt(*args, **kwargs):
+            calls.append(args)
+            return kkt(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "kkt_residual", counting_kkt)
+        with pytest.raises(InfeasibleSetError,
+                           match=r"^x_bar is not feasible within 1e-06$"):
+            verify_equilibrium(game, NASH, np.array([2.5]), np.zeros(1))
+        assert calls == []
+        verify_equilibrium(game, NASH, np.array([1.0]), np.ones(1),
+                           n_samples=10)
+        assert len(calls) == 1

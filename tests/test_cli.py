@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from aggeq import cli
+from aggeq import algorithms, cli
+from aggeq.algorithms import SOLVERS
 from aggeq.cli import main, substream
 from aggeq.errors import InfeasibleSetError
+from aggeq.game import AggregativeGame
+from aggeq.operators import WARDROP
 
 RUN_FILES = ("equilibrium.csv", "duals.csv", "trace.csv", "report.csv")
 
@@ -91,6 +94,28 @@ class TestRun:
         assert code == 2
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("command, keys", [
+        ("run", {"tau": "-1"}), ("run", {"max_iter": "0"}),
+        ("run", {"m": "0"}),
+        ("run", {"algorithm": "two-level", "inner_tol": "-1"}),
+        ("sweep-m", {"m_list": "0,4"}), ("compare", {"n_rep": "0"}),
+    ], ids=["tau", "max_iter", "m", "inner_tol", "m_list", "n_rep"])
+    def test_bad_numeric_value_exits_2_without_outputs(self, tmp_path,
+                                                       command, keys):
+        keys = {"kind": "quadratic", "seed": "7", "m": "6", "tol": "1e-5",
+                **keys}
+        cfg = write_config(tmp_path, "[experiment]\n" + "".join(
+            f"{key} = {value}\n" for key, value in keys.items())
+            + "\n[quadratic]\nn = 4\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_duplicate_key_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, QUADRATIC_CONFIG + "[quadratic]\nn = 5\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+
     def test_missing_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, """\
 [experiment]
@@ -102,6 +127,46 @@ kind = quadratic
     def test_unknown_kind_exits_2(self, tmp_path):
         assert main(["run", "--seed", "1", "--kind", "quadratic",
                      "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+class TestSolverRegistry:
+    """What the perfbench timers rely on: every solve goes through the
+    scheme's module attribute in aggeq.algorithms, game first."""
+
+    SCHEMES = {"two-level": "two_level_wardrop",
+               "apa-nash": "asymmetric_projection",
+               "apa-wardrop": "asymmetric_projection",
+               "extragradient": "extragradient"}
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_run_calls_the_module_attribute(self, tmp_path, monkeypatch,
+                                            name):
+        calls = []
+
+        def counting(attr, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((attr, args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr in set(self.SCHEMES.values()):
+            monkeypatch.setattr(algorithms, attr,
+                                counting(attr, getattr(algorithms, attr)))
+        cfg = write_config(tmp_path, QUADRATIC_CONFIG)
+        out = tmp_path / "out"
+        code = main(["run", "--config", cfg, "--out", str(out),
+                     "--algorithm", name])
+        assert code == 0
+        assert [(attr, type(args[0])) for attr, args in calls] \
+            == [(self.SCHEMES[name], AggregativeGame)]
+        assert read_rows(out / "report.csv")[0]["algorithm"] == name
+
+    def test_algorithm_choices_are_the_registry(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command")
+        for name, sub in commands.choices.items():
+            option = next(a for a in sub._actions if a.dest == "algorithm")
+            assert option.choices == tuple(SOLVERS), name
 
 
 class TestVerify:
@@ -171,6 +236,8 @@ n = 4
         code = main(["compare", "--config", cfg, "--out", str(out)])
         assert code == 0
         rows = {r["algorithm"]: r for r in read_rows(out / "iterations.csv")}
+        assert list(rows) == [name for name, solver in SOLVERS.items()
+                              if solver.flavor == WARDROP]
         assert set(rows) == {"two-level", "apa-wardrop", "extragradient"}
         for row in rows.values():
             assert float(row["primal_updates_std"]) == 0.0
