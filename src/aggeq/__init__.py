@@ -12,11 +12,11 @@ from .analysis import (ConstantsEstimate, VerificationReport,
                        vi_gap_sampled, wardrop_epsilon_bound)
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      DimensionError, InfeasibleSetError)
-from .game import (AggregativeGame, AffinePrice, Box, BoxBudget,
-                   CouplingConstraint, DiagonalPrice, FlowPolytope,
-                   HalfspaceIntersection, PriceTimesUsage, QuadraticCost,
-                   QuadraticTracking, StrategyProfile, ZeroUtility,
-                   aggregate, cost_value, feasibility_report)
+from .game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
+                   DiagonalPrice, FlowPolytope, HalfspaceIntersection,
+                   PriceTimesUsage, QuadraticCost, QuadraticTracking,
+                   StrategyProfile, ZeroUtility, aggregate, cost_value,
+                   feasibility_report)
 from .operators import (NASH, WARDROP, ExtendedOperator, GameOperator,
                         MonotonicityReport, build_operator,
                         monotonicity_analysis, operator_gap,

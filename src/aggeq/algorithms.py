@@ -18,6 +18,12 @@ convergence) and the result.  Iterates stay individually feasible
 (projections enforce it) and multipliers nonnegative.  ``SOLVERS``, the
 one registry, maps each algorithm name to its flavor and solver for the
 CLI and the tests.
+
+The two-level scheme's optimal responses have one batched body,
+``_batch_best_response``: the cost model's closed form where it has one,
+else projected gradient with step 1 / (the cost's own-gradient Lipschitz
+constant), computed once per call.  ``best_response`` is its row for one
+agent.  Nothing here dispatches on the type of a cost model or a set.
 """
 
 from __future__ import annotations
@@ -29,12 +35,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
-from .game import (AggregativeGame, BoxBudget, PriceTimesUsage, QuadraticCost,
-                   QuadraticTracking, StrategyProfile, ZeroUtility,
-                   aggregate_matrix)
+from .game import AggregativeGame, StrategyProfile, aggregate_matrix
 from .operators import (NASH, WARDROP, MonotonicityReport, build_operator,
                         monotonicity_analysis)
-from .projection import ProfileProjector, project_individual
+from .projection import ProfileProjector
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -55,6 +59,8 @@ class SolverConfig:
             raise DimensionError("tol must be positive")
         if self.max_iter < 1:
             raise DimensionError("max_iter must be at least 1")
+        if self.inner_max_iter < 1:
+            raise DimensionError("inner_max_iter must be at least 1")
         if self.inner_tol <= 0:
             raise DimensionError("inner_tol must be positive")
 
@@ -105,84 +111,22 @@ def auto_step_size(alpha: float, l_f: float, a_norm: float,
 
 
 # ---------------------------------------------------------------------------
-# Optimal response of a single agent
+# Optimal responses
 # ---------------------------------------------------------------------------
-
-
-def _own_gradient_lipschitz(game: AggregativeGame, i: int) -> float:
-    cost = game.cost
-    if isinstance(cost, QuadraticCost):
-        return float(np.linalg.norm(cost.Q, 2))
-    if isinstance(cost, PriceTimesUsage):
-        if isinstance(cost.utility, QuadraticTracking):
-            return float(cost.utility.gamma[i])
-        if isinstance(cost.utility, ZeroUtility):
-            return 0.0
-        return float(cost.utility.curvature()[1])
-    raise DimensionError("cost model lacks a curvature bound")
-
-
-def best_response(game: AggregativeGame, i: int, z, lam,
-                  inner_tol: float = 1e-6,
-                  inner_max_iter: int = 100_000) -> np.ndarray:
-    """Minimizer over the agent's set of its cost at frozen average z plus
-    the dual charge lam^T A_(:,i) x."""
-    z = np.asarray(z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise DimensionError("multipliers must be nonnegative")
-    cs = game.individual[i]
-    charge = game.coupling.agent_block(i).T @ lam
-    cost = game.cost
-    if (isinstance(cost, PriceTimesUsage)
-            and isinstance(cost.utility, ZeroUtility)
-            and isinstance(cs, BoxBudget)):
-        q = cost.price.value(z) + charge
-        return _greedy_linear_box_budget_batch(q[None, :], cs.lo, cs.hi,
-                                               cs.theta)[0]
-    if (isinstance(cost, PriceTimesUsage)
-            and isinstance(cost.utility, QuadraticTracking)
-            and cost.utility.gamma[i] > 0):
-        # Linear-plus-tracking objective: the argmin is a single projection
-        # of the preferred point shifted by the frozen per-unit charge.
-        util = cost.utility
-        target = util.ref[i] - (cost.price.value(z) + charge) / util.gamma[i]
-        return project_individual(cs, target)
-    L = _own_gradient_lipschitz(game, i)
-    if L <= 0:
-        raise ConvergenceError(
-            "projected gradient needs positive own-cost curvature")
-    step = 1.0 / L
-    x = project_individual(cs, np.zeros(game.n))
-    for _ in range(inner_max_iter):
-        g = cost.grad_own(i, x, z) + charge
-        x_new = project_individual(cs, x - step * g)
-        if float(np.max(np.abs(x_new - x), initial=0.0)) <= inner_tol:
-            return x_new
-        x = x_new
-    raise ConvergenceError("optimal response did not converge", last=x)
 
 
 def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
                          X0: np.ndarray, z: np.ndarray, lam: np.ndarray,
                          inner_tol: float, inner_max_iter: int) -> np.ndarray:
-    """All agents' optimal responses to (z, lam) at once."""
+    """All agents' minimizers over their sets of the cost at frozen average z
+    plus the dual charge lam^T A_(:,i) x: the cost model's closed form where
+    it has one, else projected gradient from X0."""
     cost = game.cost
     charge = game.coupling.adjoint_blocks(lam)
-    if (isinstance(cost, PriceTimesUsage)
-            and isinstance(cost.utility, ZeroUtility)
-            and proj._mode == "box_budget"):
-        q = cost.price.value(z)[None, :] + charge
-        return _greedy_linear_box_budget_batch(q, proj._lo, proj._hi,
-                                               proj._theta)
-    if (isinstance(cost, PriceTimesUsage)
-            and isinstance(cost.utility, QuadraticTracking)
-            and np.all(cost.utility.gamma > 0)):
-        util = cost.utility
-        targets = util.ref - ((cost.price.value(z)[None, :] + charge)
-                              / util.gamma[:, None])
-        return proj(targets)
-    L = max(_own_gradient_lipschitz(game, i) for i in range(game.M))
+    X = cost.closed_form_response(z, charge, proj)
+    if X is not None:
+        return X
+    L = cost.own_lipschitz()
     if L <= 0:
         raise ConvergenceError(
             "projected gradient needs positive own-cost curvature")
@@ -197,24 +141,20 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
     raise ConvergenceError("optimal responses did not converge", last=X)
 
 
-def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
-                                    theta) -> np.ndarray:
-    """Exact minimizer of q^T x over {lo <= x <= hi, sum(x) >= theta} for
-    every row q of Q_costs.
-
-    Negative-cost components fill to their caps; the rest of each budget is
-    met by the cheapest components in ascending cost order, each taking what
-    its cheaper ones left, up to its room.
-    """
-    X = np.where(Q_costs < 0.0, hi, lo)
-    need = theta - X.sum(axis=1)
-    need = np.where(need > 1e-15, need, 0.0)
-    rows = np.arange(len(X))[:, None]
-    order = np.argsort(Q_costs, axis=1, kind="stable")
-    room = (hi - X)[rows, order]
-    before = np.cumsum(room, axis=1) - room
-    X[rows, order] += np.clip(need[:, None] - before, 0.0, room)
-    return X
+def best_response(game: AggregativeGame, i: int, z, lam,
+                  inner_tol: float = 1e-6,
+                  inner_max_iter: int = 100_000) -> np.ndarray:
+    """Agent i's optimal response to (z, lam): row i of all agents'
+    responses, ``_batch_best_response`` from the projected origin, so its
+    cost is O(M)."""
+    z = np.asarray(z, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
+        raise DimensionError("multipliers must be nonnegative")
+    proj = ProfileProjector(game.individual)
+    X0 = proj(np.zeros((game.M, game.n)))
+    return _batch_best_response(game, proj, X0, z, lam, inner_tol,
+                                inner_max_iter)[i]
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
-from .game import (AggregativeGame, Box, BoxBudget, DiagonalPrice,
-                   FeasibilityReport, FlowPolytope, HalfspaceIntersection,
-                   PriceTimesUsage, QuadraticCost, QuadraticTracking,
-                   ZeroUtility, aggregate_matrix, feasibility_report)
+from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
+                   feasibility_report)
 from .operators import (NASH, build_operator, default_sampler,
                         monotonicity_analysis)
-from .projection import project_box_budget_batch, project_individual
+from .projection import (ProfileProjector, dykstra, project_halfspace,
+                         project_individual)
 
 ACTIVE_TOL = 1e-6
 
@@ -77,27 +76,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _price_lipschitz(game: AggregativeGame) -> tuple:
-    """(L_p, source) for the aggregate-coupling map of the cost."""
-    cost = game.cost
-    if isinstance(cost, QuadraticCost):
-        return float(np.linalg.norm(cost.C, 2)), "exact"
-    if isinstance(cost, PriceTimesUsage):
-        price = cost.price
-        if isinstance(price, DiagonalPrice):
-            lo, hi = game.bounding_box()
-            zmax = float(np.max(hi))
-            grid = np.arange(0.0, zmax + 1e-4, 1e-4)
-            best = 0.0
-            for z in np.array_split(grid, max(1, grid.size // 4096)):
-                Z = np.broadcast_to(z[:, None], (z.size, game.n))
-                best = max(best, float(np.max(np.abs(price.diag(Z)))))
-            return best, "formula"
-        J = price.jac(np.zeros(game.n))
-        return float(np.linalg.norm(J, 2)), "exact"
-    raise DimensionError("cannot bound the aggregate coupling of this cost")
-
-
 def coupling_constants(game: AggregativeGame) -> tuple:
     """(R, L_p, source): R from the tightest common box, L_p and its source
     from the price/aggregate coupling.  No monotonicity sampling."""
@@ -105,7 +83,7 @@ def coupling_constants(game: AggregativeGame) -> tuple:
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InfeasibleSetError("unbounded individual sets")
     R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    return (R, *_price_lipschitz(game))
+    return (R, *game.cost.aggregate_lipschitz(hi))
 
 
 def estimate_constants(game: AggregativeGame,
@@ -163,101 +141,32 @@ def distance_bounds(constants: ConstantsEstimate, M: int,
 # ---------------------------------------------------------------------------
 
 
-def _composed_value_grad(game, X, S):
-    """Value and gradient rows of the true deviation objective.
-
-    Row i evaluates agent i's cost at strategy X[i] with the average
-    (X[i] + S[i]) / M, so the deviation moves the aggregate too.  S[i] is
-    the sum of the other agents' fixed strategies.
-    """
-    M = game.M
-    Z = (X + S) / M
-    cost = game.cost
-    if isinstance(cost, QuadraticCost):
-        lin = Z @ cost.C.T + cost.c
-        vals = 0.5 * np.einsum("ij,jk,ik->i", X, cost.Q, X) \
-            + np.einsum("ij,ij->i", lin, X)
-        grads = X @ cost.Q.T + lin + (X @ cost.C) / M
-        return vals, grads
-    if isinstance(cost, PriceTimesUsage) and isinstance(cost.price,
-                                                        DiagonalPrice):
-        p = cost.price.value(Z)
-        dp = cost.price.diag(Z)
-        if isinstance(cost.utility, ZeroUtility):
-            uv = np.zeros(X.shape[0])
-            ug = np.zeros_like(X)
-        elif isinstance(cost.utility, QuadraticTracking):
-            d = X - cost.utility.ref
-            uv = 0.5 * cost.utility.gamma * np.einsum("ij,ij->i", d, d)
-            ug = cost.utility.gamma[:, None] * d
-        else:
-            uv = np.array([cost.utility.value(i, X[i])
-                           for i in range(X.shape[0])])
-            ug = cost.utility.grad_all(X)
-        vals = uv + np.einsum("ij,ij->i", p, X)
-        grads = ug + p + (dp * X) / M
-        return vals, grads
-    vals = np.empty(X.shape[0])
-    grads = np.empty_like(X)
-    for i in range(X.shape[0]):
-        z = (X[i] + S[i]) / M
-        vals[i] = cost.value(i, X[i], z)
-        grads[i] = cost.grad_own(i, X[i], z) \
-            + cost.grad_agg(i, X[i], z) / M
-    return vals, grads
-
-
-def _composed_gradient_lipschitz(game: AggregativeGame) -> float:
-    cost = game.cost
-    M = game.M
-    if isinstance(cost, QuadraticCost):
-        H = cost.Q + (cost.C + cost.C.T) / M
-        return float(np.linalg.norm(H, 2))
-    if isinstance(cost, PriceTimesUsage) and isinstance(cost.price,
-                                                        DiagonalPrice):
-        lo, hi = game.bounding_box()
-        zg = np.linspace(0.0, float(np.max(hi)), 2049)
-        Z = np.broadcast_to(zg[:, None], (zg.size, game.n))
-        dmax = float(np.max(np.abs(cost.price.diag(Z))))
-        ddmax = float(np.max(np.abs(cost.price.diag2(Z))))
-        gmax = cost.utility.curvature()[1]
-        xmax = float(np.max(np.abs(hi)))
-        return gmax + 2.0 * dmax / M + ddmax * xmax / M**2
-    raise DimensionError("no curvature bound for this cost model")
-
-
-def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray):
+def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
+                         S: np.ndarray):
     """Projector onto each agent's deviation set: own constraints plus the
-    coupling restricted to the agent at the others' fixed strategies."""
+    coupling restricted to the agent at the others' fixed strategies, whose
+    sums are the rows of S."""
     coupling = game.coupling
     if coupling.cap is not None:
-        S = game.M * aggregate_matrix(X_bar)[None, :] - X_bar
-        cap_hi = game.M * coupling.cap[None, :] - S
-        if all(isinstance(cs, (Box, BoxBudget)) for cs in game.individual):
-            lo = np.stack([cs.lo for cs in game.individual])
-            hi = np.minimum(np.stack([cs.hi for cs in game.individual]),
-                            cap_hi)
-            hi = np.maximum(hi, lo)  # clip roundoff at tight caps
-            if all(isinstance(cs, BoxBudget) for cs in game.individual):
-                theta = np.array([cs.theta for cs in game.individual])
-                return lambda Y: project_box_budget_batch(Y, lo, hi, theta)
-            return lambda Y: np.clip(Y, lo, hi)
+        proj = ProfileProjector(game.individual).capped(
+            game.M * coupling.cap[None, :] - S)
+        if proj is not None:
+            return proj
     A = coupling.matrix()
-    b = coupling.b
-    x_flat = X_bar.reshape(-1)
+    slack = coupling.b - A @ X_bar.reshape(-1)
+    n = game.n
+    projectors = []
+    for i, cs in enumerate(game.individual):
+        Ai = A[:, i * n:(i + 1) * n]
+        projs = [lambda v, cs=cs: project_individual(cs, v)]
+        for a_row, beta in zip(Ai, slack + Ai @ X_bar[i]):
+            projs.append(lambda v, a=a_row, bb=beta:
+                         project_halfspace(v, a, bb))
+        projectors.append(projs)
 
     def proj(Y):
         out = np.empty_like(Y)
-        for i in range(game.M):
-            Ai = A[:, i * game.n:(i + 1) * game.n]
-            rest = b - A @ x_flat + Ai @ X_bar[i]
-            spec = HalfspaceIntersection(Ai, rest)
-            from .projection import dykstra, project_halfspace
-            projs = [lambda v, cs=game.individual[i]:
-                     project_individual(cs, v)]
-            for a_row, beta in zip(spec.normals, spec.offsets):
-                projs.append(lambda v, a=a_row, bb=beta:
-                             project_halfspace(v, a, bb))
+        for i, projs in enumerate(projectors):
             out[i] = dykstra(Y[i], projs)
         return out
 
@@ -270,13 +179,18 @@ def epsilon_nash(game: AggregativeGame, x_bar, inner_tol: float = 1e-8,
     within the coupled feasible set, with the deviation entering the
     population average.  Nonnegative; zero at a Nash equilibrium."""
     X_bar = game.profile(x_bar).as_matrix()
-    S = game.M * aggregate_matrix(X_bar)[None, :] - X_bar
-    proj = _deviation_projector(game, X_bar)
-    L = max(_composed_gradient_lipschitz(game), 1e-12)
+    M, cost = game.M, game.cost
+    S = M * aggregate_matrix(X_bar)[None, :] - X_bar
+
+    def deviation(X):
+        return cost.deviation_value_grad(X, (X + S) / M, M)
+
+    proj = _deviation_projector(game, X_bar, S)
+    L = max(cost.deviation_lipschitz(M, game.bounding_box()[1]), 1e-12)
     step = 1.0 / L
     X = proj(X_bar.copy())
     for _ in range(max_iter):
-        _, G = _composed_value_grad(game, X, S)
+        _, G = deviation(X)
         X_new = proj(X - step * G)
         if float(np.max(np.abs(X_new - X), initial=0.0)) <= inner_tol:
             X = X_new
@@ -285,55 +199,14 @@ def epsilon_nash(game: AggregativeGame, x_bar, inner_tol: float = 1e-8,
     else:
         raise ConvergenceError("deviation subproblem did not converge",
                                last=X)
-    base, _ = _composed_value_grad(game, X_bar, S)
-    best, _ = _composed_value_grad(game, X, S)
+    base, _ = deviation(X_bar)
+    best, _ = deviation(X)
     return float(max(0.0, np.max(base - best)))
 
 
 # ---------------------------------------------------------------------------
 # KKT residuals
 # ---------------------------------------------------------------------------
-
-
-def _active_rows(cs, x, tol):
-    """(inequality gradients, equality gradients) of active constraints."""
-    n = x.size
-    ineq = []
-    eq = []
-    if isinstance(cs, (Box, BoxBudget)):
-        lo, hi = cs.lo, cs.hi
-        for t in range(n):
-            if x[t] <= lo[t] + tol:
-                row = np.zeros(n)
-                row[t] = -1.0
-                ineq.append(row)
-            if x[t] >= hi[t] - tol:
-                row = np.zeros(n)
-                row[t] = 1.0
-                ineq.append(row)
-        if isinstance(cs, BoxBudget) and float(np.sum(x)) <= cs.theta + tol:
-            ineq.append(-np.ones(n))
-    elif isinstance(cs, FlowPolytope):
-        for t in range(n):
-            if x[t] <= tol:
-                row = np.zeros(n)
-                row[t] = -1.0
-                ineq.append(row)
-            if x[t] >= 1.0 - tol:
-                row = np.zeros(n)
-                row[t] = 1.0
-                ineq.append(row)
-        eq.extend(np.asarray(cs.B, dtype=float))
-    elif isinstance(cs, HalfspaceIntersection):
-        for a, beta in zip(cs.normals, cs.offsets):
-            if float(a @ x) >= beta - tol:
-                ineq.append(np.asarray(a, dtype=float))
-        if cs.box is not None:
-            sub_i, _ = _active_rows(cs.box, x, tol)
-            ineq.extend(sub_i)
-    else:
-        raise DimensionError(f"no active-set rules for {type(cs).__name__}")
-    return ineq, eq
 
 
 def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
@@ -355,19 +228,18 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
     stationarity = 0.0
     min_mu = np.inf
     degenerate = False
-    for i in range(game.M):
-        ineq, eq = _active_rows(game.individual[i], X[i], tol)
-        rows = ineq + eq
-        if not rows:
+    for i, cs in enumerate(game.individual):
+        ineq, eq = cs.active_rows(X[i], tol)
+        Gamma = np.vstack([ineq, eq])
+        if not len(Gamma):
             stationarity = max(stationarity,
                                float(np.max(np.abs(G[i]), initial=0.0)))
             continue
-        Gamma = np.stack(rows)
         if np.linalg.matrix_rank(Gamma) < Gamma.shape[0]:
             degenerate = True
         lb = np.concatenate([np.zeros(len(ineq)),
                              np.full(len(eq), -np.inf)])
-        ub = np.full(len(rows), np.inf)
+        ub = np.full(len(Gamma), np.inf)
         sol = lsq_linear(Gamma.T, -G[i], bounds=(lb, ub), method="bvls")
         resid = G[i] + Gamma.T @ sol.x
         stationarity = max(stationarity,

@@ -4,12 +4,15 @@ The population of M agents each picks a strategy in R^n.  Costs depend on the
 own strategy and on the population average; an affine constraint A x <= b may
 couple all strategies.  Everything here is immutable after construction and
 safe for concurrent reads.
+
+Cost models and constraint sets answer for themselves what the solvers and
+the verification ask of them, so no caller dispatches on their type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -102,6 +105,19 @@ def aggregate(x: Union[StrategyProfile, np.ndarray], M: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # Individual constraint sets
 # ---------------------------------------------------------------------------
+#
+# Each gives violation(x), bounds() and active_rows(x, tol): the
+# (inequality, equality) gradient rows, as (k, n) arrays, of the constraints
+# active at x within tol.
+
+
+def _active_box_rows(x, lo, hi, tol) -> np.ndarray:
+    """-e_t where x_t <= lo_t + tol and +e_t where x_t >= hi_t - tol, per
+    component the lo row before the hi row."""
+    t, at_hi = np.nonzero(np.stack([x <= lo + tol, x >= hi - tol], axis=1))
+    rows = np.zeros((t.size, x.size))
+    rows[np.arange(t.size), t] = np.where(at_hi, 1.0, -1.0)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,10 @@ class Box:
         x = np.asarray(x, dtype=float)
         return float(max(np.max(self.lo - x, initial=0.0),
                          np.max(x - self.hi, initial=0.0)))
+
+    def active_rows(self, x, tol):
+        return (_active_box_rows(x, self.lo, self.hi, tol),
+                np.zeros((0, x.size)))
 
 
 @dataclass(frozen=True)
@@ -168,6 +188,12 @@ class BoxBudget:
         box = max(np.max(self.lo - x, initial=0.0),
                   np.max(x - self.hi, initial=0.0))
         return float(max(box, self.theta - float(np.sum(x))))
+
+    def active_rows(self, x, tol):
+        ineq = _active_box_rows(x, self.lo, self.hi, tol)
+        if float(np.sum(x)) <= self.theta + tol:
+            ineq = np.vstack([ineq, -np.ones(x.size)])
+        return ineq, np.zeros((0, x.size))
 
 
 @dataclass(frozen=True)
@@ -215,6 +241,9 @@ class FlowPolytope:
         cons = float(np.max(np.abs(self.B @ x - self.b_od), initial=0.0))
         return float(max(box, cons))
 
+    def active_rows(self, x, tol):
+        return _active_box_rows(x, 0.0, 1.0, tol), self.B
+
 
 @dataclass(frozen=True)
 class HalfspaceIntersection:
@@ -249,6 +278,12 @@ class HalfspaceIntersection:
         if self.box is not None:
             v = max(v, self.box.violation(x))
         return v
+
+    def active_rows(self, x, tol):
+        ineq = self.normals[self.normals @ x >= self.offsets - tol]
+        if self.box is not None:
+            ineq = np.vstack([ineq, self.box.active_rows(x, tol)[0]])
+        return ineq, np.zeros((0, x.size))
 
 
 IndividualConstraintSet = Union[Box, BoxBudget, FlowPolytope,
@@ -331,43 +366,12 @@ class CouplingConstraint:
 
 
 # ---------------------------------------------------------------------------
-# Price maps and separable utilities (building blocks for cost models)
+# Prices and separable utilities (building blocks for PriceTimesUsage)
 # ---------------------------------------------------------------------------
 
 
-class PriceMap:
-    """Per-unit price as a function of the average usage level z."""
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jac(self, z: np.ndarray) -> np.ndarray:
-        """Jacobian with rows d p_a / d z_b."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class AffinePrice(PriceMap):
-    C: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
-        c = _vec(self.c, "c")
-        if C.shape != (c.size, c.size):
-            raise DimensionError("C must be square and match c")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "c", c)
-
-    def value(self, z):
-        return self.C @ z + self.c
-
-    def jac(self, z):
-        return self.C
-
-
-@dataclass(frozen=True)
-class DiagonalPrice(PriceMap):
+class DiagonalPrice:
     """Componentwise price p_t(z_t) with analytic first and second derivatives.
 
     ``f``, ``df``, ``ddf`` map an n-vector z to the n-vector of per-component
@@ -387,43 +391,37 @@ class DiagonalPrice(PriceMap):
     def diag2(self, z):
         return np.asarray(self.ddf(z), dtype=float)
 
-    def jac(self, z):
-        return np.diag(self.diag(z))
 
+class ZeroUtility:
+    """v^i = 0: the cost is linear in the own strategy."""
 
-class Utility:
-    """Separable smooth convex term v^i(x^i) in a price-times-usage cost."""
+    def weights(self, M):
+        """Per-agent curvature weights (gamma_i): all zero."""
+        return np.zeros(M)
 
-    def value(self, i: int, x_i: np.ndarray) -> float:
-        raise NotImplementedError
+    def lipschitz(self):
+        return 0.0
 
-    def grad(self, i: int, x_i: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_all(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad(i, X[i]) for i in range(X.shape[0])])
-
-    def curvature(self) -> tuple:
-        """(strong-convexity constant, gradient Lipschitz constant)."""
-        raise NotImplementedError
-
-
-class ZeroUtility(Utility):
     def value(self, i, x_i):
         return 0.0
 
     def grad(self, i, x_i):
         return np.zeros_like(np.asarray(x_i, dtype=float))
 
+    def value_all(self, X):
+        return np.zeros(X.shape[0])
+
     def grad_all(self, X):
         return np.zeros_like(X)
 
-    def curvature(self):
-        return 0.0, 0.0
+    def response(self, q, proj):
+        """Every agent's minimizer of q[i]^T x over its set: the sets'
+        linear minimizer, or None when they have none in closed form."""
+        return proj.minimize_linear(q)
 
 
 @dataclass(frozen=True)
-class QuadraticTracking(Utility):
+class QuadraticTracking:
     """v^i(x) = gamma_i/2 * ||x - ref_i||^2."""
 
     gamma: np.ndarray
@@ -439,6 +437,12 @@ class QuadraticTracking(Utility):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "ref", ref)
 
+    def weights(self, M):
+        return self.gamma
+
+    def lipschitz(self):
+        return float(np.max(self.gamma))
+
     def value(self, i, x_i):
         d = np.asarray(x_i, dtype=float) - self.ref[i]
         return 0.5 * self.gamma[i] * float(d @ d)
@@ -446,46 +450,41 @@ class QuadraticTracking(Utility):
     def grad(self, i, x_i):
         return self.gamma[i] * (np.asarray(x_i, dtype=float) - self.ref[i])
 
+    def value_all(self, X):
+        d = X - self.ref
+        return 0.5 * self.gamma * np.einsum("ij,ij->i", d, d)
+
     def grad_all(self, X):
         return self.gamma[:, None] * (X - self.ref)
 
-    def curvature(self):
-        return float(np.min(self.gamma)), float(np.max(self.gamma))
+    def response(self, q, proj):
+        """Every agent's minimizer of v^i(x) + q[i]^T x over its set: one
+        projection of the preferred points shifted by q / gamma, or None
+        when some gamma_i is zero."""
+        if not np.all(self.gamma > 0):
+            return None
+        return proj(self.ref - q / self.gamma[:, None])
 
 
 # ---------------------------------------------------------------------------
 # Cost models
 # ---------------------------------------------------------------------------
-
-
-class CostModel:
-    """Evaluation interface for the per-agent cost J^i(x^i, z).
-
-    ``grad_own`` differentiates with respect to x^i at fixed z; ``grad_agg``
-    differentiates with respect to z at fixed x^i.
-    """
-
-    n: int
-
-    def value(self, i: int, x_i: np.ndarray, z: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad_own(self, i: int, x_i: np.ndarray, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_agg(self, i: int, x_i: np.ndarray, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # Vectorized forms; the defaults loop over agents.
-    def grad_own_all(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_own(i, X[i], z) for i in range(X.shape[0])])
-
-    def grad_agg_all(self, X: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_agg(i, X[i], z) for i in range(X.shape[0])])
+#
+# Both give gradients per agent and for all agents (grad_own at fixed z,
+# grad_agg with respect to z), and:
+# * own_lipschitz(): a Lipschitz constant of grad_own in x, for every agent;
+# * aggregate_lipschitz(hi): (L_p, source) of the price/aggregate coupling;
+# * closed_form_response(z, charge, proj): all agents' minimizers of
+#   J^i(x, z) + charge[i]^T x over their sets, or None without a closed form;
+# * deviation_value_grad(X, Z, M): values and gradient rows of agent i's
+#   deviation objective x -> J^i(x, (x + S_i) / M) at X[i], where
+#   Z = (X + S) / M and S_i sums the other agents' strategies;
+# * deviation_lipschitz(M, hi): a Lipschitz constant of those gradients.
+# Arguments hi bound the strategies, and so the averages, from above.
 
 
 @dataclass(frozen=True)
-class QuadraticCost(CostModel):
+class QuadraticCost:
     """J^i = 1/2 x^T Q x + (C z + c^i)^T x with common Q, C."""
 
     Q: np.ndarray
@@ -529,13 +528,32 @@ class QuadraticCost(CostModel):
     def grad_agg_all(self, X, z):
         return X @ self.C
 
+    def own_lipschitz(self) -> float:
+        return float(np.linalg.norm(self.Q, 2))
+
+    def aggregate_lipschitz(self, hi) -> tuple:
+        return float(np.linalg.norm(self.C, 2)), "exact"
+
+    def closed_form_response(self, z, charge, proj):
+        return None
+
+    def deviation_value_grad(self, X, Z, M):
+        lin = Z @ self.C.T + self.c
+        vals = 0.5 * np.einsum("ij,jk,ik->i", X, self.Q, X) \
+            + np.einsum("ij,ij->i", lin, X)
+        grads = X @ self.Q.T + lin + (X @ self.C) / M
+        return vals, grads
+
+    def deviation_lipschitz(self, M, hi) -> float:
+        return float(np.linalg.norm(self.Q + (self.C + self.C.T) / M, 2))
+
 
 @dataclass(frozen=True)
-class PriceTimesUsage(CostModel):
+class PriceTimesUsage:
     """J^i = v^i(x^i) + p(z)^T x^i."""
 
-    utility: Utility
-    price: PriceMap
+    utility: Union[ZeroUtility, QuadraticTracking]
+    price: DiagonalPrice
     n: int
 
     def value(self, i, x_i, z):
@@ -546,18 +564,48 @@ class PriceTimesUsage(CostModel):
         return self.utility.grad(i, x_i) + self.price.value(z)
 
     def grad_agg(self, i, x_i, z):
-        x_i = np.asarray(x_i, dtype=float)
-        if isinstance(self.price, DiagonalPrice):
-            return self.price.diag(z) * x_i
-        return self.price.jac(z).T @ x_i
+        return self.price.diag(z) * np.asarray(x_i, dtype=float)
 
     def grad_own_all(self, X, z):
         return self.utility.grad_all(X) + self.price.value(z)[None, :]
 
     def grad_agg_all(self, X, z):
-        if isinstance(self.price, DiagonalPrice):
-            return X * self.price.diag(z)[None, :]
-        return X @ self.price.jac(z)
+        return X * self.price.diag(z)[None, :]
+
+    def own_lipschitz(self) -> float:
+        return self.utility.lipschitz()
+
+    def aggregate_lipschitz(self, hi) -> tuple:
+        """max |p'| over a 1e-4 grid of [0, max(hi)]."""
+        grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
+        best = 0.0
+        for z in np.array_split(grid, max(1, grid.size // 4096)):
+            Z = np.broadcast_to(z[:, None], (z.size, self.n))
+            best = max(best, float(np.max(np.abs(self.price.diag(Z)))))
+        return best, "formula"
+
+    def closed_form_response(self, z, charge, proj):
+        return self.utility.response(self.price.value(z)[None, :] + charge,
+                                     proj)
+
+    def deviation_value_grad(self, X, Z, M):
+        p = self.price.value(Z)
+        vals = self.utility.value_all(X) + np.einsum("ij,ij->i", p, X)
+        grads = self.utility.grad_all(X) + p + (self.price.diag(Z) * X) / M
+        return vals, grads
+
+    def deviation_lipschitz(self, M, hi) -> float:
+        """Own curvature plus the chain-rule terms, with |p'| and |p''|
+        maximized over a 2049-point grid of [0, max(hi)]."""
+        zg = np.linspace(0.0, float(np.max(hi)), 2049)
+        Z = np.broadcast_to(zg[:, None], (zg.size, self.n))
+        dmax = float(np.max(np.abs(self.price.diag(Z))))
+        ddmax = float(np.max(np.abs(self.price.diag2(Z))))
+        xmax = float(np.max(np.abs(hi)))
+        return self.own_lipschitz() + 2.0 * dmax / M + ddmax * xmax / M**2
+
+
+CostModel = Union[QuadraticCost, PriceTimesUsage]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .game import (AggregativeGame, DiagonalPrice, PriceTimesUsage,
-                   QuadraticCost, QuadraticTracking, ZeroUtility,
+from .game import (AggregativeGame, PriceTimesUsage, QuadraticCost,
                    aggregate_matrix)
 from .projection import ProfileProjector
 
@@ -73,28 +72,23 @@ class GameOperator:
     def slot_terms(self, X: np.ndarray) -> Optional[tuple]:
         """(g, u) with slot block H_t = diag(g_t) + u_t 1^T, or None.
 
-        Applies when the price acts componentwise and the utility is
-        separable per component; the full Jacobian is then block-diagonal
-        under the agent/component reordering, one M x M block per slot t.
-        ``X`` is an (M, n) profile or an (S, M, n) stack of profiles; g and
-        u have shape (n, M) or (S, n, M).  With c_t = p'_t / M:
+        Applies to price-times-usage costs, whose price acts componentwise
+        and whose utility has per-agent curvature weights gamma; the full
+        Jacobian is then block-diagonal under the agent/component
+        reordering, one M x M block per slot t.  ``X`` is an (M, n) profile
+        or an (S, M, n) stack of profiles; g and u have shape (n, M) or
+        (S, n, M).  With c_t = p'_t / M:
 
         * Wardrop: g = gamma, u = c_t 1;
         * Nash: g = gamma + c_t, u = c_t 1 + (p''_t / M^2) x_t.
         """
         cost = self.game.cost
-        if not (isinstance(cost, PriceTimesUsage)
-                and isinstance(cost.price, DiagonalPrice)
-                and isinstance(cost.utility, (ZeroUtility, QuadraticTracking))):
+        if not isinstance(cost, PriceTimesUsage):
             return None
         M = self.game.M
         z = np.add.reduce(X, axis=-2) / M
         c = (cost.price.diag(z) / M)[..., None]
-        if isinstance(cost.utility, QuadraticTracking):
-            gamma = cost.utility.gamma
-        else:
-            gamma = np.zeros(M)
-        g = np.broadcast_to(gamma, c.shape[:-1] + (M,))
+        g = np.broadcast_to(cost.utility.weights(M), c.shape[:-1] + (M,))
         u = np.broadcast_to(c, g.shape)
         if self.flavor == NASH:
             g = g + c

@@ -1,6 +1,7 @@
 """Exact Euclidean projections onto the constraint geometries used by the
 solvers: boxes, the nonnegative orthant, affine subspaces, box-plus-budget
-sets, and intersections handled by Dykstra's alternating scheme.
+sets, and intersections handled by Dykstra's alternating scheme.  Also the
+exact linear minimizer over box-plus-budget sets.
 
 All functions are pure.
 """
@@ -126,6 +127,26 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     step = (deficit + sum_rounding_bound(x)) / count
     X[need] = np.where(inside & (deficit > 0)[:, None],
                        np.minimum(x + step[:, None], h), x)
+    return X
+
+
+def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
+                                    theta) -> np.ndarray:
+    """Exact minimizer of q^T x over {lo <= x <= hi, sum(x) >= theta} for
+    every row q of Q_costs.
+
+    Negative-cost components fill to their caps; the rest of each budget is
+    met by the cheapest components in ascending cost order, each taking what
+    its cheaper ones left, up to its room.
+    """
+    X = np.where(Q_costs < 0.0, hi, lo)
+    need = theta - X.sum(axis=1)
+    need = np.where(need > 1e-15, need, 0.0)
+    rows = np.arange(len(X))[:, None]
+    order = np.argsort(Q_costs, axis=1, kind="stable")
+    room = (hi - X)[rows, order]
+    before = np.cumsum(room, axis=1) - room
+    X[rows, order] += np.clip(need[:, None] - before, 0.0, room)
     return X
 
 
@@ -276,6 +297,26 @@ class ProfileProjector:
             return self._project_flow(Y)
         return np.stack([project_individual(cs, Y[i])
                          for i, cs in enumerate(self.individual)])
+
+    def minimize_linear(self, Q_costs: np.ndarray):
+        """Every agent's minimizer of Q_costs[i]^T x over its set: exact for
+        box-budget sets (a greedy fill), None for the others."""
+        if self._mode != "box_budget":
+            return None
+        return _greedy_linear_box_budget_batch(Q_costs, self._lo, self._hi,
+                                               self._theta)
+
+    def capped(self, cap_hi: np.ndarray):
+        """Projector onto the same sets with every upper bound lowered to
+        cap_hi (never below lo), or None unless all sets are boxes or all
+        are box-budget sets."""
+        if self._mode not in ("box", "box_budget"):
+            return None
+        lo = self._lo
+        hi = np.maximum(np.minimum(self._hi, cap_hi), lo)  # tight-cap roundoff
+        if self._mode == "box":
+            return lambda Y: np.clip(Y, lo, hi)
+        return lambda Y: project_box_budget_batch(Y, lo, hi, self._theta)
 
     def _project_flow(self, Y) -> np.ndarray:
         # Dual ascent for every agent at once: the dual objectives are

@@ -5,7 +5,6 @@ import pytest
 
 from aggeq.algorithms import (SOLVERS, EquilibriumResult, SolverConfig,
                               _batch_best_response,
-                              _greedy_linear_box_budget_batch,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
@@ -13,9 +12,12 @@ from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility, aggregate_matrix)
 from aggeq.apps.ev import build_ev_game, generate_ev_params
+from aggeq.apps.traffic import build_network, build_route_choice_game
 from aggeq.operators import (NASH, WARDROP, build_operator,
                              monotonicity_analysis)
-from aggeq.projection import ProfileProjector
+from aggeq.projection import (ProfileProjector,
+                              _greedy_linear_box_budget_batch,
+                              project_individual)
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -374,6 +376,87 @@ class TestBestResponse:
             best_response(game, 0, z=[0.0], lam=[-0.1])
 
 
+def grid_route_choice_game(M=6, seed=0):
+    """Route choice through the real builder on a 2 x 3 street grid of
+    two-way streets."""
+    edges = []
+    for a, b, length in ((0, 1, 1.0), (1, 2, 1.5), (3, 4, 1.2), (4, 5, 1.0),
+                         (0, 3, 2.0), (1, 4, 1.0), (2, 5, 1.3)):
+        edges += [(a, b, length, length), (b, a, length, length)]
+    net = build_network(list(range(6)), edges, f=0.15, h=2.0, K=0.4)
+    return build_route_choice_game(net, M=M, seed=seed)
+
+
+BUILT_GAMES = {
+    "quadratic": lambda: build_quadratic_game(M=6, n=5, seed=1),
+    "ev": lambda: build_ev_game(generate_ev_params(M=6, seed=1)),
+    "route": grid_route_choice_game,
+}
+
+
+def response_inputs(game, seed=0):
+    """A projected origin, a feasible average and positive multipliers."""
+    rng = np.random.default_rng(seed)
+    proj = ProfileProjector(game.individual)
+    X0 = proj(np.zeros((game.M, game.n)))
+    lo, hi = game.bounding_box()
+    z = aggregate_matrix(proj(rng.uniform(lo, hi, size=(game.M, game.n))))
+    lam = rng.uniform(0.0, 0.5, size=game.coupling.m)
+    return proj, X0, z, lam
+
+
+class TestBestResponseThroughBuilders:
+    """best_response is row i of _batch_best_response on the real games."""
+
+    @pytest.mark.parametrize("kind", ["ev", "route"])
+    def test_closed_form_rows_are_exact(self, kind, monkeypatch):
+        game = BUILT_GAMES[kind]()
+        proj, X0, z, lam = response_inputs(game)
+
+        def no_projected_gradient(self):
+            raise AssertionError("closed form expected")
+
+        monkeypatch.setattr(PriceTimesUsage, "own_lipschitz",
+                            no_projected_gradient)
+        batch = _batch_best_response(game, proj, X0, z, lam, 1e-6, 100_000)
+        q = game.cost.price.value(z) + game.coupling.adjoint_blocks(lam)
+        for i, cs in enumerate(game.individual):
+            assert np.array_equal(best_response(game, i, z, lam), batch[i])
+            if kind == "ev":
+                oracle = greedy_loop_oracle(q[i], cs.lo, cs.hi, cs.theta)
+            else:
+                util = game.cost.utility
+                oracle = project_individual(
+                    cs, util.ref[i] - q[i] / util.gamma[i])
+            assert np.max(np.abs(batch[i] - oracle)) <= 1e-12
+
+    def test_quadratic_rows_within_inner_tol(self):
+        game = BUILT_GAMES["quadratic"]()
+        proj, X0, z, lam = response_inputs(game)
+        inner_tol = 1e-8
+        warm = proj(np.random.default_rng(1).uniform(size=X0.shape))
+        batch = _batch_best_response(game, proj, warm, z, lam, inner_tol,
+                                     100_000)
+        for i in range(game.M):
+            row = best_response(game, i, z, lam, inner_tol=inner_tol)
+            assert np.max(np.abs(row - batch[i])) <= inner_tol
+
+    @pytest.mark.parametrize("M", [5, 50])
+    def test_curvature_bound_computed_once_per_call(self, M, monkeypatch):
+        game = build_quadratic_game(M=M, n=6, seed=0)
+        calls = []
+        own_lipschitz = QuadraticCost.own_lipschitz
+
+        def counted(self):
+            calls.append(1)
+            return own_lipschitz(self)
+
+        monkeypatch.setattr(QuadraticCost, "own_lipschitz", counted)
+        proj, X0, z, lam = response_inputs(game)
+        _batch_best_response(game, proj, X0, z, lam, 1e-8, 100_000)
+        assert len(calls) == 1
+
+
 class TestSingleAgentKkt:
     """All three schemes must land on the hand-solved point (1, 1)."""
 
@@ -508,6 +591,8 @@ class TestSolverBehavior:
             SolverConfig(tol=0.0)
         with pytest.raises(DimensionError):
             SolverConfig(max_iter=0)
+        with pytest.raises(DimensionError):
+            SolverConfig(inner_max_iter=0)
         with pytest.raises(DimensionError):
             SolverConfig(inner_tol=0.0)
 

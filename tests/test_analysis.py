@@ -13,9 +13,12 @@ from aggeq.analysis import (ConstantsEstimate, VerificationReport,
                             outer_sum_eigenvalue_check, verify_equilibrium,
                             vi_gap_sampled, wardrop_epsilon_bound)
 from aggeq.errors import DimensionError, InfeasibleSetError
-from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
-                        FlowPolytope, QuadraticCost)
-from aggeq.operators import NASH, WARDROP
+from aggeq.apps.ev import build_ev_game, generate_ev_params
+from aggeq.apps.traffic import build_network, build_route_choice_game
+from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
+                        FlowPolytope, HalfspaceIntersection, QuadraticCost,
+                        aggregate_matrix)
+from aggeq.operators import NASH, WARDROP, default_sampler
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -60,6 +63,141 @@ class TestOuterSumEigenvalue:
     def test_rejects_bad_m(self):
         with pytest.raises(DimensionError):
             outer_sum_eigenvalue_check(0)
+
+
+def active_rows_loop_oracle(cs, x, tol):
+    """Test oracle: the per-component loop that found the active rows
+    before the constraint sets owned ``active_rows``."""
+    n = x.size
+    ineq = []
+    eq = []
+    if isinstance(cs, (Box, BoxBudget)):
+        lo, hi = cs.lo, cs.hi
+        for t in range(n):
+            if x[t] <= lo[t] + tol:
+                row = np.zeros(n)
+                row[t] = -1.0
+                ineq.append(row)
+            if x[t] >= hi[t] - tol:
+                row = np.zeros(n)
+                row[t] = 1.0
+                ineq.append(row)
+        if isinstance(cs, BoxBudget) and float(np.sum(x)) <= cs.theta + tol:
+            ineq.append(-np.ones(n))
+    elif isinstance(cs, FlowPolytope):
+        for t in range(n):
+            if x[t] <= tol:
+                row = np.zeros(n)
+                row[t] = -1.0
+                ineq.append(row)
+            if x[t] >= 1.0 - tol:
+                row = np.zeros(n)
+                row[t] = 1.0
+                ineq.append(row)
+        eq.extend(np.asarray(cs.B, dtype=float))
+    elif isinstance(cs, HalfspaceIntersection):
+        for a, beta in zip(cs.normals, cs.offsets):
+            if float(a @ x) >= beta - tol:
+                ineq.append(np.asarray(a, dtype=float))
+        if cs.box is not None:
+            sub_i, _ = active_rows_loop_oracle(cs.box, x, tol)
+            ineq.extend(sub_i)
+    return ineq, eq
+
+
+def deviation_loop_oracle(game, X, S):
+    """Test oracle: the per-agent deviation objective, agent i's cost at
+    X[i] with the average (X[i] + S[i]) / M, and its gradient."""
+    M = game.M
+    cost = game.cost
+    vals = np.empty(M)
+    grads = np.empty_like(X)
+    for i in range(M):
+        z = (X[i] + S[i]) / M
+        vals[i] = cost.value(i, X[i], z)
+        grads[i] = cost.grad_own(i, X[i], z) + cost.grad_agg(i, X[i], z) / M
+    return vals, grads
+
+
+def two_way_grid_network():
+    edges = []
+    for a, b, length in ((0, 1, 1.0), (1, 2, 1.5), (3, 4, 1.2), (4, 5, 1.0),
+                         (0, 3, 2.0), (1, 4, 1.0), (2, 5, 1.3)):
+        edges += [(a, b, length, length), (b, a, length, length)]
+    return build_network(list(range(6)), edges, f=0.15, h=2.0, K=0.4)
+
+
+class TestActiveRows:
+    """Each set's active_rows matches the loop oracle row for row, with
+    +0.0 off the active entries."""
+
+    def assert_matches_oracle(self, cs, x, tol=1e-6):
+        ineq, eq = cs.active_rows(x, tol)
+        o_ineq, o_eq = active_rows_loop_oracle(cs, x, tol)
+        for got, want in ((ineq, o_ineq), (eq, o_eq)):
+            want = np.array(want, dtype=float).reshape(-1, x.size)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        return ineq, eq
+
+    def test_box_at_lo_and_hi(self):
+        cs = Box([0.0, 0.0, 0.5, 0.0, 1.0], [1.0, 2.0, 0.5, 1.0, 3.0])
+        x = np.array([0.0, 2.0, 0.5, 1.0 - 1e-8, 2.0])
+        ineq, _ = self.assert_matches_oracle(cs, x)
+        # Component 2 is pinned (lo = hi): its lo row precedes its hi row.
+        t, col = np.nonzero(ineq)
+        assert list(col) == [0, 1, 2, 2, 3]
+        assert list(ineq[t, col]) == [-1.0, 1.0, -1.0, 1.0, 1.0]
+
+    def test_box_budget_on_the_budget(self):
+        cs = BoxBudget(np.zeros(4), np.ones(4), 1.5)
+        for x in (np.array([0.0, 1.0, 0.5, 0.0]),   # on the budget
+                  np.array([0.0, 1.0, 1.0, 0.3]),   # budget slack
+                  np.array([0.2, 0.4, 0.5, 0.4])):  # only the budget
+            self.assert_matches_oracle(cs, x)
+
+    def test_flow_polytope(self):
+        net = two_way_grid_network()
+        game = build_route_choice_game(net, M=3, seed=0)
+        X = game.cost.utility.ref
+        for cs, x in zip(game.individual, X):
+            _, eq = self.assert_matches_oracle(cs, x)
+            assert eq.shape == cs.B.shape
+        self.assert_matches_oracle(game.individual[0], np.full(X.shape[1],
+                                                               0.5))
+
+    @pytest.mark.parametrize("with_box", [False, True])
+    def test_halfspace_intersection(self, with_box):
+        normals = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0],
+                            [1.0, 0.0, 1.0]])
+        offsets = np.array([1.0, 0.0, 5.0])
+        box = Box(np.zeros(3), np.array([1.0, 0.5, 1.0])) if with_box \
+            else None
+        cs = HalfspaceIntersection(normals, offsets, box)
+        for x in (np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.2, 1.0]),
+                  np.array([0.3, 0.1, 0.9])):
+            self.assert_matches_oracle(cs, x)
+
+
+class TestDeviationValueGrad:
+    @pytest.mark.parametrize("kind", ["quadratic", "ev", "route"])
+    def test_matches_per_agent_oracle(self, kind):
+        game = {
+            "quadratic": lambda: build_quadratic_game(M=7, n=5, seed=2),
+            "ev": lambda: build_ev_game(generate_ev_params(M=7, seed=2)),
+            "route": lambda: build_route_choice_game(
+                two_way_grid_network(), M=7, seed=2),
+        }[kind]()
+        sample = default_sampler(game)
+        rng = np.random.default_rng(0)
+        X_bar, X = sample(rng), sample(rng)
+        S = game.M * aggregate_matrix(X_bar)[None, :] - X_bar
+        vals, grads = game.cost.deviation_value_grad(X, (X + S) / game.M,
+                                                     game.M)
+        o_vals, o_grads = deviation_loop_oracle(game, X, S)
+        assert np.max(np.abs(vals - o_vals)) <= 1e-12
+        assert np.max(np.abs(grads - o_grads)) <= 1e-12
 
 
 class TestKktResidual:
@@ -143,6 +281,18 @@ class TestEpsilonNash:
         # x = 0 is far from the tracking target 2; deviating to 2 saves 2.
         assert epsilon_nash(game, np.zeros(1)) == pytest.approx(2.0,
                                                                 abs=1e-5)
+
+    def test_mixed_box_and_budget_agents_keep_their_budgets(self):
+        # Each agent wants x = -1: agent 0 stops at its box, agent 1 at its
+        # budget 0.5.  Deviations must respect the budget, so nobody gains;
+        # a box-only deviation set would let agent 1 save 0.625.
+        cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
+                             c=np.ones((2, 1)))
+        game = AggregativeGame(
+            M=2, n=1, cost=cost,
+            individual=(Box([0.0], [1.0]), BoxBudget([0.0], [1.0], 0.5)),
+            coupling=CouplingConstraint.per_component_cap([10.0], 2))
+        assert epsilon_nash(game, np.array([[0.0], [0.5]])) <= 1e-9
 
 
 class TestViGap:
