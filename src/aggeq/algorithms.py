@@ -358,9 +358,11 @@ def extragradient(game: AggregativeGame, flavor: str, config: SolverConfig,
 
 
 class Solver(NamedTuple):
-    """A registered scheme: the equilibrium it seeks and how to run it."""
+    """A registered scheme: the equilibrium it seeks, how to run it, and
+    whether it needs a strongly monotone mapping (a positive safe alpha)."""
     flavor: str
     solve: Callable[..., EquilibriumResult]
+    strongly_monotone: bool = True
 
 
 # The one name-to-solver map, for the CLI and the tests.  Each entry looks
@@ -374,5 +376,6 @@ SOLVERS = {
     "apa-wardrop": Solver(WARDROP, lambda game, config, **kw:
                           asymmetric_projection(game, WARDROP, config, **kw)),
     "extragradient": Solver(WARDROP, lambda game, config, **kw:
-                            extragradient(game, WARDROP, config, **kw)),
+                            extragradient(game, WARDROP, config, **kw),
+                            False),
 }

@@ -9,7 +9,7 @@ per-slot cap limits the fleet average.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np

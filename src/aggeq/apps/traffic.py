@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -214,7 +215,8 @@ class TravelTimeCurve:
     """Three-branch edge delay: free-flow, quadratic stitch, congested.
 
     The stitch spans [f h - Delta, f h + Delta] and makes the curve C1;
-    its curvature is 1 / (4 f Delta).
+    its curvature is 1 / (4 f Delta).  Every field but h is a float for one
+    edge, or an array with one entry per edge for a whole network.
     """
 
     t_free: float
@@ -226,16 +228,15 @@ class TravelTimeCurve:
     c: float
 
 
-def smoothing_constants(f_e: float, h: float, t_free: float
-                        ) -> TravelTimeCurve:
+def smoothing_constants(f_e, h: float, t_free) -> TravelTimeCurve:
     """Coefficients of the quadratic stitch between the free-flow and
-    congested branches.
+    congested branches, per edge when f_e and t_free are arrays.
 
     The offset c comes from enforcing value continuity at the left
     junction; with these a, b the value rise across the stitch then equals
     the congested branch's rise, so the right junction is continuous too.
     """
-    if f_e <= 0 or h <= 0:
+    if np.any(np.asarray(f_e) <= 0) or h <= 0:
         raise DimensionError("capacity and peak duration must be positive")
     fh = f_e * h
     Delta = 0.5 * (np.sqrt(fh * fh + 4.0 * fh) - fh)
@@ -243,8 +244,9 @@ def smoothing_constants(f_e: float, h: float, t_free: float
     b = 1.0 / (4.0 * f_e) - h / (4.0 * Delta)
     s_left = fh - Delta
     c = -(a * s_left * s_left + b * s_left)
-    return TravelTimeCurve(float(t_free), float(f_e), float(h), float(Delta),
-                           float(a), float(b), float(c))
+    fields = (np.asarray(v, dtype=float)
+              for v in (t_free, f_e, h, Delta, a, b, c))
+    return TravelTimeCurve(*(float(v) if v.ndim == 0 else v for v in fields))
 
 
 def travel_time(curve: TravelTimeCurve, sigma_e):
@@ -305,33 +307,10 @@ def queue_consistency_check(D_e: float, F_e: float, h: float) -> dict:
 
 
 def _edge_price(network: RoadNetwork) -> DiagonalPrice:
-    curves = [smoothing_constants(network.f[e], network.h,
-                                  network.edges[e][3])
-              for e in range(network.n_edges)]
-    t_free = np.array([c.t_free for c in curves])
-    fh = np.array([c.f * c.h for c in curves])
-    Delta = np.array([c.Delta for c in curves])
-    a = np.array([c.a for c in curves])
-    b = np.array([c.b for c in curves])
-    c_arr = np.array([c.c for c in curves])
-    f = np.array([c.f for c in curves])
-
-    def value(s):
-        mid = a * s * s + b * s + c_arr
-        cong = (s - fh) / (2.0 * f)
-        return t_free + np.where(s <= fh - Delta, 0.0,
-                                 np.where(s >= fh + Delta, cong, mid))
-
-    def deriv(s):
-        return np.where(s <= fh - Delta, 0.0,
-                        np.where(s >= fh + Delta, 1.0 / (2.0 * f),
-                                 2.0 * a * s + b))
-
-    def deriv2(s):
-        inside = (s > fh - Delta) & (s < fh + Delta)
-        return np.where(inside, 2.0 * a, 0.0)
-
-    return DiagonalPrice(value, deriv, deriv2)
+    curve = smoothing_constants(network.f, network.h, network.t_free)
+    return DiagonalPrice(partial(travel_time, curve),
+                         partial(travel_time_derivative, curve),
+                         partial(travel_time_second_derivative, curve))
 
 
 def build_route_choice_game(network: RoadNetwork,
@@ -394,9 +373,7 @@ def traffic_bounds(network: RoadNetwork, gamma_hat: float, M: int) -> dict:
     and the epsilon bound for Wardrop solutions of the route-choice game."""
     if gamma_hat <= 0:
         raise DimensionError("gamma_hat must be positive")
-    Deltas = np.array([smoothing_constants(network.f[e], network.h,
-                                           network.edges[e][3]).Delta
-                       for e in range(network.n_edges)])
+    Deltas = smoothing_constants(network.f, network.h, network.t_free).Delta
     m_threshold = float(np.max(1.0 / (32.0 * network.f * Deltas * gamma_hat)))
     E = network.n_edges
     f_min = float(np.min(network.f))

@@ -29,7 +29,8 @@ from .algorithms import SOLVERS, TRACE_COLUMNS, SolverConfig
 from .analysis import (distance_bounds, estimate_constants,
                        verify_equilibrium)
 from .apps.ev import build_ev_game, generate_ev_params
-from .apps.traffic import build_route_choice_game, load_network
+from .apps.traffic import (_require_columns, build_route_choice_game,
+                           load_network)
 from .errors import AggeqError, ConfigError, ConvergenceError
 from .game import (AggregativeGame, Box, CouplingConstraint, QuadraticCost,
                    aggregate_matrix)
@@ -238,11 +239,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _wardrop_constants(game, seed):
+    """The Wardrop mapping's constants, as each Wardrop solver would
+    compute them for itself at this seed."""
+    return monotonicity_analysis(build_operator(game, WARDROP), seed=seed)
+
+
 def _wardrop_solver_for(game, solver_cfg):
     """Wardrop solutions need strong monotonicity for the projection
     scheme; fall back to extragradient when the constant is zero."""
-    rep = monotonicity_analysis(build_operator(game, WARDROP),
-                                seed=solver_cfg.seed)
+    rep = _wardrop_constants(game, solver_cfg.seed)
     name = "apa-wardrop" if rep.safe_alpha() > 0 else "extragradient"
     return SOLVERS[name].solve(game, solver_cfg, constants=rep)
 
@@ -283,18 +289,32 @@ def cmd_sweep_m(cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
-    rows = []
-    failures = 0
+    """Update counts of every Wardrop solver on n_rep games.  A solver that
+    needs strong monotonicity is skipped, with one stderr line and an
+    empty row but no failure, on a game whose safe constant is not
+    positive."""
     solver_cfg = cfg.solver_config()
-    wardrop = [(algo, solver) for algo, solver in SOLVERS.items()
-               if solver.flavor == WARDROP]
-    for algo, solver in wardrop:
-        primal, dual, ok = [], [], []
-        for rep in range(cfg.n_rep):
-            seed = cfg.seed + rep
-            game = build_game(cfg, seed=seed)
+    wardrop = {algo: solver for algo, solver in SOLVERS.items()
+               if solver.flavor == WARDROP}
+    counts = {algo: ([], [], []) for algo in wardrop}  # primal, dual, ok
+    for rep in range(cfg.n_rep):
+        seed = cfg.seed + rep
+        game = build_game(cfg, seed=seed)
+        constants = _wardrop_constants(game, seed)
+        skipped = [algo for algo, solver in wardrop.items()
+                   if solver.strongly_monotone
+                   and constants.safe_alpha() <= 0]
+        if skipped:
+            print(f"rep {rep}: {', '.join(skipped)} skipped: they need a"
+                  " strongly monotone mapping, estimated constant"
+                  f" {constants.alpha:.3e}", file=sys.stderr)
+        for algo, solver in wardrop.items():
+            if algo in skipped:
+                continue
+            primal, dual, ok = counts[algo]
             try:
-                res = solver.solve(game, replace(solver_cfg, seed=seed))
+                res = solver.solve(game, replace(solver_cfg, seed=seed),
+                                   constants=constants)
             except ConvergenceError as exc:
                 print(f"{algo} rep {rep}: {exc}", file=sys.stderr)
                 ok.append(False)
@@ -302,17 +322,13 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             primal.append(res.primal_updates)
             dual.append(res.dual_updates)
             ok.append(res.converged)
-        if primal:
-            rows.append([cfg.M, algo,
-                         repr(float(np.mean(primal))),
-                         repr(float(np.std(primal))),
-                         repr(float(np.mean(dual))),
-                         repr(float(np.std(dual))),
-                         int(all(ok)), cfg.n_rep])
-        else:
-            rows.append([cfg.M, algo, "", "", "", "", 0, cfg.n_rep])
-        if not all(ok):
-            failures += 1
+    rows, failures = [], 0
+    for algo, (primal, dual, ok) in counts.items():
+        stats = [repr(float(stat(v))) for v in (primal, dual)
+                 for stat in (np.mean, np.std)] if primal else [""] * 4
+        rows.append([cfg.M, algo, *stats, int(bool(primal) and all(ok)),
+                     cfg.n_rep])
+        failures += not all(ok)
     write_csv(os.path.join(cfg.output_dir, "iterations.csv"),
               ["M", "algorithm", "primal_updates_mean", "primal_updates_std",
                "dual_updates_mean", "dual_updates_std", "converged",
@@ -320,16 +336,38 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 1 if failures else 0
 
 
+def _read_indexed(path, index_cols, value_col) -> list:
+    """(line, index tuple, value) per data row of a CSV with nonnegative
+    integer index columns and one float column.  Unreadable files, missing
+    columns and bad or negative entries raise ConfigError naming the file
+    and line."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+    rows = []
+    with fh:
+        reader = csv.DictReader(fh)
+        _require_columns(reader, index_cols + (value_col,), path)
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                index = tuple(int(row[c]) for c in index_cols)
+                value = float(row[value_col])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad row: {exc}") from exc
+            if min(index) < 0:
+                raise ConfigError(f"{path}:{lineno}: negative index {index}")
+            rows.append((lineno, index, value))
+    return rows
+
+
 def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
-    x_entries = {}
-    with open(equilibrium_file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            x_entries[(int(row["agent"]), int(row["component"]))] = \
-                float(row["value"])
-    M = 1 + max(k[0] for k in x_entries)
-    n = 1 + max(k[1] for k in x_entries)
+    x_rows = _read_indexed(equilibrium_file, ("agent", "component"), "value")
+    if not x_rows:
+        raise ConfigError(f"{equilibrium_file}:2: no equilibrium rows")
+    M, n = (1 + max(col) for col in zip(*(index for _, index, _ in x_rows)))
     X = np.zeros((M, n))
-    for (i, t), v in x_entries.items():
+    for _, (i, t), v in x_rows:
         X[i, t] = v
     game = build_game(cfg, M=M)
     if game.n != n:
@@ -339,9 +377,13 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
     duals_file = os.path.join(os.path.dirname(equilibrium_file), "duals.csv")
     lam = np.zeros(game.coupling.m)
     if os.path.exists(duals_file):
-        with open(duals_file, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                lam[int(row["constraint"])] = float(row["lambda"])
+        for lineno, (j,), v in _read_indexed(duals_file, ("constraint",),
+                                             "lambda"):
+            if j >= lam.size:
+                raise ConfigError(
+                    f"{duals_file}:{lineno}: constraint index {j} out of"
+                    f" range [0, {lam.size})")
+            lam[j] = v
     report = verify_equilibrium(game, SOLVERS[cfg.algorithm].flavor, X, lam,
                                 seed=cfg.seed,
                                 feas_tol=max(1e-6, 10.0 * cfg.tol))

@@ -479,7 +479,12 @@ class QuadraticTracking:
 # * deviation_value_grad(X, Z, M): values and gradient rows of agent i's
 #   deviation objective x -> J^i(x, (x + S_i) / M) at X[i], where
 #   Z = (X + S) / M and S_i sums the other agents' strategies;
-# * deviation_lipschitz(M, hi): a Lipschitz constant of those gradients.
+# * deviation_lipschitz(M, hi): a Lipschitz constant of those gradients;
+# * the structure of the game mapping's Jacobian, Nash when nash is true and
+#   Wardrop otherwise, where each model answers None for the structure it
+#   lacks: constant_jacobian(M, nash) and exact_constants(M, nash) (the
+#   mapping is affine), or slot_terms(X, M, nash) (the mapping acts on each
+#   component t separately).
 # Arguments hi bound the strategies, and so the averages, from above.
 
 
@@ -547,6 +552,34 @@ class QuadraticCost:
     def deviation_lipschitz(self, M, hi) -> float:
         return float(np.linalg.norm(self.Q + (self.C + self.C.T) / M, 2))
 
+    def constant_jacobian(self, M, nash) -> np.ndarray:
+        """The mapping's (M*n) x (M*n) Jacobian, the same at every point."""
+        P = np.full((M, M), 1.0 / M)
+        J = np.kron(np.eye(M), self.Q) + np.kron(P, self.C)
+        if nash:
+            J = J + np.kron(np.eye(M), self.C.T) / M
+        return J
+
+    def exact_constants(self, M, nash) -> tuple:
+        """Exact (alpha, L_F) of the affine mapping.
+
+        The Jacobian decomposes over the averaging projection into two
+        blocks, Q (+C^T/M) on the deviation subspace and Q + C (+C^T/M) on
+        the consensus subspace, so constants follow from two n x n problems.
+        """
+        Q, C = self.Q, self.C
+        extra = C.T / M if nash else 0.0
+        dev = Q + extra
+        con = Q + C + extra
+        blocks = [con] if M == 1 else [dev, con]
+        alpha = min(float(np.min(np.linalg.eigvalsh(0.5 * (B + B.T))))
+                    for B in blocks)
+        lip = max(float(np.linalg.norm(B, 2)) for B in blocks)
+        return alpha, lip
+
+    def slot_terms(self, X, M, nash):
+        return None
+
 
 @dataclass(frozen=True)
 class PriceTimesUsage:
@@ -603,6 +636,35 @@ class PriceTimesUsage:
         ddmax = float(np.max(np.abs(self.price.diag2(Z))))
         xmax = float(np.max(np.abs(hi)))
         return self.own_lipschitz() + 2.0 * dmax / M + ddmax * xmax / M**2
+
+    def constant_jacobian(self, M, nash):
+        return None
+
+    def exact_constants(self, M, nash):
+        return None
+
+    def slot_terms(self, X, M, nash) -> tuple:
+        """(g, u) with slot block H_t = diag(g_t) + u_t 1^T.
+
+        The price acts componentwise and the utility has per-agent
+        curvature weights gamma, so the mapping's Jacobian is
+        block-diagonal under the agent/component reordering, one M x M
+        block per slot t.  ``X`` is an (M, n) profile or an (S, M, n) stack
+        of profiles; g and u have shape (n, M) or (S, n, M).  With
+        c_t = p'_t / M:
+
+        * Wardrop: g = gamma, u = c_t 1;
+        * Nash: g = gamma + c_t, u = c_t 1 + (p''_t / M^2) x_t.
+        """
+        z = np.add.reduce(X, axis=-2) / M
+        c = (self.price.diag(z) / M)[..., None]
+        g = np.broadcast_to(self.utility.weights(M), c.shape[:-1] + (M,))
+        u = np.broadcast_to(c, g.shape)
+        if nash:
+            g = g + c
+            u = u + (self.price.diag2(z) / M**2)[..., None] \
+                * np.swapaxes(X, -1, -2)
+        return g, u
 
 
 CostModel = Union[QuadraticCost, PriceTimesUsage]

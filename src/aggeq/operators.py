@@ -2,8 +2,9 @@
 
 The Nash mapping stacks the full cost gradients, including the chain-rule
 term through the population average; the Wardrop mapping freezes the average.
-Also provides the primal-dual extension of a mapping, constants estimation
-(strong monotonicity, Lipschitz), and closed forms for quadratic costs.
+Also provides the primal-dual extension of a mapping and constants estimation
+(strong monotonicity, Lipschitz).  The Jacobian structure behind the
+constants comes from the cost model, so nothing here dispatches on its type.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .game import (AggregativeGame, PriceTimesUsage, QuadraticCost,
-                   aggregate_matrix)
+from .game import AggregativeGame, aggregate_matrix
 from .projection import ProfileProjector
 
 NASH = "nash"
@@ -59,42 +59,18 @@ class GameOperator:
         return self.evaluate_blocks(X).reshape(-1)
 
     def jacobian(self, x) -> np.ndarray:
-        """(M*n) x (M*n) Jacobian, analytic when the cost supports it."""
+        """(M*n) x (M*n) analytic Jacobian: the cost model's constant one,
+        or else assembled from the slot blocks."""
         X = self.game.profile(x).as_matrix()
-        cost = self.game.cost
-        if isinstance(cost, QuadraticCost):
-            return _quadratic_jacobian(cost, self.game.M, self.flavor)
-        blocks = self.slot_blocks(X)
-        if blocks is not None:
-            return _assemble_from_slot_blocks(blocks)
-        return self._fd_jacobian(X)
+        J = self.game.cost.constant_jacobian(self.game.M, self.flavor == NASH)
+        if J is not None:
+            return J
+        return _assemble_from_slot_blocks(self.slot_blocks(X))
 
     def slot_terms(self, X: np.ndarray) -> Optional[tuple]:
-        """(g, u) with slot block H_t = diag(g_t) + u_t 1^T, or None.
-
-        Applies to price-times-usage costs, whose price acts componentwise
-        and whose utility has per-agent curvature weights gamma; the full
-        Jacobian is then block-diagonal under the agent/component
-        reordering, one M x M block per slot t.  ``X`` is an (M, n) profile
-        or an (S, M, n) stack of profiles; g and u have shape (n, M) or
-        (S, n, M).  With c_t = p'_t / M:
-
-        * Wardrop: g = gamma, u = c_t 1;
-        * Nash: g = gamma + c_t, u = c_t 1 + (p''_t / M^2) x_t.
-        """
-        cost = self.game.cost
-        if not isinstance(cost, PriceTimesUsage):
-            return None
-        M = self.game.M
-        z = np.add.reduce(X, axis=-2) / M
-        c = (cost.price.diag(z) / M)[..., None]
-        g = np.broadcast_to(cost.utility.weights(M), c.shape[:-1] + (M,))
-        u = np.broadcast_to(c, g.shape)
-        if self.flavor == NASH:
-            g = g + c
-            u = u + (cost.price.diag2(z) / M**2)[..., None] \
-                * np.swapaxes(X, -1, -2)
-        return g, u
+        """The cost model's slot terms (g, u) of X, slot block
+        H_t = diag(g_t) + u_t 1^T, or None when it has no slot structure."""
+        return self.game.cost.slot_terms(X, self.game.M, self.flavor == NASH)
 
     def slot_blocks(self, X: np.ndarray) -> Optional[np.ndarray]:
         """(n, M, M) per-component Jacobian blocks, or None when the slot
@@ -106,6 +82,8 @@ class GameOperator:
         return g[:, :, None] * np.eye(self.game.M) + u[:, :, None]
 
     def _fd_jacobian(self, X: np.ndarray) -> np.ndarray:
+        """Central finite differences: the reference the analytic Jacobians
+        are tested against, not a path of the library."""
         x = X.reshape(-1)
         d = x.size
         h = FD_STEP_SCALE * (1.0 + float(np.max(np.abs(x), initial=0.0)))
@@ -117,15 +95,6 @@ class GameOperator:
             xm[j] -= h
             J[:, j] = (self.evaluate(xp) - self.evaluate(xm)) / (2.0 * h)
         return J
-
-
-def _quadratic_jacobian(cost: QuadraticCost, M: int, flavor: str) -> np.ndarray:
-    n = cost.n
-    P = np.full((M, M), 1.0 / M)
-    J = np.kron(np.eye(M), cost.Q) + np.kron(P, cost.C)
-    if flavor == NASH:
-        J = J + np.kron(np.eye(M), cost.C.T) / M
-    return J
 
 
 def _assemble_from_slot_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -209,38 +178,13 @@ def default_sampler(game: AggregativeGame) -> Callable:
     deterministic.
     """
     proj = ProfileProjector(game.individual)
-    los, his = [], []
-    for cs in game.individual:
-        lo, hi = cs.bounds()
-        los.append(lo)
-        his.append(hi)
-    lo = np.stack(los)
-    hi = np.stack(his)
+    lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         Y = rng.uniform(lo, hi)
         return proj(Y)
 
     return sample
-
-
-def _exact_quadratic_constants(cost: QuadraticCost, M: int, flavor: str
-                               ) -> tuple:
-    """Exact (alpha, L_F) for the affine mapping of a quadratic game.
-
-    The Jacobian decomposes over the averaging projection into two blocks,
-    Q (+C^T/M) on the deviation subspace and Q + C (+C^T/M) on the
-    consensus subspace, so constants follow from two n x n problems.
-    """
-    Q, C = cost.Q, cost.C
-    extra = C.T / M if flavor == NASH else 0.0
-    dev = Q + extra
-    con = Q + C + extra
-    blocks = [con] if M == 1 else [dev, con]
-    alpha = min(float(np.min(np.linalg.eigvalsh(0.5 * (B + B.T))))
-                for B in blocks)
-    lip = max(float(np.linalg.norm(B, 2)) for B in blocks)
-    return alpha, lip
 
 
 def _count_negative_2x2(a, b, c):
@@ -336,17 +280,16 @@ def monotonicity_analysis(op: GameOperator,
                           seed: int = 0) -> MonotonicityReport:
     """Strong-monotonicity and Lipschitz constants of the mapping.
 
-    Affine (quadratic-cost) mappings get exact constants from the constant
-    Jacobian.  Otherwise the constants are the worst case over sampled
-    Jacobians: the minimum symmetrized eigenvalue and the maximum spectral
-    norm, flagged as estimates.  Mappings with slot structure (see
-    ``GameOperator.slot_terms``) get them exactly from that structure at
-    O(nM) per sample; the others from finite-difference Jacobians.
+    Affine mappings get exact constants from the cost model.  Otherwise the
+    constants are the worst case over sampled Jacobians: the minimum
+    symmetrized eigenvalue and the maximum spectral norm, flagged as
+    estimates.  Per sample they come exactly from the slot structure (see
+    ``GameOperator.slot_terms``) at O(nM) cost.
     """
     game = op.game
-    if isinstance(game.cost, QuadraticCost):
-        alpha, lip = _exact_quadratic_constants(game.cost, game.M, op.flavor)
-        return MonotonicityReport(alpha, lip, exact=True, samples=0)
+    exact = game.cost.exact_constants(game.M, op.flavor == NASH)
+    if exact is not None:
+        return MonotonicityReport(*exact, exact=True, samples=0)
     if n_samples < 1:
         raise DimensionError("n_samples must be positive")
     if sampler is None:
@@ -358,17 +301,9 @@ def monotonicity_analysis(op: GameOperator,
     for start in range(0, n_samples, chunk):
         samples = np.stack([np.asarray(sampler(rng), dtype=float)
                             for _ in range(min(chunk, n_samples - start))])
-        terms = op.slot_terms(samples)
-        if terms is not None:
-            g, u = (np.reshape(a, (-1, game.M)) for a in terms)
-            a, l = _slot_constants(g, u)
-            alpha, lip = min(alpha, a), max(lip, l)
-            continue
-        for X in samples:
-            J = op._fd_jacobian(X)
-            alpha = min(alpha, float(np.min(np.linalg.eigvalsh(
-                0.5 * (J + J.T)))))
-            lip = max(lip, float(np.linalg.norm(J, 2)))
+        g, u = (np.reshape(a, (-1, game.M)) for a in op.slot_terms(samples))
+        a, l = _slot_constants(g, u)
+        alpha, lip = min(alpha, a), max(lip, l)
     return MonotonicityReport(float(alpha), float(lip), exact=False,
                               samples=n_samples)
 

@@ -151,33 +151,42 @@ def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
 
 
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
-    """Projection onto {x in [0, 1]^E : B x = b_od}.
+    """Projection onto {x in [0, 1]^E : B x = b_od}: a one-row call of
+    _project_flow_batch."""
+    Y, b_ods = (np.asarray(v, dtype=float)[None, :] for v in (y, b_od))
+    return _project_flow_batch(Y, np.asarray(B, dtype=float), b_ods)[0]
 
-    Works on the concave dual over the node multipliers mu:
-    x(mu) = clip(y - B^T mu, 0, 1) and d(mu) = 0.5 |x(mu) - y|^2
-    + mu^T (B x(mu) - b_od).  The dual is maximized with L-BFGS-B and an
-    active-set polish then restores the conservation equations to machine
-    precision.  This is orders of magnitude faster than alternating
-    projections when y is far from the polytope.
+
+def _project_flow_batch(Y, B, b_ods) -> np.ndarray:
+    """Projection of every row of Y onto {x in [0, 1]^E : B x = b_ods[i]}.
+
+    Works on the concave dual over the node multipliers mu_i:
+    x_i(mu_i) = clip(y_i - B^T mu_i, 0, 1) and d(mu) = sum_i
+    0.5 |x_i(mu_i) - y_i|^2 + mu_i^T (B x_i(mu_i) - b_ods[i]).  The dual is
+    separable across rows, so one L-BFGS-B run maximizes every row's at
+    once; a per-row active-set polish then restores the conservation
+    equations to machine precision.  This is orders of magnitude faster
+    than alternating projections when y is far from the polytope.
     """
     from scipy.optimize import minimize
 
-    y = np.asarray(y, dtype=float)
-    B = np.asarray(B, dtype=float)
-    b_od = np.asarray(b_od, dtype=float)
+    M, V = Y.shape[0], B.shape[0]
 
     def neg_dual(mu):
-        x = np.clip(y - B.T @ mu, 0.0, 1.0)
-        r = B @ x - b_od
-        val = 0.5 * float((x - y) @ (x - y)) + float(mu @ r)
-        return -val, -r
+        X = np.clip(Y - mu.reshape(M, V) @ B, 0.0, 1.0)
+        R = X @ B.T - b_ods
+        # Dot products of the flattened arrays: on one row they round as
+        # a single agent's vector dot products.
+        D = (X - Y).ravel()
+        val = 0.5 * float(D @ D) + float(mu @ R.ravel())
+        return -val, -R.ravel()
 
-    res = minimize(neg_dual, np.zeros(B.shape[0]), jac=True,
-                   method="L-BFGS-B",
+    res = minimize(neg_dual, np.zeros(M * V), jac=True, method="L-BFGS-B",
                    options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-12})
-    u = y - B.T @ res.x
-    x = np.clip(u, 0.0, 1.0)
-    return _polish_flow(x, u, y, B, b_od)
+    U = Y - res.x.reshape(M, V) @ B
+    X = np.clip(U, 0.0, 1.0)
+    return np.stack([_polish_flow(X[i], U[i], Y[i], B, b_ods[i])
+                     for i in range(M)])
 
 
 def _polish_flow(x, u, y, B, b_od, margin=1e-7):
@@ -251,8 +260,7 @@ def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
     if isinstance(cs, BoxBudget):
         return project_box_budget(y, cs.lo, cs.hi, cs.theta)
     if isinstance(cs, FlowPolytope):
-        return project_flow_polytope(np.asarray(y, dtype=float),
-                                     cs.B, cs.b_od)
+        return project_flow_polytope(y, cs.B, cs.b_od)
     if isinstance(cs, HalfspaceIntersection):
         projs = [
             (lambda a, beta: (lambda v: project_halfspace(v, a, beta)))(a, b)
@@ -294,7 +302,8 @@ class ProfileProjector:
         if self._mode == "box_budget":
             return project_box_budget_batch(Y, self._lo, self._hi, self._theta)
         if self._mode == "flow":
-            return self._project_flow(Y)
+            return _project_flow_batch(np.asarray(Y, dtype=float), self._B,
+                                       self._b_ods)
         return np.stack([project_individual(cs, Y[i])
                          for i, cs in enumerate(self.individual)])
 
@@ -317,32 +326,3 @@ class ProfileProjector:
         if self._mode == "box":
             return lambda Y: np.clip(Y, lo, hi)
         return lambda Y: project_box_budget_batch(Y, lo, hi, self._theta)
-
-    def _project_flow(self, Y) -> np.ndarray:
-        # Dual ascent for every agent at once: the dual objectives are
-        # separable across agents, so one joint L-BFGS run maximizes them
-        # simultaneously; each agent then gets an active-set polish.
-        from scipy.optimize import minimize
-
-        B = self._B
-        Y = np.asarray(Y, dtype=float)
-        M = Y.shape[0]
-        V = B.shape[0]
-
-        def neg_dual(mu_flat):
-            Mu = mu_flat.reshape(M, V)
-            X = np.clip(Y - Mu @ B, 0.0, 1.0)
-            R = X @ B.T - self._b_ods
-            val = 0.5 * float(np.sum((X - Y) ** 2)) + float(np.sum(Mu * R))
-            return -val, -R.ravel()
-
-        res = minimize(neg_dual, np.zeros(M * V), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-18,
-                                "gtol": 1e-12})
-        U = Y - res.x.reshape(M, V) @ B
-        X = np.clip(U, 0.0, 1.0)
-        out = np.empty_like(X)
-        for i in range(M):
-            out[i] = _polish_flow(X[i], U[i], Y[i], B, self._b_ods[i])
-        return out

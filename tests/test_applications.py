@@ -4,8 +4,9 @@ import pytest
 from aggeq.algorithms import SolverConfig, best_response, two_level_wardrop
 from aggeq.apps.ev import (EvParams, build_ev_game, default_demand,
                            ev_condition_check, generate_ev_params, sqrt_price)
-from aggeq.apps.traffic import (build_network, build_route_choice_game,
-                                load_network, queue_consistency_check,
+from aggeq.apps.traffic import (_edge_price, build_network,
+                                build_route_choice_game, load_network,
+                                queue_consistency_check,
                                 shortest_path, smoothing_constants,
                                 traffic_bounds, travel_time,
                                 travel_time_derivative,
@@ -193,6 +194,78 @@ class TestSmoothing:
     def test_rejects_bad_parameters(self):
         with pytest.raises(DimensionError):
             smoothing_constants(0.0, 1.0, 1.0)
+
+
+def per_edge_price(network):
+    """Test oracle: the edge price as closures over per-edge coefficient
+    arrays, built from one scalar curve per edge, as the route-choice
+    builder had it before it called the travel-time functions."""
+    curves = [smoothing_constants(network.f[e], network.h,
+                                  network.edges[e][3])
+              for e in range(network.n_edges)]
+    t_free = np.array([c.t_free for c in curves])
+    fh = np.array([c.f * c.h for c in curves])
+    Delta = np.array([c.Delta for c in curves])
+    a = np.array([c.a for c in curves])
+    b = np.array([c.b for c in curves])
+    c_arr = np.array([c.c for c in curves])
+    f = np.array([c.f for c in curves])
+
+    def value(s):
+        mid = a * s * s + b * s + c_arr
+        cong = (s - fh) / (2.0 * f)
+        return t_free + np.where(s <= fh - Delta, 0.0,
+                                 np.where(s >= fh + Delta, cong, mid))
+
+    def deriv(s):
+        return np.where(s <= fh - Delta, 0.0,
+                        np.where(s >= fh + Delta, 1.0 / (2.0 * f),
+                                 2.0 * a * s + b))
+
+    def deriv2(s):
+        inside = (s > fh - Delta) & (s < fh + Delta)
+        return np.where(inside, 2.0 * a, 0.0)
+
+    return DiagonalPrice(value, deriv, deriv2), fh, Delta
+
+
+class TestEdgePrice:
+    """The per-edge curve through the travel-time functions against the
+    per-edge closures, byte for byte."""
+
+    def network(self):
+        edges = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.5), (1, 2, 1.0, 0.7),
+                 (2, 1, 1.0, 2.0), (2, 0, 1.0, 1.2), (0, 2, 1.0, 3.0)]
+        return build_network([0, 1, 2], edges,
+                             f=[0.05, 0.1, 0.15, 0.2, 0.3, 0.4], h=2.0)
+
+    def test_values_and_derivatives_are_byte_identical(self):
+        net = self.network()
+        got = _edge_price(net)
+        want, fh, Delta = per_edge_price(net)
+        E = net.n_edges
+        junctions = np.stack([fh - Delta, fh + Delta, fh,
+                              np.nextafter(fh - Delta, -np.inf),
+                              np.nextafter(fh + Delta, np.inf),
+                              np.zeros(E), np.ones(E)])
+        loads = np.random.default_rng(16).uniform(0.0, 1.5, size=(200, E))
+        for S in (junctions, loads):
+            below, above = S <= fh - Delta, S >= fh + Delta
+            assert below.any() and above.any() and (~below & ~above).any()
+            for name in ("value", "diag", "diag2"):
+                for z in (S, S[0]):
+                    assert getattr(got, name)(z).tobytes() \
+                        == getattr(want, name)(z).tobytes(), name
+
+    def test_array_curve_fields_match_scalar_curves(self):
+        net = self.network()
+        curve = smoothing_constants(net.f, net.h, net.t_free)
+        for e in range(net.n_edges):
+            one = smoothing_constants(net.f[e], net.h, net.edges[e][3])
+            for field in ("t_free", "f", "Delta", "a", "b", "c"):
+                assert getattr(curve, field)[e] == getattr(one, field)
+        threshold = float(np.max(1.0 / (32.0 * net.f * curve.Delta * 0.5)))
+        assert traffic_bounds(net, 0.5, 10)["M_threshold"] == threshold
 
 
 class TestQueueCheck:

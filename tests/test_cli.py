@@ -9,7 +9,7 @@ from aggeq.algorithms import SOLVERS
 from aggeq.cli import main, substream
 from aggeq.errors import InfeasibleSetError
 from aggeq.game import AggregativeGame
-from aggeq.operators import WARDROP
+from aggeq.operators import WARDROP, monotonicity_analysis
 
 RUN_FILES = ("equilibrium.csv", "duals.csv", "trace.csv", "report.csv")
 
@@ -183,6 +183,71 @@ class TestVerify:
         assert float(report["kkt_stationarity"]) <= 1e-3
 
 
+def replace_line(k, new):
+    """Edit of a CSV text that replaces its line k (1-based) by new."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[k - 1] = new
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+class TestVerifyBadInput:
+    """Bad equilibrium or dual files exit with code 2 and name the file
+    and line, like a bad road-network file."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("verify")
+        cfg = write_config(root, QUADRATIC_CONFIG)
+        assert main(["run", "--config", cfg, "--out", str(root / "run")]) \
+            == 0
+        return root, cfg
+
+    def verify(self, run_dir, tmp_path, target=None, edit=None):
+        """Verify a copy of the run's outputs with target edited."""
+        root, cfg = run_dir
+        work = tmp_path / "bad"
+        work.mkdir()
+        for name in ("equilibrium.csv", "duals.csv"):
+            text = (root / "run" / name).read_text(encoding="utf-8")
+            if name == target:
+                text = edit(text)
+            (work / name).write_text(text, encoding="utf-8")
+        return main(["verify", str(work / "equilibrium.csv"), "--config",
+                     cfg, "--out", str(tmp_path / "vout")])
+
+    def test_missing_file(self, run_dir, tmp_path, capsys):
+        root, cfg = run_dir
+        path = tmp_path / "nowhere" / "equilibrium.csv"
+        assert main(["verify", str(path), "--config", cfg,
+                     "--out", str(tmp_path / "vout")]) == 2
+        assert f"{path}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, edit, line", [
+        ("equilibrium.csv", lambda text: "", 1),
+        ("equilibrium.csv", lambda text: text.splitlines()[0] + "\n", 2),
+        ("equilibrium.csv", replace_line(3, "0,1,abc"), 3),
+        ("equilibrium.csv", replace_line(4, "x,2,0.1"), 4),
+        ("equilibrium.csv", replace_line(5, "-1,0,0.1"), 5),
+        ("equilibrium.csv", replace_line(2, "0,-2,0.1"), 2),
+        ("duals.csv", replace_line(3, "-1,0.5"), 3),
+        ("duals.csv", replace_line(2, "4,0.5"), 2),  # m = n = 4 caps
+    ], ids=["empty", "header-only", "non-numeric-value", "non-numeric-index",
+            "negative-agent", "negative-component", "negative-constraint",
+            "constraint-index-not-below-m"])
+    def test_bad_file_exits_2_naming_file_and_line(
+            self, run_dir, tmp_path, capsys, target, edit, line):
+        assert self.verify(run_dir, tmp_path, target, edit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{tmp_path / 'bad' / target}:{line}: " in err, err
+        assert not (tmp_path / "vout" / "report.csv").exists()
+
+    def test_unedited_copy_verifies(self, run_dir, tmp_path):
+        assert self.verify(run_dir, tmp_path) == 0
+
+
 class TestSweep:
     def test_singleton_sweep(self, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -249,6 +314,54 @@ n = 4
         two = rows["two-level"]
         assert float(two["dual_updates_mean"]) \
             < float(two["primal_updates_mean"])
+
+    def test_ev_compare_skips_schemes_that_need_strong_monotonicity(
+            self, tmp_path, capsys):
+        # The EV Wardrop mapping is monotone but not strongly monotone, so
+        # two-level and apa-wardrop cannot run; extragradient can.
+        cfg = write_config(tmp_path, """\
+[experiment]
+kind = ev
+seed = 3
+m = 8
+n_rep = 2
+""")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        rows = {r["algorithm"]: r for r in read_rows(out / "iterations.csv")}
+        assert rows["extragradient"]["converged"] == "1"
+        assert float(rows["extragradient"]["primal_updates_mean"]) > 0
+        for name in ("two-level", "apa-wardrop"):
+            assert rows[name]["converged"] == "0"
+            assert rows[name]["primal_updates_mean"] == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all("two-level, apa-wardrop skipped" in line for line in err)
+
+    def test_constants_computed_once_per_repetition(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return monotonicity_analysis(*args, **kwargs)
+
+        for module in (cli, algorithms):
+            monkeypatch.setattr(module, "monotonicity_analysis", counting)
+        cfg = write_config(tmp_path, """\
+[experiment]
+kind = quadratic
+seed = 11
+m = 6
+n_rep = 2
+tol = 1e-5
+
+[quadratic]
+n = 4
+""")
+        assert main(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == [11, 12]
 
 
 class TestSubstreams:

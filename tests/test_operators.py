@@ -284,6 +284,31 @@ class TestStructuredConstants:
         assert got[0] == pytest.approx(2.0 - 2.0 * np.sqrt(2.0), abs=1e-14)
 
 
+class TestNoFiniteDifferences:
+    """The library's constants and Jacobians come from the cost models'
+    structure; finite differences serve only as a test reference."""
+
+    @pytest.mark.parametrize("make_game", [
+        lambda: build_quadratic_game(M=4, n=3, seed=0),
+        lambda: build_ev_game(generate_ev_params(4, seed=0)),
+        lambda: route_choice_game(4),
+    ], ids=["quadratic", "ev", "route-choice"])
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    def test_builders_never_reach_finite_differences(self, make_game, flavor,
+                                                     monkeypatch):
+        def refuse(self, X):
+            raise AssertionError("finite-difference Jacobian reached")
+
+        monkeypatch.setattr(operators.GameOperator, "_fd_jacobian", refuse)
+        game = make_game()
+        op = build_operator(game, flavor)
+        rep = monotonicity_analysis(op, n_samples=3)
+        assert np.isfinite(rep.alpha) and rep.lipschitz > 0
+        X = default_sampler(game)(np.random.default_rng(0))
+        J = op.jacobian(X.reshape(-1))
+        assert J.shape == (game.M * game.n, game.M * game.n)
+
+
 class TestOperatorGap:
     def test_zero_gap_without_coupling(self):
         game = quadratic_game(C=np.zeros((1, 1)))

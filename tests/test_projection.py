@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from aggeq.apps.traffic import build_network
 from aggeq.errors import ConvergenceError, InfeasibleSetError
 from aggeq.game import Box, BoxBudget, FlowPolytope, HalfspaceIntersection
-from aggeq.projection import (ProfileProjector, dykstra, project_affine,
-                              project_box, project_box_budget,
+from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
+                              project_affine, project_box, project_box_budget,
                               project_box_budget_batch, project_flow_polytope,
                               project_halfspace, project_individual,
                               project_nonneg)
@@ -360,7 +361,55 @@ class TestProjectorProperties:
                 count += 1
 
 
+def single_agent_flow_projection(y, B, b_od):
+    """Test oracle: the single-agent flow projection that preceded the
+    batched body, with its own dual objective and L-BFGS-B run."""
+    from scipy.optimize import minimize
+
+    y = np.asarray(y, dtype=float)
+    B = np.asarray(B, dtype=float)
+    b_od = np.asarray(b_od, dtype=float)
+
+    def neg_dual(mu):
+        x = np.clip(y - B.T @ mu, 0.0, 1.0)
+        r = B @ x - b_od
+        val = 0.5 * float((x - y) @ (x - y)) + float(mu @ r)
+        return -val, -r
+
+    res = minimize(neg_dual, np.zeros(B.shape[0]), jac=True,
+                   method="L-BFGS-B",
+                   options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-12})
+    u = y - B.T @ res.x
+    x = np.clip(u, 0.0, 1.0)
+    return _polish_flow(x, u, y, B, b_od)
+
+
+def grid_incidence(rows, cols):
+    """Incidence matrix of a rows x cols street grid, both directions of
+    every street."""
+    nodes = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = []
+    for r, c in nodes:
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in nodes:
+                edges += [((r, c), nb, 1.0, 1.0), (nb, (r, c), 1.0, 1.0)]
+    return build_network(nodes, edges).B
+
+
 class TestFlowProjection:
+    def test_one_row_body_matches_single_agent_oracle_bytes(self):
+        B = grid_incidence(4, 4)
+        V, E = B.shape
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            o, d = rng.choice(V, 2, replace=False)
+            b_od = np.zeros(V)
+            b_od[o], b_od[d] = -1.0, 1.0
+            y = rng.normal(0.3, 0.6, size=E) * 10.0 ** rng.uniform(-1, 2)
+            got = project_flow_polytope(y, B, b_od)
+            want = single_agent_flow_projection(y, B, b_od)
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_box_budget_structure_on_segment(self):
         # On two parallel edges the polytope is the segment x1 + x2 = 1.
         rng = np.random.default_rng(13)
