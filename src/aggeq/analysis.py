@@ -19,8 +19,8 @@ from scipy.optimize import lsq_linear
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
 from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
                    feasibility_report)
-from .operators import (NASH, build_operator, default_sampler,
-                        monotonicity_analysis)
+from .operators import (NASH, SAMPLE_CHUNK_ENTRIES, build_operator,
+                        default_sampler, monotonicity_analysis)
 from .projection import (ProfileProjector, dykstra, project_halfspace,
                          project_individual)
 
@@ -213,18 +213,73 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
                  tol: float = ACTIVE_TOL) -> dict:
     """First-order optimality residuals of a candidate primal-dual pair.
 
-    Identifies active individual constraints, fits their multipliers by
-    sign-constrained least squares, and reports the worst stationarity
-    residual, the worst complementarity product of the coupling
-    multipliers, and the smallest fitted multiplier.  The fit uses BVLS, an
-    exact active-set solver: these systems are small and dense, and their
+    With G the mapping plus the coupling term at x_bar and Gamma the rows
+    of the individual constraints active within tol, an agent's
+    stationarity residual is that of the sign-constrained fit
+    min |G + Gamma^T mu| (inequality entries of mu >= 0).  By Moreau's
+    decomposition along the tangent cone T at x, whose polar cone the
+    active rows generate, that residual is -P_T(-G), and the normal part
+    -G - P_T(-G) is Gamma^T mu.  Box and box-budget sets take this route:
+    one batched projection for all agents
+    (``ProfileProjector.tangent_residual``), with the multipliers read off
+    the normal part.  Flow and halfspace sets fit mu per agent by BVLS, an
+    exact active-set solver: their systems are small and dense, and their
     active sets are often degenerate (flow conservation rows are always
     rank-deficient), where the iterative default can run for minutes.
+
+    Reports the worst stationarity residual, the worst complementarity
+    product of the coupling multipliers, the smallest inequality
+    multiplier (0 for an agent whose active rows are dependent: its
+    multipliers are not unique and some valid choice has a zero entry)
+    and whether any agent's active rows are dependent.
     """
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
     op = build_operator(game, flavor)
     G = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
+    cone = ProfileProjector(game.individual).tangent_residual(X, G, tol)
+    if cone is not None:
+        stationarity, min_mu, degenerate = _cone_multipliers(G, *cone)
+    else:
+        stationarity, min_mu, degenerate = _bvls_multipliers(game, X, G, tol)
+    slack = game.coupling.residual(X)
+    complementarity = float(np.max(np.abs(lam * slack), initial=0.0))
+    return {
+        "stationarity": stationarity,
+        "complementarity": complementarity,
+        "dual_feasibility": float(min(np.min(lam, initial=0.0), 0.0)),
+        "min_mu": float(min_mu) if np.isfinite(min_mu) else 0.0,
+        "degenerate_active_set": degenerate,
+    }
+
+
+def _cone_multipliers(G, R, at_lo, at_hi, budget) -> tuple:
+    """(stationarity, min_mu, degenerate) from the tangent-cone residual R.
+
+    The normal part N = R - G equals -mu_lo + mu_hi - mu_budget per
+    component.  A component at both bounds, or an active budget with no
+    free component, makes the rows dependent; otherwise mu_budget is -N on
+    the free components (their mean) and each one-sided bound's multiplier
+    follows from its component.
+    """
+    free = ~(at_lo | at_hi)
+    n_free = free.sum(axis=1)
+    degenerate = np.any(at_lo & at_hi, axis=1) | (budget & (n_free == 0))
+    N = R - G
+    mu_budget = np.where(budget, -np.where(free, N, 0.0).sum(axis=1)
+                         / np.maximum(n_free, 1), 0.0)
+    mu_box = np.where(at_lo, -1.0, 1.0) * (N + mu_budget[:, None])
+    ok = ~degenerate
+    min_mu = min(np.min(mu_box[(at_lo ^ at_hi) & ok[:, None]],
+                        initial=np.inf),
+                 np.min(mu_budget[budget & ok], initial=np.inf),
+                 0.0 if np.any(degenerate) else np.inf)
+    return (float(np.max(np.abs(R), initial=0.0)), min_mu,
+            bool(np.any(degenerate)))
+
+
+def _bvls_multipliers(game: AggregativeGame, X, G, tol) -> tuple:
+    """(stationarity, min_mu, degenerate) from a per-agent BVLS fit."""
     stationarity = 0.0
     min_mu = np.inf
     degenerate = False
@@ -246,15 +301,7 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
                            float(np.max(np.abs(resid), initial=0.0)))
         if len(ineq):
             min_mu = min(min_mu, float(np.min(sol.x[:len(ineq)])))
-    slack = game.coupling.residual(X)
-    complementarity = float(np.max(np.abs(lam * slack), initial=0.0))
-    return {
-        "stationarity": stationarity,
-        "complementarity": complementarity,
-        "dual_feasibility": float(min(np.min(lam, initial=0.0), 0.0)),
-        "min_mu": (0.0 if min_mu is np.inf else float(min_mu)),
-        "degenerate_active_set": degenerate,
-    }
+    return stationarity, min_mu, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -335,36 +382,41 @@ def outer_sum_eigenvalue_check(M: int, n_random: int = 10_000,
 
 def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
                    n_samples: int = 1000, seed: int = 0,
-                   feas_tol: float = 1e-6) -> float:
+                   feas_tol: float = 1e-6,
+                   feasibility: Optional[FeasibilityReport] = None) -> float:
     """min over sampled feasible x of F(x_bar)^T (x - x_bar).
 
     Nonnegative (within tolerance) at a solution.  Samples are drawn from
     the individual sets; draws violating the coupling are pulled toward
-    x_bar along the segment, which stays feasible by convexity.
+    x_bar along the segment, which stays feasible by convexity.  The
+    samples are drawn, projected and pulled back in chunks of about
+    SAMPLE_CHUNK_ENTRIES entries, with the bytes of one sample at a time.
+    ``feasibility`` is x_bar's ``feasibility_report`` at feas_tol when the
+    caller has it; otherwise it is computed here.
     """
     X_bar = game.profile(x_bar).as_matrix()
-    rep = feasibility_report(game, X_bar, tol=feas_tol)
+    rep = (feasibility if feasibility is not None
+           else feasibility_report(game, X_bar, tol=feas_tol))
     if not rep.feasible:
         raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
     rng = np.random.default_rng(seed)
+    base = rep.coupling_residual  # b - A x_bar
+    chunk = max(1, SAMPLE_CHUNK_ENTRIES // X_bar.size)
     gap = np.inf
-    accepted = 0
-    for _ in range(n_samples):
-        X = sampler(rng)
-        resid = game.coupling.residual(X)
-        if np.min(resid, initial=0.0) < 0.0:
-            D = X - X_bar
-            d_resid = game.coupling.residual(X_bar) - resid  # A d per row
-            base = game.coupling.residual(X_bar)
+    for start in range(0, n_samples, chunk):
+        X = sampler(rng, min(chunk, n_samples - start))
+        resid = np.stack([game.coupling.residual(Xk) for Xk in X])
+        pull = np.min(resid, axis=1, initial=0.0) < 0.0
+        if np.any(pull):
+            d_resid = base - resid[pull]  # A d per row
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(d_resid > 1e-15, base / d_resid, np.inf)
-            theta = float(min(1.0, np.min(ratios, initial=1.0)))
-            X = X_bar + theta * D
-        else:
-            accepted += 1
-        gap = min(gap, float(F @ (X - X_bar).reshape(-1)))
+            theta = np.minimum(1.0, np.min(ratios, axis=1, initial=1.0))
+            X[pull] = X_bar + theta[:, None, None] * (X[pull] - X_bar)
+        for d in (X - X_bar).reshape(len(X), -1):
+            gap = min(gap, float(F @ d))
     return float(gap)
 
 
@@ -387,7 +439,7 @@ def verify_equilibrium(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
         raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
     kkt = kkt_residual(game, flavor, X, lam)
     gap = vi_gap_sampled(game, flavor, X, n_samples=n_samples, seed=seed,
-                         feas_tol=feas_tol)
+                         feas_tol=feas_tol, feasibility=feas)
     eps = epsilon_nash(game, X) if compute_epsilon else float("nan")
     if constants is None:
         constants = estimate_constants(game)

@@ -367,8 +367,21 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
         raise ConfigError(f"{equilibrium_file}:2: no equilibrium rows")
     M, n = (1 + max(col) for col in zip(*(index for _, index, _ in x_rows)))
     X = np.zeros((M, n))
-    for _, (i, t), v in x_rows:
+    seen = {}
+    for lineno, (i, t), v in x_rows:
+        if (i, t) in seen:
+            raise ConfigError(
+                f"{equilibrium_file}:{lineno}: duplicate row for agent {i},"
+                f" component {t} (first on line {seen[i, t]})")
+        seen[i, t] = lineno
         X[i, t] = v
+    if len(x_rows) != M * n:
+        i, t = next((i, t) for i in range(M) for t in range(n)
+                    if (i, t) not in seen)
+        raise ConfigError(
+            f"{equilibrium_file}:{x_rows[-1][0]}: {len(x_rows)} rows for"
+            f" M={M} agents and n={n} components, expected {M * n}; agent"
+            f" {i}, component {t} is missing")
     game = build_game(cfg, M=M)
     if game.n != n:
         raise ConfigError(

@@ -175,14 +175,19 @@ def default_sampler(game: AggregativeGame) -> Callable:
 
     Draws a uniform point in each agent's bounding box and projects it onto
     the agent's set.  Given the same Generator state the draw is
-    deterministic.
+    deterministic.  ``sample(rng, count)`` returns a (count, M, n) stack,
+    drawn in one generator call and projected as one (count M, n) stack,
+    with the bytes of count successive ``sample(rng)`` calls.
     """
     proj = ProfileProjector(game.individual)
     lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        Y = rng.uniform(lo, hi)
-        return proj(Y)
+    def sample(rng: np.random.Generator,
+               count: Optional[int] = None) -> np.ndarray:
+        if count is None:
+            return proj(rng.uniform(lo, hi))
+        Y = rng.uniform(lo, hi, size=(count,) + lo.shape)
+        return proj(Y.reshape(-1, lo.shape[1])).reshape(Y.shape)
 
     return sample
 

@@ -272,9 +272,16 @@ def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
     raise DimensionError(f"no projection for {type(cs).__name__}")
 
 
+def _tile(a: np.ndarray, reps: int) -> np.ndarray:
+    """a stacked reps times along its first axis; a itself when reps is 1."""
+    return a if reps == 1 else np.tile(a, (reps,) + (1,) * (a.ndim - 1))
+
+
 class ProfileProjector:
     """Projection of an (M, n) strategy matrix onto the product of the
-    agents' individual sets, vectorized when the sets share a variant."""
+    agents' individual sets, vectorized when the sets share a variant.  A
+    (k M, n) stack of k profiles, row r belonging to agent r mod M, is
+    projected in the same call, each row to the bytes it gets alone."""
 
     def __init__(self, individual: Sequence[IndividualConstraintSet]):
         self.individual = tuple(individual)
@@ -296,16 +303,54 @@ class ProfileProjector:
             self._b_ods = np.stack([cs.b_od for cs in self.individual])
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
+        reps = len(Y) // len(self.individual)
         if self._mode == "box":
             # np.clip's values, at a third of its cost with array bounds.
-            return np.minimum(np.maximum(Y, self._lo), self._hi)
+            return np.minimum(np.maximum(Y, _tile(self._lo, reps)),
+                              _tile(self._hi, reps))
         if self._mode == "box_budget":
-            return project_box_budget_batch(Y, self._lo, self._hi, self._theta)
+            return project_box_budget_batch(Y, _tile(self._lo, reps),
+                                            _tile(self._hi, reps),
+                                            _tile(self._theta, reps))
         if self._mode == "flow":
-            return _project_flow_batch(np.asarray(Y, dtype=float), self._B,
-                                       self._b_ods)
-        return np.stack([project_individual(cs, Y[i])
-                         for i, cs in enumerate(self.individual)])
+            # One dual run per profile: the run's stopping test is joint.
+            return np.concatenate([
+                _project_flow_batch(block, self._B, self._b_ods)
+                for block in np.split(np.asarray(Y, dtype=float), reps)])
+        return np.stack([project_individual(cs, y)
+                         for cs, y in zip(self.individual * reps, Y)])
+
+    def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
+        """Every agent's stationarity residual -P_T(-G[i]), T the tangent
+        cone of its set at X[i], with the active sets it used; None unless
+        all sets are boxes or all are box-budget sets.
+
+        The active sets are those of ``active_rows``: at_lo where
+        x <= lo + tol, at_hi where x >= hi - tol, and the budget row where
+        sum(x) <= theta + tol.  T bounds each active component's sign and,
+        under an active budget, the sum from below by 0.  For a box the
+        projection is a clip; for a box-budget set it is
+        ``project_box_budget_batch`` with the free bounds at
+        +-(n + 1)(|G[i]|_inf + 1), which the projection never reaches.
+        Returns (R, at_lo, at_hi, budget) with R and the masks (M, n) and
+        budget (M,).
+        """
+        if self._mode not in ("box", "box_budget"):
+            return None
+        at_lo = X <= self._lo + tol
+        at_hi = X >= self._hi - tol
+        if self._mode == "box":
+            budget = np.zeros(len(X), dtype=bool)
+            P = np.clip(-G, np.where(at_lo, 0.0, -np.inf),
+                        np.where(at_hi, 0.0, np.inf))
+        else:
+            budget = X.sum(axis=1) <= self._theta + tol
+            far = (X.shape[1] + 1) * (np.max(np.abs(G), axis=1,
+                                             keepdims=True) + 1.0)
+            P = project_box_budget_batch(-G, np.where(at_lo, 0.0, -far),
+                                         np.where(at_hi, 0.0, far),
+                                         np.where(budget, 0.0, -np.inf))
+        return -P, at_lo, at_hi, budget
 
     def minimize_linear(self, Q_costs: np.ndarray):
         """Every agent's minimizer of Q_costs[i]^T x over its set: exact for

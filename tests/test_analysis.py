@@ -1,9 +1,11 @@
+import dataclasses
 from types import SimpleNamespace
 
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from aggeq import analysis
 from aggeq.algorithms import SolverConfig, asymmetric_projection, extragradient
@@ -17,8 +19,9 @@ from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network, build_route_choice_game
 from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
                         FlowPolytope, HalfspaceIntersection, QuadraticCost,
-                        aggregate_matrix)
-from aggeq.operators import NASH, WARDROP, default_sampler
+                        aggregate_matrix, feasibility_report)
+from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
+from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -125,6 +128,72 @@ def two_way_grid_network():
                          (0, 3, 2.0), (1, 4, 1.0), (2, 5, 1.3)):
         edges += [(a, b, length, length), (b, a, length, length)]
     return build_network(list(range(6)), edges, f=0.15, h=2.0, K=0.4)
+
+
+def street_grid_network(rows, cols):
+    """rows x cols street grid with unit edges in both directions."""
+    nodes = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = []
+    for r, c in nodes:
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in nodes:
+                edges += [((r, c), nb, 1.0, 1.0), (nb, (r, c), 1.0, 1.0)]
+    return build_network(nodes, edges, f=0.15, h=2.0, K=0.4)
+
+
+def bvls_kkt_oracle(game, flavor, X, lam, tol=analysis.ACTIVE_TOL):
+    """Test oracle: the per-agent BVLS fit and rank test that kkt_residual
+    made for every set family before box and box-budget sets took the
+    tangent-cone projection.  Returns G and, per agent, the stationarity
+    residual, the smallest inequality multiplier (nan without one) and
+    whether the active rows are rank-deficient."""
+    G = (build_operator(game, flavor).evaluate_blocks(X)
+         + game.coupling.adjoint_blocks(lam))
+    stat = np.empty(game.M)
+    mu = np.full(game.M, np.nan)
+    degenerate = np.zeros(game.M, dtype=bool)
+    for i, cs in enumerate(game.individual):
+        ineq, eq = cs.active_rows(X[i], tol)
+        Gamma = np.vstack([ineq, eq])
+        if not len(Gamma):
+            stat[i] = np.max(np.abs(G[i]))
+            continue
+        degenerate[i] = np.linalg.matrix_rank(Gamma) < Gamma.shape[0]
+        lb = np.concatenate([np.zeros(len(ineq)),
+                             np.full(len(eq), -np.inf)])
+        sol = lsq_linear(Gamma.T, -G[i],
+                         bounds=(lb, np.full(len(Gamma), np.inf)),
+                         method="bvls")
+        stat[i] = np.max(np.abs(G[i] + Gamma.T @ sol.x))
+        if len(ineq):
+            mu[i] = np.min(sol.x[:len(ineq)])
+    return G, stat, mu, degenerate
+
+
+def vi_gap_loop_oracle(game, flavor, x_bar, n_samples, seed):
+    """Test oracle: vi_gap_sampled's loop before it worked in chunks, one
+    sample drawn, projected and pulled back at a time.  Returns the gap and
+    the number of samples pulled back."""
+    X_bar = game.profile(x_bar).as_matrix()
+    F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
+    sampler = default_sampler(game)
+    rng = np.random.default_rng(seed)
+    gap = np.inf
+    pulled = 0
+    for _ in range(n_samples):
+        X = sampler(rng)
+        resid = game.coupling.residual(X)
+        if np.min(resid, initial=0.0) < 0.0:
+            pulled += 1
+            D = X - X_bar
+            d_resid = game.coupling.residual(X_bar) - resid
+            base = game.coupling.residual(X_bar)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(d_resid > 1e-15, base / d_resid, np.inf)
+            theta = float(min(1.0, np.min(ratios, initial=1.0)))
+            X = X_bar + theta * D
+        gap = min(gap, float(F @ (X - X_bar).reshape(-1)))
+    return float(gap), pulled
 
 
 class TestActiveRows:
@@ -257,6 +326,127 @@ class TestKktResidual:
         assert out["min_mu"] == pytest.approx(0.0, abs=1e-12)
 
 
+def open_window_ev_game(M, seed):
+    """Charging game whose caps are positive in every slot, so no slot has
+    lo == hi and most active sets are not degenerate."""
+    params = generate_ev_params(M=M, seed=seed)
+    rng = np.random.default_rng(seed)
+    xtilde = np.where(params.xtilde > 0.0, params.xtilde,
+                      rng.uniform(0.5, 2.0, size=params.xtilde.shape))
+    return build_ev_game(dataclasses.replace(params, xtilde=xtilde))
+
+
+def kkt_points(game, flavor, seed):
+    """Solver output, then sampled points and the solver output nudged and
+    projected back, each with the solver's and with random multipliers."""
+    res = extragradient(game, flavor, SolverConfig(tol=1e-6, max_iter=5000))
+    X0 = res.x.as_matrix()
+    rng = np.random.default_rng(seed)
+    sample = default_sampler(game)
+    proj = ProfileProjector(game.individual)
+    points = [X0]
+    for _ in range(6):
+        points.append(sample(rng))
+        points.append(proj(X0 + rng.normal(scale=0.05, size=X0.shape)))
+    for X in points:
+        yield X, res.lam
+        yield X, rng.uniform(0.0, 2.0, size=res.lam.shape)
+
+
+class TestKktTangentCone:
+    """Box and box-budget stationarity is -P_T(-G): it agrees with the
+    per-agent BVLS oracle, and so do the rank test and the multipliers."""
+
+    def assert_matches_bvls(self, game, flavor, X, lam):
+        out = kkt_residual(game, flavor, X, lam)
+        G, stat, mu, degenerate = bvls_kkt_oracle(game, flavor, X, lam)
+        scale = max(1.0, float(np.max(np.abs(G))))
+        assert abs(out["stationarity"] - np.max(stat)) <= 1e-12 * scale
+        assert out["degenerate_active_set"] == bool(np.any(degenerate))
+        # Per agent: a non-degenerate agent's smallest multiplier is BVLS's.
+        cone = ProfileProjector(game.individual).tangent_residual(
+            X, G, analysis.ACTIVE_TOL)
+        for i in np.flatnonzero(~np.isnan(mu)):
+            row = [a[i:i + 1] for a in cone]
+            _, mu_i, deg_i = analysis._cone_multipliers(G[i:i + 1], *row)
+            assert deg_i == degenerate[i]
+            if not deg_i:
+                assert abs(mu_i - mu[i]) <= 1e-12 * scale
+        ok = ~degenerate & ~np.isnan(mu)
+        want = min(np.min(mu[ok], initial=np.inf),
+                   0.0 if np.any(degenerate) else np.inf)
+        want = want if np.isfinite(want) else 0.0
+        assert abs(out["min_mu"] - want) <= 1e-12 * scale
+        return G, mu, degenerate
+
+    @pytest.mark.parametrize("kind", ["ev", "open-ev", "quadratic"])
+    def test_matches_bvls_at_solver_and_perturbed_points(self, kind):
+        game, flavor = {
+            "ev": lambda: (build_ev_game(generate_ev_params(M=8, seed=4)),
+                           NASH),
+            "open-ev": lambda: (open_window_ev_game(8, 5), NASH),
+            "quadratic": lambda: (build_quadratic_game(M=8, n=5, seed=2),
+                                  WARDROP),
+        }[kind]()
+        seen = {"degenerate": 0, "regular": 0}
+        for X, lam in kkt_points(game, flavor, seed=7):
+            _, mu, degenerate = self.assert_matches_bvls(game, flavor, X,
+                                                         lam)
+            seen["degenerate"] += int(np.sum(degenerate))
+            seen["regular"] += int(np.sum(~degenerate & ~np.isnan(mu)))
+        # The EV windows pin the slots outside them (lo == hi == 0).
+        if kind == "ev":
+            assert seen["degenerate"] > 0
+        else:
+            assert seen["regular"] > 0
+
+    def test_budget_cases_one_by_one(self):
+        # Agent 0: slot 1 pinned (lo == hi), budget slack.  Agent 1: budget
+        # active, every slot at a bound.  Agent 2: budget active with free
+        # slots and one at lo.  Agent 3: interior.  Agent 4: budget active
+        # alone.
+        lo = np.zeros((5, 3))
+        hi = np.ones((5, 3))
+        hi[0, 1] = 0.0
+        theta = np.array([0.5, 1.0, 1.0, 0.5, 1.5])
+        X = np.array([[0.3, 0.0, 0.7], [0.0, 1.0, 0.0], [0.0, 0.4, 0.6],
+                      [0.3, 0.2, 0.4], [0.5, 0.5, 0.5]])
+        rng = np.random.default_rng(3)
+        cost = QuadraticCost(Q=np.eye(3), C=0.5 * np.eye(3),
+                             c=rng.normal(size=(5, 3)))
+        game = AggregativeGame(
+            M=5, n=3, cost=cost,
+            individual=tuple(BoxBudget(lo[i], hi[i], theta[i])
+                             for i in range(5)),
+            coupling=CouplingConstraint.per_component_cap(np.full(3, 2.0),
+                                                          5))
+        for lam in (np.zeros(3), rng.uniform(0.0, 3.0, size=3)):
+            _, mu, degenerate = self.assert_matches_bvls(game, NASH, X, lam)
+            assert list(degenerate) == [True, True, False, False, False]
+            assert np.isnan(mu[3]) and not np.isnan(mu[2])
+
+    def test_bvls_runs_only_for_flow_and_halfspace_sets(self, monkeypatch):
+        calls = []
+
+        def counting_lsq(*args, **kwargs):
+            calls.append(args)
+            return lsq_linear(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "lsq_linear", counting_lsq)
+        consts = ConstantsEstimate(R=1.0, L2=1.0, alpha=0.0, source="exact")
+        game = build_ev_game(generate_ev_params(M=6, seed=1))
+        res = extragradient(game, NASH, SolverConfig(tol=1e-5))
+        verify_equilibrium(game, NASH, res.x.entries, res.lam,
+                           constants=consts, n_samples=5,
+                           compute_epsilon=False)
+        assert calls == []
+        game = build_route_choice_game(two_way_grid_network(), M=3, seed=0)
+        verify_equilibrium(game, WARDROP, game.cost.utility.ref,
+                           np.zeros(game.coupling.m), constants=consts,
+                           n_samples=2, compute_epsilon=False)
+        assert len(calls) == game.M
+
+
 class TestEpsilonNash:
     def test_zero_at_nash_solution(self):
         game = build_quadratic_game(M=5, n=3, seed=0)
@@ -312,6 +502,61 @@ class TestViGap:
         game = single_agent_game()
         with pytest.raises(InfeasibleSetError):
             vi_gap_sampled(game, NASH, np.array([2.5]))
+
+
+class TestViGapChunks:
+    """Drawn, projected and pulled back per chunk, the sampled VI gap keeps
+    the bytes of the one-sample-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        ev = build_ev_game(generate_ev_params(M=12, seed=3))
+        quad = build_quadratic_game(M=10, n=5, seed=2)
+        route = build_route_choice_game(street_grid_network(3, 3), M=3,
+                                        seed=0)
+        return {
+            "ev": (ev, NASH, extragradient(ev, NASH, SolverConfig(
+                tol=1e-6)).x.as_matrix(), 60),
+            "quadratic": (quad, WARDROP, extragradient(
+                quad, WARDROP, SolverConfig(tol=1e-8)).x.as_matrix(), 60),
+            "route": (route, WARDROP, route.cost.utility.ref, 7),
+        }
+
+    @pytest.mark.parametrize("kind", ["ev", "quadratic", "route"])
+    @pytest.mark.parametrize("chunk_samples", [None, 1, 4])
+    def test_bytes_match_per_sample_loop(self, cases, monkeypatch, kind,
+                                         chunk_samples):
+        game, flavor, X, n_samples = cases[kind]
+        if chunk_samples is not None:
+            # n_samples is not a multiple of the chunk.
+            monkeypatch.setattr(analysis, "SAMPLE_CHUNK_ENTRIES",
+                                chunk_samples * X.size + X.size // 2)
+        want, pulled = vi_gap_loop_oracle(game, flavor, X, n_samples, seed=5)
+        got = vi_gap_sampled(game, flavor, X, n_samples=n_samples, seed=5)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert 0 < pulled
+
+    def test_given_feasibility_report_is_used(self, monkeypatch):
+        game = build_quadratic_game(M=4, n=3, seed=1)
+        X = extragradient(game, WARDROP,
+                          SolverConfig(tol=1e-8)).x.as_matrix()
+        rep = feasibility_report(game, X)
+        calls = []
+        real = analysis.feasibility_report
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "feasibility_report", counting)
+        assert vi_gap_sampled(game, WARDROP, X, n_samples=20,
+                              feasibility=rep) \
+            == vi_gap_sampled(game, WARDROP, X, n_samples=20)
+        assert len(calls) == 1
+        calls.clear()
+        verify_equilibrium(game, WARDROP, X, np.zeros(game.coupling.m),
+                           n_samples=20, compute_epsilon=False)
+        assert len(calls) == 1
 
 
 class TestBounds:

@@ -192,6 +192,15 @@ def replace_line(k, new):
     return edit
 
 
+def delete_lines(first, last):
+    """Edit of a CSV text that deletes its lines first..last (1-based)."""
+    def edit(text):
+        lines = text.splitlines()
+        del lines[first - 1:last]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
 class TestVerifyBadInput:
     """Bad equilibrium or dual files exit with code 2 and name the file
     and line, like a bad road-network file."""
@@ -231,10 +240,15 @@ class TestVerifyBadInput:
         ("equilibrium.csv", replace_line(4, "x,2,0.1"), 4),
         ("equilibrium.csv", replace_line(5, "-1,0,0.1"), 5),
         ("equilibrium.csv", replace_line(2, "0,-2,0.1"), 2),
+        # M = 6 agents, n = 4: agent i's rows are lines 2 + 4i .. 5 + 4i.
+        # Without agent 2 the last of the 20 rows is on line 21.
+        ("equilibrium.csv", delete_lines(10, 13), 21),
+        ("equilibrium.csv", replace_line(5, "0,1,0.5"), 5),
         ("duals.csv", replace_line(3, "-1,0.5"), 3),
         ("duals.csv", replace_line(2, "4,0.5"), 2),  # m = n = 4 caps
     ], ids=["empty", "header-only", "non-numeric-value", "non-numeric-index",
-            "negative-agent", "negative-component", "negative-constraint",
+            "negative-agent", "negative-component", "missing-agent-rows",
+            "duplicate-row", "negative-constraint",
             "constraint-index-not-below-m"])
     def test_bad_file_exits_2_naming_file_and_line(
             self, run_dir, tmp_path, capsys, target, edit, line):

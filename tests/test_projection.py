@@ -437,6 +437,31 @@ class TestFlowProjection:
             single = project_individual(fp, Y[i])
             assert np.max(np.abs(X[i] - single)) <= 1e-6
 
+    def test_profile_stack_projects_each_profile_alone(self):
+        # A (k M, n) stack gets, row for row, the bytes of k profile calls.
+        rng = np.random.default_rng(16)
+        M, n, k = 5, 4, 3
+        lo = rng.uniform(-1.0, 0.0, size=(M, n))
+        hi = lo + rng.uniform(0.0, 2.0, size=(M, n))
+        hi[0, 1] = lo[0, 1]
+        theta = lo.sum(axis=1) + rng.uniform(0.2, 0.8, size=M) \
+            * (hi - lo).sum(axis=1)
+        boxes = [Box(lo[i], hi[i]) for i in range(M)]
+        budgets = [BoxBudget(lo[i], hi[i], theta[i]) for i in range(M)]
+        B = grid_incidence(2, 2)
+        b_od = np.zeros(B.shape[0])
+        b_od[0], b_od[-1] = -1.0, 1.0
+        shared = FlowPolytope(B, b_od)
+        for sets in (boxes, budgets, [shared] * M, boxes[:2] + budgets[2:]):
+            proj = ProfileProjector(sets)
+            dim = sets[0].dim
+            Y = rng.uniform(-3.0, 3.0, size=(k * M, dim))
+            want = np.concatenate([proj(Y[j * M:(j + 1) * M])
+                                   for j in range(k)])
+            got = proj(Y)
+            assert got.shape == Y.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_profile_projector_modes(self):
         boxes = [Box(np.zeros(3), np.ones(3)) for _ in range(4)]
         proj = ProfileProjector(boxes)
