@@ -13,13 +13,11 @@ from .analysis import (ConstantsEstimate, VerificationReport,
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      DimensionError, InfeasibleSetError)
 from .game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
-                   DiagonalPrice, FlowPolytope, HalfspaceIntersection,
-                   PriceTimesUsage, QuadraticCost, QuadraticTracking,
-                   StrategyProfile, ZeroUtility, aggregate, cost_value,
-                   feasibility_report)
-from .operators import (NASH, WARDROP, ExtendedOperator, GameOperator,
-                        MonotonicityReport, build_operator,
-                        monotonicity_analysis, operator_gap,
+                   DiagonalPrice, FlowPolytope, PriceTimesUsage,
+                   QuadraticCost, QuadraticTracking, StrategyProfile,
+                   ZeroUtility, aggregate, cost_value, feasibility_report)
+from .operators import (NASH, WARDROP, GameOperator, MonotonicityReport,
+                        build_operator, monotonicity_analysis, operator_gap,
                         quadratic_monotonicity_conditions)
 from .synthetic import build_quadratic_game
 

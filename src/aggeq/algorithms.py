@@ -41,6 +41,9 @@ from .operators import (NASH, WARDROP, MonotonicityReport, build_operator,
 from .projection import ProfileProjector
 
 DIVERGENCE_FACTOR = 1e6
+# Cap on the passes of each inner loop of the two-level scheme: the
+# projected-gradient optimal responses and the averaging of the signal.
+INNER_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class SolverConfig:
     tol: float = 1e-4
     max_iter: int = 100_000
     inner_tol: float = 1e-6
-    inner_max_iter: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +61,6 @@ class SolverConfig:
             raise DimensionError("tol must be positive")
         if self.max_iter < 1:
             raise DimensionError("max_iter must be at least 1")
-        if self.inner_max_iter < 1:
-            raise DimensionError("inner_max_iter must be at least 1")
         if self.inner_tol <= 0:
             raise DimensionError("inner_tol must be positive")
 
@@ -117,7 +117,7 @@ def auto_step_size(alpha: float, l_f: float, a_norm: float,
 
 def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
                          X0: np.ndarray, z: np.ndarray, lam: np.ndarray,
-                         inner_tol: float, inner_max_iter: int) -> np.ndarray:
+                         inner_tol: float) -> np.ndarray:
     """All agents' minimizers over their sets of the cost at frozen average z
     plus the dual charge lam^T A_(:,i) x: the cost model's closed form where
     it has one, else projected gradient from X0."""
@@ -132,7 +132,7 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
             "projected gradient needs positive own-cost curvature")
     step = 1.0 / L
     X = X0.copy()
-    for _ in range(inner_max_iter):
+    for _ in range(INNER_MAX_ITER):
         G = cost.grad_own_all(X, z) + charge
         X_new = proj(X - step * G)
         if float(np.max(np.abs(X_new - X), initial=0.0)) <= inner_tol:
@@ -142,8 +142,7 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
 
 
 def best_response(game: AggregativeGame, i: int, z, lam,
-                  inner_tol: float = 1e-6,
-                  inner_max_iter: int = 100_000) -> np.ndarray:
+                  inner_tol: float = 1e-6) -> np.ndarray:
     """Agent i's optimal response to (z, lam): row i of all agents'
     responses, ``_batch_best_response`` from the projected origin, so its
     cost is O(M)."""
@@ -153,8 +152,7 @@ def best_response(game: AggregativeGame, i: int, z, lam,
         raise DimensionError("multipliers must be nonnegative")
     proj = ProfileProjector(game.individual)
     X0 = proj(np.zeros((game.M, game.n)))
-    return _batch_best_response(game, proj, X0, z, lam, inner_tol,
-                                inner_max_iter)[i]
+    return _batch_best_response(game, proj, X0, z, lam, inner_tol)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,7 @@ def _forward_step(op, proj, X, tau, Y, aY, lam):
     """proj(X - tau * (F(Y) + A^T lam)), summed in place in F's array.
     aY = A y; under the per-component cap it is the aggregate F needs."""
     coupling = op.game.coupling
-    F = op.evaluate_blocks(Y, aY if coupling.cap is not None else None)
+    F = op.evaluate_blocks(Y, aY if coupling.A is None else None)
     F += coupling.adjoint_blocks(lam)
     F *= tau
     return proj(np.subtract(X, F, out=F))
@@ -284,9 +282,8 @@ def _inner_wardrop(game, proj, X, lam, config):
     """
     z = aggregate_matrix(X)
     steps = 0
-    for h in range(1, config.inner_max_iter + 1):
-        X = _batch_best_response(game, proj, X, z, lam,
-                                 config.inner_tol, config.inner_max_iter)
+    for h in range(1, INNER_MAX_ITER + 1):
+        X = _batch_best_response(game, proj, X, z, lam, config.inner_tol)
         steps += 1
         sigma = aggregate_matrix(X)
         z_new = sigma if h == 1 else (1.0 - 1.0 / h) * z + sigma / h

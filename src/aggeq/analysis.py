@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
 from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
@@ -25,6 +24,9 @@ from .projection import (ProfileProjector, dykstra, project_halfspace,
                          project_individual)
 
 ACTIVE_TOL = 1e-6
+# Stop test and pass cap of epsilon_nash's projected-gradient deviation.
+DEVIATION_TOL = 1e-8
+DEVIATION_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,7 @@ class VerificationReport:
             "kkt_stationarity": self.kkt_stationarity,
             "complementarity_gap": self.complementarity_gap,
             "vi_gap_sampled": self.vi_gap_sampled,
-            "feasible": int(self.feasibility.feasible),
-            "max_individual_violation": float(
-                np.max(self.feasibility.individual_violations, initial=0.0)),
-            "max_coupling_violation": float(
-                np.max(-self.feasibility.coupling_residual, initial=0.0)),
+            **self.feasibility.as_row(),
             "epsilon_nash": self.epsilon_nash,
         }
         for key, val in sorted(self.bounds.items()):
@@ -147,9 +145,9 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
     coupling restricted to the agent at the others' fixed strategies, whose
     sums are the rows of S."""
     coupling = game.coupling
-    if coupling.cap is not None:
+    if coupling.A is None:
         proj = ProfileProjector(game.individual).capped(
-            game.M * coupling.cap[None, :] - S)
+            game.M * coupling.b[None, :] - S)
         if proj is not None:
             return proj
     A = coupling.matrix()
@@ -173,8 +171,7 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
     return proj
 
 
-def epsilon_nash(game: AggregativeGame, x_bar, inner_tol: float = 1e-8,
-                 max_iter: int = 200_000) -> float:
+def epsilon_nash(game: AggregativeGame, x_bar) -> float:
     """Largest cost improvement any single agent can achieve by deviating
     within the coupled feasible set, with the deviation entering the
     population average.  Nonnegative; zero at a Nash equilibrium."""
@@ -189,10 +186,10 @@ def epsilon_nash(game: AggregativeGame, x_bar, inner_tol: float = 1e-8,
     L = max(cost.deviation_lipschitz(M, game.bounding_box()[1]), 1e-12)
     step = 1.0 / L
     X = proj(X_bar.copy())
-    for _ in range(max_iter):
+    for _ in range(DEVIATION_MAX_ITER):
         _, G = deviation(X)
         X_new = proj(X - step * G)
-        if float(np.max(np.abs(X_new - X), initial=0.0)) <= inner_tol:
+        if float(np.max(np.abs(X_new - X), initial=0.0)) <= DEVIATION_TOL:
             X = X_new
             break
         X = X_new
@@ -209,12 +206,12 @@ def epsilon_nash(game: AggregativeGame, x_bar, inner_tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 
-def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
-                 tol: float = ACTIVE_TOL) -> dict:
+def kkt_residual(game: AggregativeGame, flavor: str, x_bar,
+                 lambda_bar) -> dict:
     """First-order optimality residuals of a candidate primal-dual pair.
 
     With G the mapping plus the coupling term at x_bar and Gamma the rows
-    of the individual constraints active within tol, an agent's
+    of the individual constraints active within ACTIVE_TOL, an agent's
     stationarity residual is that of the sign-constrained fit
     min |G + Gamma^T mu| (inequality entries of mu >= 0).  By Moreau's
     decomposition along the tangent cone T at x, whose polar cone the
@@ -222,10 +219,11 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
     -G - P_T(-G) is Gamma^T mu.  Box and box-budget sets take this route:
     one batched projection for all agents
     (``ProfileProjector.tangent_residual``), with the multipliers read off
-    the normal part.  Flow and halfspace sets fit mu per agent by BVLS, an
-    exact active-set solver: their systems are small and dense, and their
-    active sets are often degenerate (flow conservation rows are always
-    rank-deficient), where the iterative default can run for minutes.
+    the normal part.  Flow sets, and profiles that mix box and box-budget
+    sets, fit mu per agent by BVLS, an exact active-set solver: their
+    systems are small and dense, and their active sets are often degenerate
+    (flow conservation rows are always rank-deficient), where the iterative
+    default can run for minutes.
 
     Reports the worst stationarity residual, the worst complementarity
     product of the coupling multipliers, the smallest inequality
@@ -237,11 +235,12 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
     lam = np.asarray(lambda_bar, dtype=float)
     op = build_operator(game, flavor)
     G = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
-    cone = ProfileProjector(game.individual).tangent_residual(X, G, tol)
+    cone = ProfileProjector(game.individual).tangent_residual(X, G,
+                                                              ACTIVE_TOL)
     if cone is not None:
         stationarity, min_mu, degenerate = _cone_multipliers(G, *cone)
     else:
-        stationarity, min_mu, degenerate = _bvls_multipliers(game, X, G, tol)
+        stationarity, min_mu, degenerate = _bvls_multipliers(game, X, G)
     slack = game.coupling.residual(X)
     complementarity = float(np.max(np.abs(lam * slack), initial=0.0))
     return {
@@ -278,13 +277,15 @@ def _cone_multipliers(G, R, at_lo, at_hi, budget) -> tuple:
             bool(np.any(degenerate)))
 
 
-def _bvls_multipliers(game: AggregativeGame, X, G, tol) -> tuple:
+def _bvls_multipliers(game: AggregativeGame, X, G) -> tuple:
     """(stationarity, min_mu, degenerate) from a per-agent BVLS fit."""
+    from scipy.optimize import lsq_linear
+
     stationarity = 0.0
     min_mu = np.inf
     degenerate = False
     for i, cs in enumerate(game.individual):
-        ineq, eq = cs.active_rows(X[i], tol)
+        ineq, eq = cs.active_rows(X[i], ACTIVE_TOL)
         Gamma = np.vstack([ineq, eq])
         if not len(Gamma):
             stationarity = max(stationarity,

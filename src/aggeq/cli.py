@@ -31,9 +31,10 @@ from .analysis import (distance_bounds, estimate_constants,
 from .apps.ev import build_ev_game, generate_ev_params
 from .apps.traffic import (_require_columns, build_route_choice_game,
                            load_network)
-from .errors import AggeqError, ConfigError, ConvergenceError
+from .errors import (AggeqError, ConfigError, ConvergenceError,
+                     InfeasibleSetError)
 from .game import (AggregativeGame, Box, CouplingConstraint, QuadraticCost,
-                   aggregate_matrix)
+                   aggregate_matrix, feasibility_report)
 from .operators import WARDROP, build_operator, monotonicity_analysis
 from .synthetic import build_quadratic_game
 
@@ -216,6 +217,22 @@ def _write_report(out_dir, row):
               [[_fmt(row[k]) for k in keys]])
 
 
+def _verify_and_report(cfg, game, flavor, X, lam, columns):
+    """Verify (X, lam) and write its report.csv row plus ``columns``.  An
+    infeasible X still gets a row, of its feasibility columns, before the
+    error propagates (exit 1)."""
+    feas_tol = max(1e-6, 10.0 * cfg.tol)
+    try:
+        report = verify_equilibrium(game, flavor, X, lam, seed=cfg.seed,
+                                    feas_tol=feas_tol)
+    except InfeasibleSetError:
+        feas = feasibility_report(game, X, tol=feas_tol)
+        if not feas.feasible:
+            _write_report(cfg.output_dir, {**feas.as_row(), **columns})
+        raise
+    _write_report(cfg.output_dir, {**report.as_row(), **columns})
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     game = build_game(cfg)
     try:
@@ -225,12 +242,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         return 1
     # Written before verification, so a verification error keeps them.
     _write_run_outputs(cfg.output_dir, game, result)
-    report = verify_equilibrium(game, result.flavor, result.x, result.lam,
-                                seed=cfg.seed,
-                                feas_tol=max(1e-6, 10.0 * cfg.tol))
-    _write_report(cfg.output_dir, {
-        **report.as_row(), "converged": int(result.converged),
-        "algorithm": cfg.algorithm, "M": game.M, "seed": cfg.seed,
+    _verify_and_report(cfg, game, result.flavor, result.x, result.lam, {
+        "converged": int(result.converged), "algorithm": cfg.algorithm,
+        "M": game.M, "seed": cfg.seed,
         "primal_updates": result.primal_updates,
         "dual_updates": result.dual_updates})
     if not result.converged:
@@ -397,11 +411,8 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
                     f"{duals_file}:{lineno}: constraint index {j} out of"
                     f" range [0, {lam.size})")
             lam[j] = v
-    report = verify_equilibrium(game, SOLVERS[cfg.algorithm].flavor, X, lam,
-                                seed=cfg.seed,
-                                feas_tol=max(1e-6, 10.0 * cfg.tol))
-    _write_report(cfg.output_dir, report.as_row())
-    return 0 if report.feasibility.feasible else 1
+    _verify_and_report(cfg, game, SOLVERS[cfg.algorithm].flavor, X, lam, {})
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -245,49 +245,7 @@ class FlowPolytope:
         return _active_box_rows(x, 0.0, 1.0, tol), self.B
 
 
-@dataclass(frozen=True)
-class HalfspaceIntersection:
-    """Intersection of halfspaces a_j^T x <= beta_j, optionally with a box."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
-    box: Optional[Box] = None
-
-    def __post_init__(self):
-        normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        offsets = _vec(self.offsets, "offsets")
-        if normals.shape[0] != offsets.size:
-            raise DimensionError("one offset per halfspace required")
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def dim(self):
-        return self.normals.shape[1]
-
-    def bounds(self):
-        if self.box is not None:
-            return self.box.bounds()
-        raise InfeasibleSetError(
-            "halfspace intersection without a box is unbounded"
-        )
-
-    def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        v = float(np.max(self.normals @ x - self.offsets, initial=0.0))
-        if self.box is not None:
-            v = max(v, self.box.violation(x))
-        return v
-
-    def active_rows(self, x, tol):
-        ineq = self.normals[self.normals @ x >= self.offsets - tol]
-        if self.box is not None:
-            ineq = np.vstack([ineq, self.box.active_rows(x, tol)[0]])
-        return ineq, np.zeros((0, x.size))
-
-
-IndividualConstraintSet = Union[Box, BoxBudget, FlowPolytope,
-                                HalfspaceIntersection]
+IndividualConstraintSet = Union[Box, BoxBudget, FlowPolytope]
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +257,8 @@ IndividualConstraintSet = Union[Box, BoxBudget, FlowPolytope,
 class CouplingConstraint:
     """Affine coupling constraint A x <= b on the stacked profile.
 
-    The structured per-component form (1/M) sum_i x^i_t <= K_t is kept as
-    ``cap``; it expands to A = (1/M)(1_M^T kron I_n), b = K but evaluates
+    The structured per-component form (1/M) sum_i x^i_t <= K_t has A None
+    and b = K; it stands for A = (1/M)(1_M^T kron I_n) but evaluates
     residuals without materializing A.
     """
 
@@ -308,7 +266,6 @@ class CouplingConstraint:
     b: np.ndarray
     M: int
     n: int
-    cap: Optional[np.ndarray] = None
 
     @classmethod
     def dense(cls, A, b, M: int, n: int) -> "CouplingConstraint":
@@ -318,12 +275,12 @@ class CouplingConstraint:
             raise DimensionError(
                 f"A must be ({b.size}, {M * n}), got {A.shape}"
             )
-        return cls(A=A.copy(), b=b, M=M, n=n, cap=None)
+        return cls(A=A.copy(), b=b, M=M, n=n)
 
     @classmethod
     def per_component_cap(cls, K, M: int) -> "CouplingConstraint":
         K = _vec(K, "K")
-        return cls(A=None, b=K.copy(), M=M, n=K.size, cap=K.copy())
+        return cls(A=None, b=K.copy(), M=M, n=K.size)
 
     @property
     def m(self) -> int:
@@ -337,13 +294,13 @@ class CouplingConstraint:
 
     def agent_block(self, i: int) -> np.ndarray:
         """A_(:,i), the m x n block acting on agent i."""
-        if self.cap is not None:
+        if self.A is None:
             return np.eye(self.n) / self.M
         return self.A[:, i * self.n : (i + 1) * self.n]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """A x for an (M, n) strategy matrix."""
-        if self.cap is not None:
+        if self.A is None:
             return aggregate_matrix(X)
         return self.A @ X.reshape(-1)
 
@@ -354,13 +311,13 @@ class CouplingConstraint:
     def adjoint_blocks(self, lam: np.ndarray) -> np.ndarray:
         """(M, n) matrix whose row i is A_(:,i)^T lam; for the cap form a
         read-only view repeating lam / M in every row."""
-        if self.cap is not None:
+        if self.A is None:
             return np.broadcast_to(lam / self.M, (self.M, self.n))
         return (self.A.T @ lam).reshape(self.M, self.n)
 
     def norm(self) -> float:
         """Largest singular value of A."""
-        if self.cap is not None:
+        if self.A is None:
             return 1.0 / np.sqrt(self.M)
         return float(np.linalg.norm(self.A, 2))
 
@@ -735,6 +692,16 @@ class FeasibilityReport:
     individual_violations: np.ndarray  # (M,) max violation per agent
     coupling_residual: np.ndarray  # b - A x
     feasible: bool
+
+    def as_row(self) -> dict:
+        """The feasibility columns of report.csv."""
+        return {
+            "feasible": int(self.feasible),
+            "max_individual_violation": float(
+                np.max(self.individual_violations, initial=0.0)),
+            "max_coupling_violation": float(
+                np.max(-self.coupling_residual, initial=0.0)),
+        }
 
 
 def feasibility_report(game: AggregativeGame, x, tol: float = 1e-6

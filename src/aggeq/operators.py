@@ -2,9 +2,10 @@
 
 The Nash mapping stacks the full cost gradients, including the chain-rule
 term through the population average; the Wardrop mapping freezes the average.
-Also provides the primal-dual extension of a mapping and constants estimation
-(strong monotonicity, Lipschitz).  The Jacobian structure behind the
-constants comes from the cost model, so nothing here dispatches on its type.
+Also provides constants estimation (strong monotonicity, Lipschitz).  The
+solvers add the coupling term A^T lambda themselves.  The Jacobian structure
+behind the constants comes from the cost model, so nothing here dispatches
+on its type.
 """
 
 from __future__ import annotations
@@ -104,28 +105,6 @@ def _assemble_from_slot_blocks(blocks: np.ndarray) -> np.ndarray:
     for t in range(n):
         J[t::n, t::n] = blocks[t]
     return J
-
-
-class ExtendedOperator:
-    """Primal-dual mapping y = (x, lam) -> [F(x) + A^T lam; -(A x - b)].
-
-    Its domain is the product of the individual sets with the nonnegative
-    orthant for the multipliers.
-    """
-
-    def __init__(self, base: GameOperator):
-        self.base = base
-        self.coupling = base.game.coupling
-
-    def evaluate(self, x, lam) -> tuple:
-        X = self.base.game.profile(x).as_matrix()
-        primal, dual = self.evaluate_blocks(X, np.asarray(lam, dtype=float))
-        return primal.reshape(-1), dual
-
-    def evaluate_blocks(self, X, lam) -> tuple:
-        primal = (self.base.evaluate_blocks(X)
-                  + self.coupling.adjoint_blocks(lam))
-        return primal, self.coupling.residual(X)
 
 
 @dataclass(frozen=True)
@@ -279,17 +258,16 @@ def _slot_constants(g: np.ndarray, u: np.ndarray) -> tuple:
     return float(alpha.min()), float(np.sqrt(max(lip2.max(), 0.0)))
 
 
-def monotonicity_analysis(op: GameOperator,
-                          sampler: Optional[Callable] = None,
-                          n_samples: int = 50,
+def monotonicity_analysis(op: GameOperator, n_samples: int = 50,
                           seed: int = 0) -> MonotonicityReport:
     """Strong-monotonicity and Lipschitz constants of the mapping.
 
     Affine mappings get exact constants from the cost model.  Otherwise the
     constants are the worst case over sampled Jacobians: the minimum
     symmetrized eigenvalue and the maximum spectral norm, flagged as
-    estimates.  Per sample they come exactly from the slot structure (see
-    ``GameOperator.slot_terms``) at O(nM) cost.
+    estimates, at points of ``default_sampler``.  Per sample they come
+    exactly from the slot structure (see ``GameOperator.slot_terms``) at
+    O(nM) cost.
     """
     game = op.game
     exact = game.cost.exact_constants(game.M, op.flavor == NASH)
@@ -297,8 +275,7 @@ def monotonicity_analysis(op: GameOperator,
         return MonotonicityReport(*exact, exact=True, samples=0)
     if n_samples < 1:
         raise DimensionError("n_samples must be positive")
-    if sampler is None:
-        sampler = default_sampler(game)
+    sampler = default_sampler(game)
     rng = np.random.default_rng(seed)
     chunk = max(1, SAMPLE_CHUNK_ENTRIES // (game.M * game.n))
     alpha = np.inf

@@ -1,7 +1,7 @@
 """Exact Euclidean projections onto the constraint geometries used by the
-solvers: boxes, the nonnegative orthant, affine subspaces, box-plus-budget
-sets, and intersections handled by Dykstra's alternating scheme.  Also the
-exact linear minimizer over box-plus-budget sets.
+solvers: boxes, box-plus-budget sets, flow polytopes, halfspaces, and
+intersections handled by Dykstra's alternating scheme.  Also the exact
+linear minimizer over box-plus-budget sets.
 
 All functions are pure.
 """
@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
-from .game import (Box, BoxBudget, FlowPolytope, HalfspaceIntersection,
-                   IndividualConstraintSet, sum_rounding_bound)
+from .game import (Box, BoxBudget, FlowPolytope, IndividualConstraintSet,
+                   sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
@@ -28,33 +28,6 @@ def project_box(y, lo, hi) -> np.ndarray:
     if np.any(lo > hi):
         raise InfeasibleSetError("box requires lo <= hi componentwise")
     return np.clip(y, lo, hi)
-
-
-def project_nonneg(y) -> np.ndarray:
-    return np.maximum(np.asarray(y, dtype=float), 0.0)
-
-
-def project_affine(y, B, b_od) -> np.ndarray:
-    """Projection of y onto {x : B x = b_od}.
-
-    Raises when the system is inconsistent (residual above 1e-8 at the
-    least-squares solution).
-    """
-    y = np.asarray(y, dtype=float)
-    B = np.asarray(B, dtype=float)
-    b_od = np.asarray(b_od, dtype=float)
-    # Consistency: the min-norm solution must satisfy the system.
-    x0 = np.linalg.lstsq(B, b_od, rcond=None)[0]
-    if np.max(np.abs(B @ x0 - b_od), initial=0.0) > 1e-8:
-        raise InfeasibleSetError("system B x = b_od is inconsistent")
-    out = y - B.T @ np.linalg.lstsq(B @ B.T, B @ y - b_od, rcond=None)[0]
-    if np.max(np.abs(B @ out - b_od), initial=0.0) > 1e-9:
-        # Fall back to the pseudoinverse route for ill-conditioned B.
-        out = y - np.linalg.pinv(B) @ (B @ y - b_od)
-        if np.max(np.abs(B @ out - b_od), initial=0.0) > 1e-9:
-            raise ConvergenceError("affine projection residual above 1e-9",
-                                   last=out)
-    return out
 
 
 def project_box_budget(y, lo, hi, theta) -> np.ndarray:
@@ -261,14 +234,6 @@ def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
         return project_box_budget(y, cs.lo, cs.hi, cs.theta)
     if isinstance(cs, FlowPolytope):
         return project_flow_polytope(y, cs.B, cs.b_od)
-    if isinstance(cs, HalfspaceIntersection):
-        projs = [
-            (lambda a, beta: (lambda v: project_halfspace(v, a, beta)))(a, b)
-            for a, b in zip(cs.normals, cs.offsets)
-        ]
-        if cs.box is not None:
-            projs.insert(0, lambda v: np.clip(v, cs.box.lo, cs.box.hi))
-        return dykstra(y, projs)
     raise DimensionError(f"no projection for {type(cs).__name__}")
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aggeq.algorithms import (SOLVERS, EquilibriumResult, SolverConfig,
-                              _batch_best_response,
+from aggeq.algorithms import (INNER_MAX_ITER, SOLVERS, EquilibriumResult,
+                              SolverConfig, _batch_best_response,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
@@ -74,7 +74,7 @@ def reference_mapping(game, flavor, X):
 
 def reference_adjoint(coupling, lam):
     """Test oracle: A^T lam as a full (M, n) copy."""
-    if coupling.cap is not None:
+    if coupling.A is None:
         return np.tile(lam / coupling.M, (coupling.M, 1))
     return (coupling.A.T @ lam).reshape(coupling.M, coupling.n)
 
@@ -176,9 +176,8 @@ def two_level_reference_loop(game, config, rep):
     for k in range(1, config.max_iter + 1):
         X_prev, lam_prev = X, lam
         z = aggregate_matrix(X)
-        for h in range(1, config.inner_max_iter + 1):
-            X = _batch_best_response(game, proj, X, z, lam, inner_tol,
-                                     config.inner_max_iter)
+        for h in range(1, INNER_MAX_ITER + 1):
+            X = _batch_best_response(game, proj, X, z, lam, inner_tol)
             primal += 1
             sigma = aggregate_matrix(X)
             z_new = sigma if h == 1 else (1.0 - 1.0 / h) * z + sigma / h
@@ -418,7 +417,7 @@ class TestBestResponseThroughBuilders:
 
         monkeypatch.setattr(PriceTimesUsage, "own_lipschitz",
                             no_projected_gradient)
-        batch = _batch_best_response(game, proj, X0, z, lam, 1e-6, 100_000)
+        batch = _batch_best_response(game, proj, X0, z, lam, 1e-6)
         q = game.cost.price.value(z) + game.coupling.adjoint_blocks(lam)
         for i, cs in enumerate(game.individual):
             assert np.array_equal(best_response(game, i, z, lam), batch[i])
@@ -435,8 +434,7 @@ class TestBestResponseThroughBuilders:
         proj, X0, z, lam = response_inputs(game)
         inner_tol = 1e-8
         warm = proj(np.random.default_rng(1).uniform(size=X0.shape))
-        batch = _batch_best_response(game, proj, warm, z, lam, inner_tol,
-                                     100_000)
+        batch = _batch_best_response(game, proj, warm, z, lam, inner_tol)
         for i in range(game.M):
             row = best_response(game, i, z, lam, inner_tol=inner_tol)
             assert np.max(np.abs(row - batch[i])) <= inner_tol
@@ -453,7 +451,7 @@ class TestBestResponseThroughBuilders:
 
         monkeypatch.setattr(QuadraticCost, "own_lipschitz", counted)
         proj, X0, z, lam = response_inputs(game)
-        _batch_best_response(game, proj, X0, z, lam, 1e-8, 100_000)
+        _batch_best_response(game, proj, X0, z, lam, 1e-8)
         assert len(calls) == 1
 
 
@@ -591,8 +589,6 @@ class TestSolverBehavior:
             SolverConfig(tol=0.0)
         with pytest.raises(DimensionError):
             SolverConfig(max_iter=0)
-        with pytest.raises(DimensionError):
-            SolverConfig(inner_max_iter=0)
         with pytest.raises(DimensionError):
             SolverConfig(inner_tol=0.0)
 

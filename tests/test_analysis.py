@@ -18,7 +18,7 @@ from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network, build_route_choice_game
 from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
-                        FlowPolytope, HalfspaceIntersection, QuadraticCost,
+                        FlowPolytope, QuadraticCost,
                         aggregate_matrix, feasibility_report)
 from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
 from aggeq.projection import ProfileProjector
@@ -98,13 +98,6 @@ def active_rows_loop_oracle(cs, x, tol):
                 row[t] = 1.0
                 ineq.append(row)
         eq.extend(np.asarray(cs.B, dtype=float))
-    elif isinstance(cs, HalfspaceIntersection):
-        for a, beta in zip(cs.normals, cs.offsets):
-            if float(a @ x) >= beta - tol:
-                ineq.append(np.asarray(a, dtype=float))
-        if cs.box is not None:
-            sub_i, _ = active_rows_loop_oracle(cs.box, x, tol)
-            ineq.extend(sub_i)
     return ineq, eq
 
 
@@ -235,18 +228,6 @@ class TestActiveRows:
             assert eq.shape == cs.B.shape
         self.assert_matches_oracle(game.individual[0], np.full(X.shape[1],
                                                                0.5))
-
-    @pytest.mark.parametrize("with_box", [False, True])
-    def test_halfspace_intersection(self, with_box):
-        normals = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0],
-                            [1.0, 0.0, 1.0]])
-        offsets = np.array([1.0, 0.0, 5.0])
-        box = Box(np.zeros(3), np.array([1.0, 0.5, 1.0])) if with_box \
-            else None
-        cs = HalfspaceIntersection(normals, offsets, box)
-        for x in (np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.2, 1.0]),
-                  np.array([0.3, 0.1, 0.9])):
-            self.assert_matches_oracle(cs, x)
 
 
 class TestDeviationValueGrad:
@@ -432,7 +413,7 @@ class TestKktTangentCone:
             calls.append(args)
             return lsq_linear(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "lsq_linear", counting_lsq)
+        monkeypatch.setattr("scipy.optimize.lsq_linear", counting_lsq)
         consts = ConstantsEstimate(R=1.0, L2=1.0, alpha=0.0, source="exact")
         game = build_ev_game(generate_ev_params(M=6, seed=1))
         res = extragradient(game, NASH, SolverConfig(tol=1e-5))

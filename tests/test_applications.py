@@ -33,7 +33,8 @@ class TestEvBuilder:
         assert game.tag == "ev"
         assert game.M == 100 and game.n == 24
         assert game.meta["xtilde0"] == pytest.approx(params.xtilde0)
-        assert np.allclose(game.coupling.cap, 0.55)
+        assert game.coupling.A is None
+        assert np.allclose(game.coupling.b, 0.55)
 
     def test_ev_game_reaches_batched_box_budget_projection(self):
         game = build_ev_game(generate_ev_params(M=30, seed=2))

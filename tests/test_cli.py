@@ -1,9 +1,12 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aggeq
 from aggeq import algorithms, cli
 from aggeq.algorithms import SOLVERS
 from aggeq.cli import main, substream
@@ -36,6 +39,13 @@ n = 4
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+# After 15 updates the average still exceeds the caps by about 0.14.
+INFEASIBLE_CONFIG = QUADRATIC_CONFIG.replace("tol = 1e-5",
+                                             "tol = 1e-5\nmax_iter = 15")
+FAILURE_COLUMNS = ["feasible", "max_coupling_violation",
+                   "max_individual_violation"]
 
 
 class TestRun:
@@ -85,6 +95,27 @@ class TestRun:
             assert (bad / name).read_bytes() == (good / name).read_bytes(), \
                 name
         assert not (bad / "report.csv").exists()
+
+    def test_infeasible_result_writes_failure_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, INFEASIBLE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "failure: x_bar is not feasible within 0.0001" in \
+            capsys.readouterr().err
+        for name in RUN_FILES[:3]:
+            assert (out / name).exists(), name
+        report = read_rows(out / "report.csv")
+        assert len(report) == 1
+        row = report[0]
+        assert sorted(row) == sorted(FAILURE_COLUMNS + [
+            "converged", "algorithm", "M", "seed", "primal_updates",
+            "dual_updates"])
+        assert row["feasible"] == "0"
+        assert float(row["max_coupling_violation"]) > 1e-4
+        assert float(row["max_individual_violation"]) == 0.0
+        assert (row["converged"], row["algorithm"], row["M"], row["seed"],
+                row["primal_updates"], row["dual_updates"]) == \
+            ("0", "apa-nash", "6", "7", "15", "15")
 
     def test_negative_tol_exits_2_without_outputs(self, tmp_path):
         cfg = write_config(tmp_path, QUADRATIC_CONFIG)
@@ -181,6 +212,22 @@ class TestVerify:
         report = read_rows(vout / "report.csv")[0]
         assert report["feasible"] == "1"
         assert float(report["kkt_stationarity"]) <= 1e-3
+
+    def test_infeasible_equilibrium_writes_failure_report(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path, INFEASIBLE_CONFIG)
+        out, vout = tmp_path / "out", tmp_path / "vout"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["verify", str(out / "equilibrium.csv"),
+                     "--config", cfg, "--out", str(vout)]) == 1
+        assert "failure: x_bar is not feasible within 0.0001" in \
+            capsys.readouterr().err
+        report = read_rows(vout / "report.csv")
+        assert len(report) == 1 and sorted(report[0]) == FAILURE_COLUMNS
+        run_row = read_rows(out / "report.csv")[0]
+        assert report[0] == {k: run_row[k] for k in FAILURE_COLUMNS}
+        assert report[0]["feasible"] == "0"
 
 
 def replace_line(k, new):
@@ -376,6 +423,55 @@ n = 4
         assert main(["compare", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         assert calls == [11, 12]
+
+
+SCIPY_PROBE = """
+import sys
+
+import numpy as np
+
+from aggeq import cli
+from aggeq.analysis import ConstantsEstimate, verify_equilibrium
+from aggeq.apps.traffic import build_network, build_route_choice_game
+from aggeq.operators import WARDROP
+
+ev_ini, quadratic_ini, out = sys.argv[1:]
+for ini in (ev_ini, quadratic_ini):
+    assert cli.main(["run", "--config", ini, "--out", out]) == 0
+print("after runs", "scipy.optimize" in sys.modules)
+edges = []
+for a, b, length in ((0, 1, 1.0), (1, 2, 1.5), (3, 4, 1.2), (4, 5, 1.0),
+                     (0, 3, 2.0), (1, 4, 1.0), (2, 5, 1.3)):
+    edges += [(a, b, length, length), (b, a, length, length)]
+net = build_network(list(range(6)), edges, f=0.15, h=2.0, K=0.4)
+game = build_route_choice_game(net, M=3, seed=0)
+verify_equilibrium(game, WARDROP, game.cost.utility.ref,
+                   np.zeros(game.coupling.m),
+                   constants=ConstantsEstimate(1.0, 1.0, 0.0, "exact"),
+                   n_samples=2, compute_epsilon=False)
+print("after route choice", "scipy.optimize" in sys.modules)
+"""
+
+
+class TestScipyOnDemand:
+    def test_only_route_choice_loads_scipy_optimize(self, tmp_path):
+        """Quadratic and EV runs never call BVLS or L-BFGS, so they do not
+        pay for importing scipy.optimize; a route-choice verification
+        loads it."""
+        ev = write_config(tmp_path, "[experiment]\nkind = ev\nseed = 3\n"
+                          "m = 4\nalgorithm = extragradient\n\n[ev]\n"
+                          "n = 6\n", name="ev.ini")
+        quadratic = write_config(tmp_path, QUADRATIC_CONFIG,
+                                 name="quadratic.ini")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(aggeq.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, ev, quadratic,
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["after runs False",
+                                            "after route choice True"]
 
 
 class TestSubstreams:

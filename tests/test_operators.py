@@ -8,10 +8,10 @@ from aggeq.errors import DimensionError
 from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility)
-from aggeq.operators import (NASH, WARDROP, ExtendedOperator,
-                             _min_eig_diag_plus_rank2, build_operator,
-                             default_sampler, monotonicity_analysis,
-                             operator_gap, quadratic_monotonicity_conditions)
+from aggeq.operators import (NASH, WARDROP, _min_eig_diag_plus_rank2,
+                             build_operator, default_sampler,
+                             monotonicity_analysis, operator_gap,
+                             quadratic_monotonicity_conditions)
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -249,9 +249,9 @@ class TestStructuredConstants:
         sampler = default_sampler(game)
         monkeypatch.setattr(operators, "SAMPLE_CHUNK_ENTRIES",
                             2 * game.M * game.n)
-        split = monotonicity_analysis(
-            op, sampler=lambda rng: calls.append(1) or sampler(rng),
-            n_samples=5, seed=1)
+        monkeypatch.setattr(operators, "default_sampler", lambda game: (
+            lambda rng: calls.append(1) or sampler(rng)))
+        split = monotonicity_analysis(op, n_samples=5, seed=1)
         assert len(calls) == 5 and split.samples == 5
         assert split.alpha == pytest.approx(whole.alpha, rel=1e-13)
         assert split.lipschitz == pytest.approx(whole.lipschitz, rel=1e-13)
@@ -424,38 +424,6 @@ class TestMonotonicity:
         game = sqrt_price_game(M=3, n=3, utility=ZeroUtility())
         rep = monotonicity_analysis(build_operator(game, WARDROP))
         assert rep.alpha >= -1e-7
-
-    def test_extended_operator_monotone(self):
-        game = build_quadratic_game(M=4, n=3, seed=1)
-        ext = ExtendedOperator(build_operator(game, NASH))
-        sampler = default_sampler(game)
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            X1, X2 = sampler(rng), sampler(rng)
-            l1 = rng.uniform(0.0, 2.0, size=game.coupling.m)
-            l2 = rng.uniform(0.0, 2.0, size=game.coupling.m)
-            p1, d1 = ext.evaluate_blocks(X1, l1)
-            p2, d2 = ext.evaluate_blocks(X2, l2)
-            inner = (float(((p1 - p2) * (X1 - X2)).sum())
-                     + float((-(d1 - d2)) @ (l1 - l2)) * -1.0)
-            # dual block of T is -(Ax - b) = b - Ax; its difference is
-            # -(A(x1-x2)) and pairs with (l1 - l2)
-            inner = (float(((p1 - p2) * (X1 - X2)).sum())
-                     + float((d1 - d2) @ (l1 - l2)))
-            assert inner >= -1e-7
-
-    def test_extended_operator_blocks(self):
-        game = quadratic_game()
-        base = build_operator(game, NASH)
-        ext = ExtendedOperator(base)
-        x = np.array([0.4, 0.9])
-        lam = np.array([1.5])
-        primal, dual = ext.evaluate(x, lam)
-        X = x.reshape(2, 1)
-        want = (base.evaluate_blocks(X)
-                + game.coupling.adjoint_blocks(lam)).reshape(-1)
-        assert np.allclose(primal, want, atol=0.0)
-        assert np.allclose(dual, game.coupling.residual(X), atol=0.0)
 
 
 class TestQuadraticConditions:

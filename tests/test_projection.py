@@ -3,12 +3,11 @@ import pytest
 
 from aggeq.apps.traffic import build_network
 from aggeq.errors import ConvergenceError, InfeasibleSetError
-from aggeq.game import Box, BoxBudget, FlowPolytope, HalfspaceIntersection
+from aggeq.game import Box, BoxBudget, FlowPolytope
 from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
-                              project_affine, project_box, project_box_budget,
+                              project_box, project_box_budget,
                               project_box_budget_batch, project_flow_polytope,
-                              project_halfspace, project_individual,
-                              project_nonneg)
+                              project_halfspace, project_individual)
 
 TWO_NODE_B = np.array([[-1.0, -1.0], [1.0, 1.0]])  # two parallel edges
 
@@ -66,29 +65,6 @@ class TestClosedFormProjectors:
     def test_box_rejects_bad_bounds(self):
         with pytest.raises(InfeasibleSetError):
             project_box([0.0], [1.0], [0.0])
-
-    def test_nonneg(self):
-        assert np.allclose(project_nonneg([-1.0, 2.0]), [0.0, 2.0])
-        assert np.allclose(project_nonneg([0.0, 0.0]), [0.0, 0.0])
-        assert np.allclose(project_nonneg([-0.5]), [0.0])
-
-    def test_affine_symmetric_split(self):
-        out = project_affine([1.0, 1.0], np.array([[1.0, 1.0]]), [1.0])
-        assert np.allclose(out, [0.5, 0.5])
-
-    def test_affine_fixed_point(self):
-        B = np.array([[1.0, -1.0]])
-        y = np.array([2.0, 2.0])
-        assert np.max(np.abs(project_affine(y, B, [0.0]) - y)) <= 1e-12
-
-    def test_affine_hand_least_squares(self):
-        out = project_affine([2.0, 0.0], np.array([[1.0, -1.0]]), [0.0])
-        assert np.allclose(out, [1.0, 1.0])
-
-    def test_affine_inconsistent_rejected(self):
-        B = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(InfeasibleSetError):
-            project_affine([0.0, 0.0], B, [0.0, 1.0])
 
     def test_halfspace(self):
         a = np.array([1.0, 0.0])
@@ -225,11 +201,16 @@ class TestBreakpointSearch:
                                      np.zeros((2, 2)), [0.0, 0.0])
 
 
+def onto_sum_one(v):
+    """Projection onto the line x_1 + x_2 = 1."""
+    return v - (v[0] + v[1] - 1.0) / 2.0
+
+
 class TestDykstra:
     def test_box_affine_intersection(self):
         out = dykstra([1.0, 1.0], [
             lambda v: np.clip(v, 0.0, 1.0),
-            lambda v: project_affine(v, np.array([[1.0, 1.0]]), [1.0]),
+            onto_sum_one,
         ])
         assert np.allclose(out, [0.5, 0.5], atol=1e-9)
 
@@ -237,7 +218,7 @@ class TestDykstra:
         y = np.array([0.3, 0.7])
         out = dykstra(y, [
             lambda v: np.clip(v, 0.0, 1.0),
-            lambda v: project_affine(v, np.array([[1.0, 1.0]]), [1.0]),
+            onto_sum_one,
         ])
         assert np.max(np.abs(out - y)) <= 1e-9
 
@@ -245,7 +226,7 @@ class TestDykstra:
         y = np.array([2.0, -1.0])
         out = dykstra(y, [
             lambda v: np.clip(v, 0.0, 1.0),
-            lambda v: project_affine(v, np.array([[1.0, 1.0]]), [1.0]),
+            onto_sum_one,
         ])
         t = np.linspace(0.0, 1.0, 10001)
         pts = np.stack([t, 1.0 - t], axis=1)
@@ -285,13 +266,6 @@ class TestDispatch:
         cs = FlowPolytope(TWO_NODE_B, [-1.0, 1.0])
         out = project_individual(cs, [-300.0, -400.0])
         assert cs.violation(out) <= 1e-8
-
-    def test_halfspace_intersection_dispatch(self):
-        cs = HalfspaceIntersection(
-            np.array([[1.0, 1.0]]), np.array([1.0]),
-            box=Box(np.zeros(2), np.ones(2)))
-        out = project_individual(cs, [1.0, 1.0])
-        assert np.allclose(out, [0.5, 0.5], atol=1e-8)
 
 
 def _random_projector_cases(rng, n=4):
