@@ -190,10 +190,15 @@ def _change(X_new, X, lam_new, lam) -> float:
 
 def _forward_step(op, proj, X, tau, Y, aY, lam):
     """proj(X - tau * (F(Y) + A^T lam)), summed in place in F's array.
-    aY = A y; under the per-component cap it is the aggregate F needs."""
+    aY = A y; under the per-component cap it is the aggregate F needs, and
+    A^T lam is the row lam / M added to every row of F."""
     coupling = op.game.coupling
-    F = op.evaluate_blocks(Y, aY if coupling.A is None else None)
-    F += coupling.adjoint_blocks(lam)
+    if coupling.A is None:
+        F = op.evaluate_blocks(Y, aY)
+        F += lam / coupling.M
+    else:
+        F = op.evaluate_blocks(Y)
+        F += coupling.adjoint_blocks(lam)
     F *= tau
     return proj(np.subtract(X, F, out=F))
 

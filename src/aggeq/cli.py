@@ -242,15 +242,15 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         return 1
     # Written before verification, so a verification error keeps them.
     _write_run_outputs(cfg.output_dir, game, result)
+    # Said before verification, which may raise on the same result.
+    if not result.converged:
+        print("solver hit max_iter without reaching tol", file=sys.stderr)
     _verify_and_report(cfg, game, result.flavor, result.x, result.lam, {
         "converged": int(result.converged), "algorithm": cfg.algorithm,
         "M": game.M, "seed": cfg.seed,
         "primal_updates": result.primal_updates,
         "dual_updates": result.dual_updates})
-    if not result.converged:
-        print("solver hit max_iter without reaching tol", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if result.converged else 1
 
 
 def _wardrop_constants(game, seed):

@@ -445,13 +445,29 @@ class QuadraticTracking:
 # Arguments hi bound the strategies, and so the averages, from above.
 
 
+def _identity_multiple(A: np.ndarray) -> Optional[float]:
+    """s when the square matrix A is exactly s * I, else None."""
+    s = float(A[0, 0]) if A.size else 0.0
+    return s if np.array_equal(A, s * np.eye(A.shape[0])) else None
+
+
 @dataclass(frozen=True)
 class QuadraticCost:
-    """J^i = 1/2 x^T Q x + (C z + c^i)^T x with common Q, C."""
+    """J^i = 1/2 x^T Q x + (C z + c^i)^T x with common Q, C.
+
+    When Q or C is exactly a multiple s I of the identity, as
+    ``build_quadratic_game`` makes both, the batched gradients multiply by
+    the scalar s in place of the dense product.  The product's off-diagonal
+    terms are exact zeros, so both give the same bits.  ``Q`` and ``C`` stay
+    the matrices for everything else.
+    """
 
     Q: np.ndarray
     C: np.ndarray
     c: np.ndarray  # (M, n), one offset per agent
+    # s where Q (or C) is exactly s I, else None.
+    q_scale: Optional[float] = field(init=False, repr=False, compare=False)
+    c_scale: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -465,6 +481,8 @@ class QuadraticCost:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "q_scale", _identity_multiple(Q))
+        object.__setattr__(self, "c_scale", _identity_multiple(C))
 
     @property
     def n(self):
@@ -482,13 +500,13 @@ class QuadraticCost:
         return self.C.T @ np.asarray(x_i, dtype=float)
 
     def grad_own_all(self, X, z):
-        out = X @ self.Q.T
-        out += self.C @ z
+        out = X @ self.Q.T if self.q_scale is None else X * self.q_scale
+        out += self.C @ z if self.c_scale is None else z * self.c_scale
         out += self.c
         return out
 
     def grad_agg_all(self, X, z):
-        return X @ self.C
+        return X @ self.C if self.c_scale is None else X * self.c_scale
 
     def own_lipschitz(self) -> float:
         return float(np.linalg.norm(self.Q, 2))

@@ -100,8 +100,9 @@ class TestRun:
         cfg = write_config(tmp_path, INFEASIBLE_CONFIG)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-        assert "failure: x_bar is not feasible within 0.0001" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver hit max_iter without reaching tol" in err
+        assert "failure: x_bar is not feasible within 0.0001" in err
         for name in RUN_FILES[:3]:
             assert (out / name).exists(), name
         report = read_rows(out / "report.csv")

@@ -7,7 +7,7 @@ from aggeq.apps.traffic import build_network, build_route_choice_game
 from aggeq.errors import DimensionError
 from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
-                        QuadraticTracking, ZeroUtility)
+                        QuadraticTracking, ZeroUtility, aggregate_matrix)
 from aggeq.operators import (NASH, WARDROP, _min_eig_diag_plus_rank2,
                              build_operator, default_sampler,
                              monotonicity_analysis, operator_gap,
@@ -96,6 +96,47 @@ class TestEvaluation:
                                  - (H_w @ x + cc))) <= 1e-12
             assert np.max(np.abs(build_operator(game, NASH).evaluate(x)
                                  - (H_n @ x + cc))) <= 1e-12
+
+
+def scalar_structure_game(case, M=7, n=5):
+    """A quadratic game for one case of the scalar Q/C test."""
+    if case == "builder":
+        return build_quadratic_game(M, n=n, seed=3)
+    rng = np.random.default_rng(4)
+    if case == "zero-C":
+        Q, C = 0.3 * np.eye(n), np.zeros((n, n))
+    elif case == "general":
+        Q = rng.normal(size=(n, n))
+        Q, C = Q @ Q.T, rng.normal(size=(n, n))
+    else:  # tiny-off-diagonal
+        Q, C = 0.3 * np.eye(n), np.eye(n)
+        Q[0, 1] = 1e-300
+    game = quadratic_game(M=M, n=n)
+    cost = QuadraticCost(Q=Q, C=C, c=rng.uniform(-1.0, 0.0, size=(M, n)))
+    return AggregativeGame(M=M, n=n, cost=cost, individual=game.individual,
+                           coupling=game.coupling)
+
+
+class TestScalarQuadratic:
+    """A Q or C that is exactly sI multiplies by s; the dense product it
+    replaces adds only exact zeros, so the bits are the same."""
+
+    @pytest.mark.parametrize("case, q_scalar, c_scalar", [
+        ("builder", True, True), ("zero-C", True, True),
+        ("general", False, False), ("tiny-off-diagonal", False, True)])
+    def test_evaluate_blocks_equals_dense_formula(self, case, q_scalar,
+                                                  c_scalar):
+        game = scalar_structure_game(case)
+        cost = game.cost
+        assert (cost.q_scale is not None, cost.c_scale is not None) == \
+            (q_scalar, c_scalar)
+        X = np.random.default_rng(5).uniform(-0.5, 1.5, size=(game.M, game.n))
+        z = aggregate_matrix(X)
+        wardrop = X @ cost.Q.T + cost.C @ z + cost.c
+        nash = wardrop + (X @ cost.C) / game.M
+        for flavor, expected in ((WARDROP, wardrop), (NASH, nash)):
+            got = build_operator(game, flavor).evaluate_blocks(X)
+            assert np.array_equal(got, expected), flavor
 
 
 class TestJacobians:
