@@ -408,7 +408,7 @@ def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
     gap = np.inf
     for start in range(0, n_samples, chunk):
         X = sampler(rng, min(chunk, n_samples - start))
-        resid = np.stack([game.coupling.residual(Xk) for Xk in X])
+        resid = game.coupling.residual(X)
         pull = np.min(resid, axis=1, initial=0.0) < 0.0
         if np.any(pull):
             d_resid = base - resid[pull]  # A d per row

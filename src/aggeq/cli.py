@@ -219,8 +219,10 @@ def _write_report(out_dir, row):
 
 def _verify_and_report(cfg, game, flavor, X, lam, columns):
     """Verify (X, lam) and write its report.csv row plus ``columns``.  An
-    infeasible X still gets a row, of its feasibility columns, before the
-    error propagates (exit 1)."""
+    infeasible X, or a verification sub-solver that fails to converge,
+    still gets a row of its feasibility columns (and, for the sub-solver,
+    a ``verification_error`` column with its message) before the error
+    propagates (exit 1)."""
     feas_tol = max(1e-6, 10.0 * cfg.tol)
     try:
         report = verify_equilibrium(game, flavor, X, lam, seed=cfg.seed,
@@ -229,6 +231,11 @@ def _verify_and_report(cfg, game, flavor, X, lam, columns):
         feas = feasibility_report(game, X, tol=feas_tol)
         if not feas.feasible:
             _write_report(cfg.output_dir, {**feas.as_row(), **columns})
+        raise
+    except ConvergenceError as exc:
+        feas = feasibility_report(game, X, tol=feas_tol)
+        _write_report(cfg.output_dir, {**feas.as_row(), **columns,
+                                       "verification_error": str(exc)})
         raise
     _write_report(cfg.output_dir, {**report.as_row(), **columns})
 

@@ -305,7 +305,14 @@ class CouplingConstraint:
         return self.A @ X.reshape(-1)
 
     def residual(self, X: np.ndarray) -> np.ndarray:
-        """Slack b - A x; nonnegative iff the constraint holds."""
+        """Slack b - A x; nonnegative iff the constraint holds.  A (k, M, n)
+        stack of strategy matrices gets (k, m) slacks, each row with the
+        bytes of its matrix's own call; the cap form takes them in one
+        reduction."""
+        if X.ndim == 3:
+            if self.A is None:
+                return self.b - np.add.reduce(X, axis=1) / self.M
+            return np.stack([self.residual(Xk) for Xk in X])
         return self.b - self.apply(X)
 
     def adjoint_blocks(self, lam: np.ndarray) -> np.ndarray:
@@ -584,10 +591,11 @@ class PriceTimesUsage:
         return self.utility.lipschitz()
 
     def aggregate_lipschitz(self, hi) -> tuple:
-        """max |p'| over a 1e-4 grid of [0, max(hi)]."""
+        """max |p'| over a 1e-4 grid of [0, max(hi)], scanned in chunks
+        of about 1,024 points, whose (1024, n) temporaries stay in cache."""
         grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
         best = 0.0
-        for z in np.array_split(grid, max(1, grid.size // 4096)):
+        for z in np.array_split(grid, max(1, grid.size // 1024)):
             Z = np.broadcast_to(z[:, None], (z.size, self.n))
             best = max(best, float(np.max(np.abs(self.price.diag(Z)))))
         return best, "formula"

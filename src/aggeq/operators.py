@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InfeasibleSetError
 from .game import AggregativeGame, aggregate_matrix
 from .projection import ProfileProjector
 
@@ -157,15 +157,23 @@ def default_sampler(game: AggregativeGame) -> Callable:
     deterministic.  ``sample(rng, count)`` returns a (count, M, n) stack,
     drawn in one generator call and projected as one (count M, n) stack,
     with the bytes of count successive ``sample(rng)`` calls.
+
+    A draw is the one array expression lo + (hi - lo) * rng.random(shape),
+    which numpy's ``rng.uniform(lo, hi)`` evaluates element by element in
+    C with the same roundings; with array bounds that per-element path is
+    the slower one.  Raises InfeasibleSetError when a set is unbounded.
     """
     proj = ProfileProjector(game.individual)
     lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
+    span = hi - lo
+    if not np.all(np.isfinite(span)):
+        raise InfeasibleSetError("unbounded individual sets")
 
     def sample(rng: np.random.Generator,
                count: Optional[int] = None) -> np.ndarray:
         if count is None:
-            return proj(rng.uniform(lo, hi))
-        Y = rng.uniform(lo, hi, size=(count,) + lo.shape)
+            return proj(lo + span * rng.random(lo.shape))
+        Y = lo + span * rng.random((count,) + lo.shape)
         return proj(Y.reshape(-1, lo.shape[1])).reshape(Y.shape)
 
     return sample

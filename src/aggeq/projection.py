@@ -58,11 +58,23 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     lo = np.broadcast_to(np.asarray(lo, dtype=float), Y.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), Y.shape)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), Y.shape[:1])
+    _check_box_budget(lo, hi, theta)
+    return _box_budget_rows(Y, lo, hi, theta)
+
+
+def _check_box_budget(lo, hi, theta) -> None:
+    """The checks of project_box_budget_batch on (M, n) bounds and (M,)
+    budgets."""
     if np.any(lo > hi):
         raise InfeasibleSetError("box requires lo <= hi componentwise")
     over = theta - hi.sum(axis=1)
     if np.any(over > 0.0) and np.any(over > sum_rounding_bound(hi)):
         raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
+
+
+def _box_budget_rows(Y, lo, hi, theta) -> np.ndarray:
+    """The body of project_box_budget_batch, for float Y and bounds of its
+    shape that passed _check_box_budget."""
     X = np.minimum(np.maximum(Y, lo), hi)
     short = theta - X.sum(axis=1)
     need = short > 0.0
@@ -274,9 +286,11 @@ class ProfileProjector:
             return np.minimum(np.maximum(Y, _tile(self._lo, reps)),
                               _tile(self._hi, reps))
         if self._mode == "box_budget":
-            return project_box_budget_batch(Y, _tile(self._lo, reps),
-                                            _tile(self._hi, reps),
-                                            _tile(self._theta, reps))
+            # The sets are validated BoxBudgets: no checks per call.
+            return _box_budget_rows(np.asarray(Y, dtype=float),
+                                    _tile(self._lo, reps),
+                                    _tile(self._hi, reps),
+                                    _tile(self._theta, reps))
         if self._mode == "flow":
             # One dual run per profile: the run's stopping test is joint.
             return np.concatenate([
@@ -328,11 +342,15 @@ class ProfileProjector:
     def capped(self, cap_hi: np.ndarray):
         """Projector onto the same sets with every upper bound lowered to
         cap_hi (never below lo), or None unless all sets are boxes or all
-        are box-budget sets."""
+        are box-budget sets.  The lowered bounds are checked once, here:
+        InfeasibleSetError when a cap pushes some budget above sum(hi)."""
         if self._mode not in ("box", "box_budget"):
             return None
         lo = self._lo
         hi = np.maximum(np.minimum(self._hi, cap_hi), lo)  # tight-cap roundoff
         if self._mode == "box":
             return lambda Y: np.clip(Y, lo, hi)
-        return lambda Y: project_box_budget_batch(Y, lo, hi, self._theta)
+        theta = self._theta
+        _check_box_budget(lo, hi, theta)
+        return lambda Y: _box_budget_rows(np.asarray(Y, dtype=float), lo, hi,
+                                          theta)

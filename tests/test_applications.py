@@ -89,6 +89,16 @@ class TestEvBuilder:
         assert d.shape == (24,)
         assert np.all(d > 0)
 
+    def test_aggregate_lipschitz_is_the_max_over_the_whole_grid(self):
+        # Scanned in chunks, the max is exact: one pass over the grid gives
+        # the same value.
+        game = build_ev_game(generate_ev_params(M=20, seed=1))
+        hi = game.bounding_box()[1]
+        grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
+        Z = np.broadcast_to(grid[:, None], (grid.size, game.n))
+        want = float(np.max(np.abs(game.cost.price.diag(Z))))
+        assert game.cost.aggregate_lipschitz(hi) == (want, "formula")
+
 
 class TestEvCondition:
     def test_default_sqrt_price_holds(self):

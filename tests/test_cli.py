@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import aggeq
-from aggeq import algorithms, cli
+from aggeq import algorithms, analysis, cli
 from aggeq.algorithms import SOLVERS
 from aggeq.cli import main, substream
-from aggeq.errors import InfeasibleSetError
+from aggeq.errors import ConvergenceError, InfeasibleSetError
 from aggeq.game import AggregativeGame
 from aggeq.operators import WARDROP, monotonicity_analysis
 
@@ -117,6 +117,32 @@ class TestRun:
         assert (row["converged"], row["algorithm"], row["M"], row["seed"],
                 row["primal_updates"], row["dual_updates"]) == \
             ("0", "apa-nash", "6", "7", "15", "15")
+
+    def test_failed_verification_subsolver_writes_failure_report(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, QUADRATIC_CONFIG)
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert main(["run", "--config", cfg, "--out", str(good)]) == 0
+        message = "dykstra did not converge in 10000 sweeps (gap 3.281e-05)"
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError(message)
+
+        monkeypatch.setattr(analysis, "epsilon_nash", fail)
+        assert main(["run", "--config", cfg, "--out", str(bad)]) == 1
+        assert f"failure: {message}" in capsys.readouterr().err
+        for name in RUN_FILES[:3]:
+            assert (bad / name).read_bytes() == (good / name).read_bytes(), \
+                name
+        report = read_rows(bad / "report.csv")
+        assert len(report) == 1
+        row = report[0]
+        assert sorted(row) == sorted(FAILURE_COLUMNS + [
+            "converged", "algorithm", "M", "seed", "primal_updates",
+            "dual_updates", "verification_error"])
+        assert row["feasible"] == "1"
+        assert row["converged"] == "1"
+        assert row["verification_error"] == message
 
     def test_negative_tol_exits_2_without_outputs(self, tmp_path):
         cfg = write_config(tmp_path, QUADRATIC_CONFIG)

@@ -4,7 +4,7 @@ import pytest
 from aggeq import operators
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network, build_route_choice_game
-from aggeq.errors import DimensionError
+from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility, aggregate_matrix)
@@ -12,6 +12,7 @@ from aggeq.operators import (NASH, WARDROP, _min_eig_diag_plus_rank2,
                              build_operator, default_sampler,
                              monotonicity_analysis, operator_gap,
                              quadratic_monotonicity_conditions)
+from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -484,3 +485,38 @@ class TestQuadraticConditions:
         out = quadratic_monotonicity_conditions(0.1 * np.eye(2), C)
         assert not out["holds"]
         assert out["which_condition"] is None
+
+
+class TestDefaultSampler:
+    """A draw is lo + (hi - lo) * rng.random(shape), with the bytes of
+    ``rng.uniform(lo, hi)``: numpy computes that as lower + range * u in C.
+    A numpy build whose compiler fuses it into an FMA (e.g. aarch64 GCC)
+    could round differently, and this test is where that would show."""
+
+    @pytest.mark.parametrize("make_game", [
+        lambda: build_ev_game(generate_ev_params(M=9, seed=4)),
+        lambda: build_quadratic_game(M=9, n=6, seed=4),
+    ], ids=["ev", "quadratic"])
+    def test_draws_match_uniform_then_projection(self, make_game):
+        game = make_game()
+        proj = ProfileProjector(game.individual)
+        lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
+        sample = default_sampler(game)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for count in (None, 4, None, 1):
+            got = sample(rng, count)
+            if count is None:
+                want = proj(ref.uniform(lo, hi))
+            else:
+                Y = ref.uniform(lo, hi, size=(count,) + lo.shape)
+                want = proj(Y.reshape(-1, game.n)).reshape(Y.shape)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_unbounded_set_is_refused(self):
+        game = quadratic_game()
+        game = AggregativeGame(
+            M=2, n=1, cost=game.cost, coupling=game.coupling,
+            individual=(Box([0.0], [1.0]), Box([0.0], [np.inf])))
+        with pytest.raises(InfeasibleSetError):
+            default_sampler(game)

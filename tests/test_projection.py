@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from aggeq import projection
+from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network
 from aggeq.errors import ConvergenceError, InfeasibleSetError
 from aggeq.game import Box, BoxBudget, FlowPolytope
@@ -446,3 +448,63 @@ class TestFlowProjection:
         Xb = projb(np.zeros((4, 3)))
         for row in Xb:
             assert row.sum() >= 1.5 - 1e-9
+
+
+class TestValidateOnce:
+    """ProfileProjector's sets are validated BoxBudgets, so its box-budget
+    path skips project_box_budget_batch's checks; a capped projector checks
+    its fixed bounds once, when it is built."""
+
+    @pytest.fixture
+    def ev(self):
+        game = build_ev_game(generate_ev_params(M=15, seed=6))
+        lo = np.stack([cs.lo for cs in game.individual])
+        hi = np.stack([cs.hi for cs in game.individual])
+        theta = np.array([cs.theta for cs in game.individual])
+        return game, lo, hi, theta
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = projection._check_box_budget
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(projection, "_check_box_budget", counting)
+        return calls
+
+    def test_profile_path_matches_the_public_function(self, ev, checks):
+        game, lo, hi, theta = ev
+        proj = ProfileProjector(game.individual)
+        rng = np.random.default_rng(21)
+        for reps in (1, 4):
+            Y = rng.uniform(-0.5, 1.5, size=(reps * game.M, game.n)) \
+                * hi.max()
+            got = proj(Y)
+            assert not checks
+            want = project_box_budget_batch(Y, np.tile(lo, (reps, 1)),
+                                            np.tile(hi, (reps, 1)),
+                                            np.tile(theta, reps))
+            assert got.tobytes() == want.tobytes()
+            checks.clear()
+
+    def test_capped_projector_checks_once_when_built(self, ev, checks):
+        game, lo, hi, theta = ev
+        cap_hi = 0.9 * hi
+        capped = ProfileProjector(game.individual).capped(cap_hi)
+        assert len(checks) == 1
+        Y = np.random.default_rng(22).uniform(-1.0, 1.0, size=lo.shape)
+        got = capped(Y)
+        assert len(checks) == 1
+        want = project_box_budget_batch(Y, lo, np.maximum(
+            np.minimum(hi, cap_hi), lo), theta)
+        assert got.tobytes() == want.tobytes()
+
+    def test_capped_projector_refuses_a_budget_above_the_caps(self):
+        sets = [BoxBudget(np.zeros(3), np.ones(3), 2.0) for _ in range(2)]
+        proj = ProfileProjector(sets)
+        proj.capped(np.full((2, 3), 0.7))  # sum 2.1 >= 2: fine
+        with pytest.raises(InfeasibleSetError):
+            proj.capped(np.full((2, 3), 0.5))
