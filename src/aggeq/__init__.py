@@ -12,8 +12,8 @@ from .analysis import (ConstantsEstimate, VerificationReport,
                        vi_gap_sampled, wardrop_epsilon_bound)
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      DimensionError, InfeasibleSetError)
-from .game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
-                   DiagonalPrice, FlowPolytope, PriceTimesUsage,
+from .game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
+                   DiagonalPrice, FlowFamily, FlowPolytope, PriceTimesUsage,
                    QuadraticCost, QuadraticTracking, StrategyProfile,
                    ZeroUtility, aggregate, cost_value, feasibility_report)
 from .operators import (NASH, WARDROP, GameOperator, MonotonicityReport,

@@ -150,7 +150,7 @@ def best_response(game: AggregativeGame, i: int, z, lam,
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise DimensionError("multipliers must be nonnegative")
-    proj = ProfileProjector(game.individual)
+    proj = game.projector
     X0 = proj(np.zeros((game.M, game.n)))
     return _batch_best_response(game, proj, X0, z, lam, inner_tol)[i]
 
@@ -219,7 +219,7 @@ def _drive(game: AggregativeGame, flavor: str, config: SolverConfig,
     iterations, from the projected origin and zero multipliers.  Each
     iteration is one dual update, and config.max_iter >= 1 of them run at
     most."""
-    proj = ProfileProjector(game.individual)
+    proj = game.projector
     X = proj(np.zeros((game.M, game.n)))
     coupling = game.coupling
     lam = np.zeros(coupling.m)

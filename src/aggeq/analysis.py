@@ -20,8 +20,7 @@ from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
                    feasibility_report)
 from .operators import (NASH, SAMPLE_CHUNK_ENTRIES, build_operator,
                         default_sampler, monotonicity_analysis)
-from .projection import (ProfileProjector, dykstra, project_halfspace,
-                         project_individual)
+from .projection import dykstra, project_halfspace, project_individual
 
 ACTIVE_TOL = 1e-6
 # Stop test and pass cap of epsilon_nash's projected-gradient deviation.
@@ -146,8 +145,7 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
     sums are the rows of S."""
     coupling = game.coupling
     if coupling.A is None:
-        proj = ProfileProjector(game.individual).capped(
-            game.M * coupling.b[None, :] - S)
+        proj = game.projector.capped(game.M * coupling.b[None, :] - S)
         if proj is not None:
             return proj
     A = coupling.matrix()
@@ -216,17 +214,16 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar,
     min |G + Gamma^T mu| (inequality entries of mu >= 0).  By Moreau's
     decomposition along the tangent cone T at x, whose polar cone the
     active rows generate, that residual is -P_T(-G), and the normal part
-    -G - P_T(-G) is Gamma^T mu.  Box and box-budget sets take this route:
-    one batched projection for all agents
+    -G - P_T(-G) is Gamma^T mu.  Box families take this route: one
+    batched projection for all agents
     (``ProfileProjector.tangent_residual``), with the multipliers read off
-    the normal part.  Flow sets, and profiles that mix box and box-budget
-    sets, fit mu per agent by BVLS, an exact active-set solver: their
-    systems are small and dense, and their active sets are often degenerate
-    (flow conservation rows are always rank-deficient), where the iterative
-    default can run for minutes.
+    the normal part.  Flow sets fit mu per agent by BVLS, an exact
+    active-set solver: their systems are small and dense, and their active
+    sets are often degenerate (flow conservation rows are always
+    rank-deficient), where the iterative default can run for minutes.
 
     Reports the worst stationarity residual, the worst complementarity
-    product of the coupling multipliers, the smallest inequality
+    product of the coupling multipliers with lam > 0, the smallest inequality
     multiplier (0 for an agent whose active rows are dependent: its
     multipliers are not unique and some valid choice has a zero entry)
     and whether any agent's active rows are dependent.
@@ -235,14 +232,16 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar,
     lam = np.asarray(lambda_bar, dtype=float)
     op = build_operator(game, flavor)
     G = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
-    cone = ProfileProjector(game.individual).tangent_residual(X, G,
-                                                              ACTIVE_TOL)
+    cone = game.projector.tangent_residual(X, G, ACTIVE_TOL)
     if cone is not None:
         stationarity, min_mu, degenerate = _cone_multipliers(G, *cone)
     else:
         stationarity, min_mu, degenerate = _bvls_multipliers(game, X, G)
-    slack = game.coupling.residual(X)
-    complementarity = float(np.max(np.abs(lam * slack), initial=0.0))
+    # Only rows with lam > 0: a row without a bound (b = +inf) has slack
+    # +inf, and 0 * inf would read nan.
+    held = lam > 0.0
+    complementarity = float(np.max(
+        np.abs(lam[held] * game.coupling.residual(X)[held]), initial=0.0))
     return {
         "stationarity": stationarity,
         "complementarity": complementarity,
@@ -252,18 +251,20 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar,
     }
 
 
-def _cone_multipliers(G, R, at_lo, at_hi, budget) -> tuple:
+def _cone_multipliers(G, R, at_lo, at_hi, pinned, budget) -> tuple:
     """(stationarity, min_mu, degenerate) from the tangent-cone residual R.
 
     The normal part N = R - G equals -mu_lo + mu_hi - mu_budget per
-    component.  A component at both bounds, or an active budget with no
-    free component, makes the rows dependent; otherwise mu_budget is -N on
-    the free components (their mean) and each one-sided bound's multiplier
-    follows from its component.
+    component.  A pinned component (lo == hi) is one equality row, whose
+    multiplier has no sign.  A component at both bounds that is not
+    pinned, or an active budget with no free component, makes the rows
+    dependent; otherwise mu_budget is -N on the free components (their
+    mean) and each one-sided bound's multiplier follows from its component.
     """
     free = ~(at_lo | at_hi)
     n_free = free.sum(axis=1)
-    degenerate = np.any(at_lo & at_hi, axis=1) | (budget & (n_free == 0))
+    degenerate = (np.any(at_lo & at_hi & ~pinned, axis=1)
+                  | (budget & (n_free == 0)))
     N = R - G
     mu_budget = np.where(budget, -np.where(free, N, 0.0).sum(axis=1)
                          / np.maximum(n_free, 1), 0.0)

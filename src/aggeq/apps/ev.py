@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from ..errors import DimensionError, InfeasibleSetError
-from ..game import (AggregativeGame, BoxBudget, CouplingConstraint,
+from ..game import (AggregativeGame, BoxFamily, CouplingConstraint,
                     DiagonalPrice, PriceTimesUsage, ZeroUtility,
                     sum_rounding_bound)
 
@@ -190,9 +190,8 @@ def _greedy_population_feasibility(params: EvParams):
 def build_ev_game(params: EvParams) -> AggregativeGame:
     """Charging game: box-budget agents, per-slot fleet cap, sqrt price."""
     _greedy_population_feasibility(params)
-    individual = tuple(
-        BoxBudget(np.zeros(params.n), params.xtilde[i], params.theta[i])
-        for i in range(params.M))
+    individual = BoxFamily(np.zeros_like(params.xtilde), params.xtilde,
+                           params.theta)
     coupling = CouplingConstraint.per_component_cap(params.K, params.M)
     cost = PriceTimesUsage(
         utility=ZeroUtility(),

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, CouplingConstraint, DiagonalPrice,
-                    FlowPolytope, PriceTimesUsage, QuadraticTracking)
+                    FlowFamily, PriceTimesUsage, QuadraticTracking)
 
 SPEED_KMH = {"main": 50.0, "secondary": 30.0}
 
@@ -344,15 +344,12 @@ def build_route_choice_game(network: RoadNetwork,
     M = len(od_pairs)
     gamma = rng.uniform(gamma_range[0], gamma_range[1], size=M)
     ref = np.zeros((M, E))
-    individual = []
+    b_ods = np.zeros((M, V))
     for i, (o, d) in enumerate(od_pairs):
         if not (0 <= o < V and 0 <= d < V) or o == d:
             raise DimensionError(f"bad od pair {(o, d)} for agent {i}")
         ref[i] = shortest_path(network, o, d)
-        b_od = np.zeros(V)
-        b_od[o] = -1.0
-        b_od[d] = 1.0
-        individual.append(FlowPolytope(network.B, b_od))
+        b_ods[i, o], b_ods[i, d] = -1.0, 1.0
     cost = PriceTimesUsage(
         utility=QuadraticTracking(gamma, ref),
         price=_edge_price(network),
@@ -364,7 +361,8 @@ def build_route_choice_game(network: RoadNetwork,
         "gamma_hat": float(gamma_range[0]),
         "od_pairs": tuple(od_pairs),
     }
-    return AggregativeGame(M=M, n=E, cost=cost, individual=tuple(individual),
+    return AggregativeGame(M=M, n=E, cost=cost,
+                           individual=FlowFamily(network.B, b_ods),
                            coupling=coupling, tag="traffic", meta=meta)
 
 

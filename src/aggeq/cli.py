@@ -33,8 +33,8 @@ from .apps.traffic import (_require_columns, build_route_choice_game,
                            load_network)
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      InfeasibleSetError)
-from .game import (AggregativeGame, Box, CouplingConstraint, QuadraticCost,
-                   aggregate_matrix, feasibility_report)
+from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                   QuadraticCost, aggregate_matrix, feasibility_report)
 from .operators import WARDROP, build_operator, monotonicity_analysis
 from .synthetic import build_quadratic_game
 
@@ -162,8 +162,7 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
         c = np.atleast_2d(data["c"])
         M_file, n = c.shape
         cost = QuadraticCost(Q=data["Q"], C=data["C"], c=c)
-        individual = tuple(Box(data["lo"], data["hi"])
-                           for _ in range(M_file))
+        individual = BoxFamily.common(data["lo"], data["hi"], M_file)
         if "A" in data and "b" in data:
             coupling = CouplingConstraint.dense(data["A"], data["b"],
                                                 M_file, n)

@@ -12,6 +12,7 @@ the verification ask of them, so no caller dispatches on their type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -106,94 +107,104 @@ def aggregate(x: Union[StrategyProfile, np.ndarray], M: Optional[int] = None,
 # Individual constraint sets
 # ---------------------------------------------------------------------------
 #
-# Each gives violation(x), bounds() and active_rows(x, tol): the
-# (inequality, equality) gradient rows, as (k, n) arrays, of the constraints
-# active at x within tol.
+# A game holds one family of sets, a BoxFamily or a FlowFamily, with
+# bounds() and violation(X) for all agents at once.  family[i], a Box or a
+# FlowPolytope viewing its arrays, gives violation(x) and active_rows(x,
+# tol): the (inequality, equality) gradient rows, as (k, n) arrays, of the
+# constraints active at x within tol.
 
 
-def _active_box_rows(x, lo, hi, tol) -> np.ndarray:
-    """-e_t where x_t <= lo_t + tol and +e_t where x_t >= hi_t - tol, per
-    component the lo row before the hi row."""
-    t, at_hi = np.nonzero(np.stack([x <= lo + tol, x >= hi - tol], axis=1))
-    rows = np.zeros((t.size, x.size))
-    rows[np.arange(t.size), t] = np.where(at_hi, 1.0, -1.0)
+def check_box_budget(lo, hi, theta) -> None:
+    """Raise InfeasibleSetError unless lo <= hi and every budget theta is at
+    most sum(hi) over the last axis, up to that sum's rounding bound."""
+    if np.any(lo > hi):
+        raise InfeasibleSetError("box requires lo <= hi componentwise")
+    if np.any(theta - hi.sum(axis=-1) > sum_rounding_bound(hi)):
+        raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
+
+
+def _check_flows(B, b_ods) -> None:
+    """Raise unless B x = b_od is consistent for every row b_od of b_ods,
+    with one least-squares check per distinct row."""
+    if B.ndim != 2 or b_ods.ndim != 2 or b_ods.shape[1] != B.shape[0]:
+        raise DimensionError("incidence matrix rows must match b_od length")
+    if not np.all(np.isin(b_ods, (-1.0, 0.0, 1.0))):
+        raise InfeasibleSetError("b_od entries must be in {-1, 0, 1}")
+    if np.any(np.abs(b_ods.sum(axis=1)) > 1e-12):
+        raise InfeasibleSetError("b_od must sum to zero")
+    rhs = np.unique(b_ods, axis=0).T
+    x0 = np.linalg.lstsq(B, rhs, rcond=None)[0]
+    if np.max(np.abs(B @ x0 - rhs), initial=0.0) > 1e-8:
+        raise InfeasibleSetError("system B x = b_od is inconsistent")
+
+
+def _box_violation(X, lo, hi, theta):
+    """Largest breach of lo <= x <= hi and sum(x) >= theta, over the last
+    axis of X."""
+    box = np.maximum(np.max(lo - X, axis=-1, initial=0.0),
+                     np.max(X - hi, axis=-1, initial=0.0))
+    return np.maximum(box, theta - X.sum(axis=-1))
+
+
+def _flow_violation(X, B, b_od):
+    """Largest breach of 0 <= x <= 1 and B x = b_od, over the last axis."""
+    cons = np.max(np.abs(X @ B.T - b_od), axis=-1, initial=0.0)
+    return np.maximum(_box_violation(X, 0.0, 1.0, -np.inf), cons)
+
+
+def _active_box_rows(n, at_lo, at_hi) -> np.ndarray:
+    """-e_t where at_lo[t] and +e_t where at_hi[t], per component the lo
+    row before the hi row."""
+    t, hi_row = np.nonzero(np.stack([at_lo, at_hi], axis=1))
+    rows = np.zeros((t.size, n))
+    rows[np.arange(t.size), t] = np.where(hi_row, 1.0, -1.0)
     return rows
+
+
+def _freeze(obj, **arrays):
+    """Set the fields of the frozen dataclass obj to the arrays, made
+    read-only."""
+    for a in arrays.values():
+        a.setflags(write=False)
+    obj.__dict__.update(arrays)
+
+
+def _view(cls, **values):
+    """An instance of the frozen dataclass cls holding values, made without
+    its checks: agent i's set, viewing a family that passed them."""
+    view = object.__new__(cls)
+    view.__dict__.update(values)
+    return view
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box {x : lo <= x <= hi}."""
+    """Axis-aligned box {x : lo <= x <= hi} with the minimum total
+    sum(x) >= theta; theta = -inf for a box without a budget."""
 
     lo: np.ndarray
     hi: np.ndarray
+    theta: float = -np.inf
 
     def __post_init__(self):
-        lo, hi = _vec(self.lo, "lo"), _vec(self.hi, "hi")
-        if lo.shape != hi.shape:
-            raise DimensionError("lo and hi must have the same shape")
-        if np.any(lo > hi):
-            raise InfeasibleSetError("box requires lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self):
-        return self.lo.size
-
-    def bounds(self):
-        return self.lo, self.hi
+        # Checked, copied and frozen as the one row of a family.
+        one = BoxFamily([_vec(self.lo, "lo")], [_vec(self.hi, "hi")],
+                        [self.theta])
+        self.__dict__.update(one[0].__dict__)
 
     def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(max(np.max(self.lo - x, initial=0.0),
-                         np.max(x - self.hi, initial=0.0)))
+        return float(_box_violation(np.asarray(x, dtype=float), self.lo,
+                                    self.hi, self.theta))
 
     def active_rows(self, x, tol):
-        return (_active_box_rows(x, self.lo, self.hi, tol),
-                np.zeros((0, x.size)))
-
-
-@dataclass(frozen=True)
-class BoxBudget:
-    """Box intersected with a minimum-total constraint sum(x) >= theta."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        lo, hi = _vec(self.lo, "lo"), _vec(self.hi, "hi")
-        if lo.shape != hi.shape:
-            raise DimensionError("lo and hi must have the same shape")
-        if np.any(lo > hi):
-            raise InfeasibleSetError("box requires lo <= hi componentwise")
-        excess = self.theta - float(np.sum(hi))
-        if excess > 0.0 and excess > sum_rounding_bound(hi):
-            raise InfeasibleSetError(
-                f"budget theta={self.theta} exceeds sum(hi)={np.sum(hi)}"
-            )
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "theta", float(self.theta))
-
-    @property
-    def dim(self):
-        return self.lo.size
-
-    def bounds(self):
-        return self.lo, self.hi
-
-    def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        box = max(np.max(self.lo - x, initial=0.0),
-                  np.max(x - self.hi, initial=0.0))
-        return float(max(box, self.theta - float(np.sum(x))))
-
-    def active_rows(self, x, tol):
-        ineq = _active_box_rows(x, self.lo, self.hi, tol)
+        """A pinned component (lo == hi) is one equality row e_t; the other
+        components give their active bound rows, then the budget row."""
+        pinned = self.lo == self.hi
+        ineq = _active_box_rows(x.size, (x <= self.lo + tol) & ~pinned,
+                                (x >= self.hi - tol) & ~pinned)
         if float(np.sum(x)) <= self.theta + tol:
             ineq = np.vstack([ineq, -np.ones(x.size)])
-        return ineq, np.zeros((0, x.size))
+        return ineq, np.eye(x.size)[pinned]
 
 
 @dataclass(frozen=True)
@@ -208,44 +219,94 @@ class FlowPolytope:
     b_od: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
-        b_od = _vec(self.b_od, "b_od")
-        if B.ndim != 2 or B.shape[0] != b_od.size:
-            raise DimensionError("incidence matrix rows must match b_od length")
-        vals = np.unique(b_od)
-        if not np.all(np.isin(vals, (-1.0, 0.0, 1.0))):
-            raise InfeasibleSetError("b_od entries must be in {-1, 0, 1}")
-        if abs(float(np.sum(b_od))) > 1e-12:
-            raise InfeasibleSetError("b_od must sum to zero")
-        x0 = np.linalg.lstsq(B, b_od, rcond=None)[0]
-        if np.max(np.abs(B @ x0 - b_od), initial=0.0) > 1e-8:
-            raise InfeasibleSetError("system B x = b_od is inconsistent")
-        B = B.copy()
-        B.setflags(write=False)
-        b_od = b_od.copy()
-        b_od.setflags(write=False)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b_od", b_od)
-
-    @property
-    def dim(self):
-        return self.B.shape[1]
-
-    def bounds(self):
-        e = self.B.shape[1]
-        return np.zeros(e), np.ones(e)
+        # Checked, copied and frozen as the one row of a family.
+        one = FlowFamily(self.B, [_vec(self.b_od, "b_od")])
+        self.__dict__.update(one[0].__dict__)
 
     def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        box = max(np.max(-x, initial=0.0), np.max(x - 1.0, initial=0.0))
-        cons = float(np.max(np.abs(self.B @ x - self.b_od), initial=0.0))
-        return float(max(box, cons))
+        return float(_flow_violation(np.asarray(x, dtype=float), self.B,
+                                     self.b_od))
 
     def active_rows(self, x, tol):
-        return _active_box_rows(x, 0.0, 1.0, tol), self.B
+        return _active_box_rows(x.size, x <= tol, x >= 1.0 - tol), self.B
 
 
-IndividualConstraintSet = Union[Box, BoxBudget, FlowPolytope]
+@dataclass(frozen=True)
+class BoxFamily:
+    """Every agent's Box: (M, n) bounds lo and hi, and (M,) budgets theta,
+    -inf for an agent without a budget (theta None: no agent has one)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    theta: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        # C order: a copied broadcast keeps its stride-0 axis innermost.
+        lo, hi = (np.array(a, float, order="C") for a in (self.lo, self.hi))
+        if lo.ndim != 2 or hi.shape != lo.shape:
+            raise DimensionError("lo and hi must both be (M, n)")
+        theta = np.array(np.full(len(lo), -np.inf) if self.theta is None
+                         else self.theta, dtype=float)
+        if theta.shape != (len(lo),):
+            raise DimensionError("theta must have one entry per agent")
+        check_box_budget(lo, hi, theta)
+        _freeze(self, lo=lo, hi=hi, theta=theta)
+
+    @classmethod
+    def common(cls, lo, hi, M: int) -> "BoxFamily":
+        """M agents sharing the box [lo, hi], without budgets."""
+        return cls(*(np.broadcast_to(_vec(a), (M, np.size(a)))
+                     for a in (lo, hi)))
+
+    @property
+    def n(self):
+        return self.lo.shape[1]
+
+    def __len__(self):
+        return len(self.lo)
+
+    def __getitem__(self, i) -> Box:
+        return _view(Box, lo=self.lo[i], hi=self.hi[i],
+                     theta=float(self.theta[i]))
+
+    def bounds(self):
+        return self.lo, self.hi
+
+    def violation(self, X) -> np.ndarray:
+        return _box_violation(X, self.lo, self.hi, self.theta)
+
+
+@dataclass(frozen=True)
+class FlowFamily:
+    """Every agent's FlowPolytope: one read-only incidence matrix B and
+    (M, V) origin-destination rows b_ods."""
+
+    B: np.ndarray
+    b_ods: np.ndarray
+
+    def __post_init__(self):
+        B, b_ods = (np.array(a, dtype=float) for a in (self.B, self.b_ods))
+        _check_flows(B, b_ods)
+        _freeze(self, B=B, b_ods=b_ods)
+
+    @property
+    def n(self):
+        return self.B.shape[1]
+
+    def __len__(self):
+        return len(self.b_ods)
+
+    def __getitem__(self, i) -> FlowPolytope:
+        return _view(FlowPolytope, B=self.B, b_od=self.b_ods[i])
+
+    def bounds(self):
+        return np.zeros((len(self), self.n)), np.ones((len(self), self.n))
+
+    def violation(self, X) -> np.ndarray:
+        return _flow_violation(X, self.B, self.b_ods)
+
+
+SetFamily = Union[BoxFamily, FlowFamily]
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +724,7 @@ class AggregativeGame:
     M: int
     n: int
     cost: CostModel
-    individual: tuple
+    individual: SetFamily
     coupling: CouplingConstraint
     tag: Optional[str] = None
     meta: dict = field(default_factory=dict)
@@ -671,17 +732,21 @@ class AggregativeGame:
     def __post_init__(self):
         if self.M <= 0 or self.n <= 0:
             raise DimensionError("games require M >= 1 and n >= 1")
-        individual = tuple(self.individual)
-        if len(individual) != self.M:
+        if len(self.individual) != self.M:
             raise DimensionError("one individual constraint set per agent")
-        for cs in individual:
-            if cs.dim != self.n:
-                raise DimensionError("individual set dimension mismatch")
+        if self.individual.n != self.n:
+            raise DimensionError("individual set dimension mismatch")
         if self.coupling.M != self.M or self.coupling.n != self.n:
             raise DimensionError("coupling constraint dimension mismatch")
         if self.cost.n != self.n:
             raise DimensionError("cost model dimension mismatch")
-        object.__setattr__(self, "individual", individual)
+
+    @cached_property
+    def projector(self):
+        """The ProfileProjector of the individual sets, built on first use
+        and shared by every solve and check of the game."""
+        from .projection import ProfileProjector
+        return ProfileProjector(self.individual)
 
     def profile(self, x) -> StrategyProfile:
         if isinstance(x, StrategyProfile):
@@ -693,13 +758,8 @@ class AggregativeGame:
 
     def bounding_box(self):
         """Tightest common box containing every individual set."""
-        lo = np.full(self.n, np.inf)
-        hi = np.full(self.n, -np.inf)
-        for cs in self.individual:
-            l, h = cs.bounds()
-            lo = np.minimum(lo, l)
-            hi = np.maximum(hi, h)
-        return lo, hi
+        lo, hi = self.individual.bounds()
+        return lo.min(axis=0), hi.max(axis=0)
 
 
 def cost_value(game: AggregativeGame, i: int, x_i, z) -> float:
@@ -735,8 +795,7 @@ def feasibility_report(game: AggregativeGame, x, tol: float = 1e-6
     """Check individual and coupling feasibility of a profile within tol."""
     prof = game.profile(x)
     X = prof.as_matrix()
-    viol = np.array([game.individual[i].violation(X[i])
-                     for i in range(game.M)])
+    viol = game.individual.violation(X)
     resid = game.coupling.residual(X)
     feasible = bool(np.all(viol <= tol) and np.min(resid, initial=0.0) >= -tol)
     return FeasibilityReport(viol, resid, feasible)

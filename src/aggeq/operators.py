@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleSetError
 from .game import AggregativeGame, aggregate_matrix
-from .projection import ProfileProjector
 
 NASH = "nash"
 WARDROP = "wardrop"
@@ -163,8 +162,8 @@ def default_sampler(game: AggregativeGame) -> Callable:
     C with the same roundings; with array bounds that per-element path is
     the slower one.  Raises InfeasibleSetError when a set is unbounded.
     """
-    proj = ProfileProjector(game.individual)
-    lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
+    proj = game.projector
+    lo, hi = game.individual.bounds()
     span = hi - lo
     if not np.all(np.isfinite(span)):
         raise InfeasibleSetError("unbounded individual sets")

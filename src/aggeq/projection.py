@@ -1,38 +1,29 @@
 """Exact Euclidean projections onto the constraint geometries used by the
-solvers: boxes, box-plus-budget sets, flow polytopes, halfspaces, and
+solvers: boxes with an optional budget, flow polytopes, halfspaces, and
 intersections handled by Dykstra's alternating scheme.  Also the exact
-linear minimizer over box-plus-budget sets.
+linear minimizer over box-plus-budget sets, and ``ProfileProjector``, which
+projects a whole profile onto a game's set family.
 
 All functions are pure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, InfeasibleSetError
-from .game import (Box, BoxBudget, FlowPolytope, IndividualConstraintSet,
+from .errors import ConvergenceError
+from .game import (Box, BoxFamily, FlowPolytope, SetFamily, check_box_budget,
                    sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
 
 
-def project_box(y, lo, hi) -> np.ndarray:
-    """Componentwise clamp of y to [lo, hi]."""
-    y = np.asarray(y, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise InfeasibleSetError("box requires lo <= hi componentwise")
-    return np.clip(y, lo, hi)
-
-
 def project_box_budget(y, lo, hi, theta) -> np.ndarray:
-    """Projection onto {x in [lo, hi] : sum(x) >= theta}: a one-row call of
-    project_box_budget_batch."""
+    """Projection onto {x in [lo, hi] : sum(x) >= theta}, the clamp when
+    theta = -inf: a one-row call of project_box_budget_batch."""
     y = np.asarray(y, dtype=float)
     return project_box_budget_batch(y[None, :], lo, hi,
                                     np.reshape(theta, 1))[0]
@@ -58,24 +49,17 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     lo = np.broadcast_to(np.asarray(lo, dtype=float), Y.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), Y.shape)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), Y.shape[:1])
-    _check_box_budget(lo, hi, theta)
+    check_box_budget(lo, hi, theta)
     return _box_budget_rows(Y, lo, hi, theta)
 
 
-def _check_box_budget(lo, hi, theta) -> None:
-    """The checks of project_box_budget_batch on (M, n) bounds and (M,)
-    budgets."""
-    if np.any(lo > hi):
-        raise InfeasibleSetError("box requires lo <= hi componentwise")
-    over = theta - hi.sum(axis=1)
-    if np.any(over > 0.0) and np.any(over > sum_rounding_bound(hi)):
-        raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
-
-
-def _box_budget_rows(Y, lo, hi, theta) -> np.ndarray:
+def _box_budget_rows(Y, lo, hi, theta=None) -> np.ndarray:
     """The body of project_box_budget_batch, for float Y and bounds of its
-    shape that passed _check_box_budget."""
+    shape that passed check_box_budget; the clamp alone when theta is
+    None."""
     X = np.minimum(np.maximum(Y, lo), hi)
+    if theta is None:
+        return X
     short = theta - X.sum(axis=1)
     need = short > 0.0
     need[need] = short[need] > sum_rounding_bound(X[need])
@@ -136,42 +120,30 @@ def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
 
 
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
-    """Projection onto {x in [0, 1]^E : B x = b_od}: a one-row call of
-    _project_flow_batch."""
-    Y, b_ods = (np.asarray(v, dtype=float)[None, :] for v in (y, b_od))
-    return _project_flow_batch(Y, np.asarray(B, dtype=float), b_ods)[0]
+    """Projection onto {x in [0, 1]^E : B x = b_od}.
 
-
-def _project_flow_batch(Y, B, b_ods) -> np.ndarray:
-    """Projection of every row of Y onto {x in [0, 1]^E : B x = b_ods[i]}.
-
-    Works on the concave dual over the node multipliers mu_i:
-    x_i(mu_i) = clip(y_i - B^T mu_i, 0, 1) and d(mu) = sum_i
-    0.5 |x_i(mu_i) - y_i|^2 + mu_i^T (B x_i(mu_i) - b_ods[i]).  The dual is
-    separable across rows, so one L-BFGS-B run maximizes every row's at
-    once; a per-row active-set polish then restores the conservation
-    equations to machine precision.  This is orders of magnitude faster
-    than alternating projections when y is far from the polytope.
+    Works on the concave dual over the node multipliers mu:
+    x(mu) = clip(y - B^T mu, 0, 1) and d(mu) = 0.5 |x(mu) - y|^2
+    + mu^T (B x(mu) - b_od).  One L-BFGS-B run maximizes it; an active-set
+    polish then restores the conservation equations to machine precision.
+    This is orders of magnitude faster than alternating projections when
+    y is far from the polytope.
     """
     from scipy.optimize import minimize
 
-    M, V = Y.shape[0], B.shape[0]
+    y, B, b_od = (np.asarray(v, dtype=float) for v in (y, B, b_od))
 
     def neg_dual(mu):
-        X = np.clip(Y - mu.reshape(M, V) @ B, 0.0, 1.0)
-        R = X @ B.T - b_ods
-        # Dot products of the flattened arrays: on one row they round as
-        # a single agent's vector dot products.
-        D = (X - Y).ravel()
-        val = 0.5 * float(D @ D) + float(mu @ R.ravel())
-        return -val, -R.ravel()
+        x = np.clip(y - B.T @ mu, 0.0, 1.0)
+        r = B @ x - b_od
+        val = 0.5 * float((x - y) @ (x - y)) + float(mu @ r)
+        return -val, -r
 
-    res = minimize(neg_dual, np.zeros(M * V), jac=True, method="L-BFGS-B",
+    res = minimize(neg_dual, np.zeros(B.shape[0]), jac=True,
+                   method="L-BFGS-B",
                    options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-12})
-    U = Y - res.x.reshape(M, V) @ B
-    X = np.clip(U, 0.0, 1.0)
-    return np.stack([_polish_flow(X[i], U[i], Y[i], B, b_ods[i])
-                     for i in range(M)])
+    u = y - B.T @ res.x
+    return _polish_flow(np.clip(u, 0.0, 1.0), u, y, B, b_od)
 
 
 def _polish_flow(x, u, y, B, b_od, margin=1e-7):
@@ -238,119 +210,89 @@ def dykstra(y, projectors: Sequence[Callable], tol: float = DYKSTRA_TOL,
         last=x, gap=gap)
 
 
-def project_individual(cs: IndividualConstraintSet, y) -> np.ndarray:
-    """Projection onto an individual constraint set, dispatched per variant."""
-    if isinstance(cs, Box):
-        return project_box(y, cs.lo, cs.hi)
-    if isinstance(cs, BoxBudget):
-        return project_box_budget(y, cs.lo, cs.hi, cs.theta)
+def project_individual(cs: Union[Box, FlowPolytope], y) -> np.ndarray:
+    """Projection onto one agent's set."""
     if isinstance(cs, FlowPolytope):
         return project_flow_polytope(y, cs.B, cs.b_od)
-    raise DimensionError(f"no projection for {type(cs).__name__}")
+    return project_box_budget(y, cs.lo, cs.hi, cs.theta)
 
 
-def _tile(a: np.ndarray, reps: int) -> np.ndarray:
-    """a stacked reps times along its first axis; a itself when reps is 1."""
-    return a if reps == 1 else np.tile(a, (reps,) + (1,) * (a.ndim - 1))
+def _tile(arrays: tuple, k: int):
+    """Each array stacked k times along its first axis."""
+    return arrays if k == 1 else [np.concatenate([a] * k) for a in arrays]
 
 
 class ProfileProjector:
     """Projection of an (M, n) strategy matrix onto the product of the
-    agents' individual sets, vectorized when the sets share a variant.  A
-    (k M, n) stack of k profiles, row r belonging to agent r mod M, is
-    projected in the same call, each row to the bytes it gets alone."""
+    agents' sets, one set family.  A box family takes one batched pass (the
+    clamp alone when no budget is finite), a flow family one
+    ``project_individual`` call per row.  A (k M, n) stack of k profiles,
+    row r belonging to agent r mod M, is projected in the same call, each
+    row to the bytes it gets alone."""
 
-    def __init__(self, individual: Sequence[IndividualConstraintSet]):
-        self.individual = tuple(individual)
-        self._mode = "generic"
-        first = self.individual[0]
-        if all(isinstance(cs, BoxBudget) for cs in self.individual):
-            self._mode = "box_budget"
-            self._lo = np.stack([cs.lo for cs in self.individual])
-            self._hi = np.stack([cs.hi for cs in self.individual])
-            self._theta = np.array([cs.theta for cs in self.individual])
-        elif all(isinstance(cs, Box) for cs in self.individual):
-            self._mode = "box"
-            self._lo = np.stack([cs.lo for cs in self.individual])
-            self._hi = np.stack([cs.hi for cs in self.individual])
-        elif (all(isinstance(cs, FlowPolytope) for cs in self.individual)
-              and all(cs.B is first.B for cs in self.individual)):
-            self._mode = "flow"
-            self._B = first.B
-            self._b_ods = np.stack([cs.b_od for cs in self.individual])
+    def __init__(self, family: SetFamily):
+        self.family = family
+        self._M = len(family)
+        self._box = isinstance(family, BoxFamily)
+        if self._box:
+            # The clamp's bounds, plus the budgets when some are finite.
+            budgets = bool(np.any(family.theta > -np.inf))
+            self._bounds = ((family.lo, family.hi, family.theta) if budgets
+                            else (family.lo, family.hi))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
-        reps = len(Y) // len(self.individual)
-        if self._mode == "box":
-            # np.clip's values, at a third of its cost with array bounds.
-            return np.minimum(np.maximum(Y, _tile(self._lo, reps)),
-                              _tile(self._hi, reps))
-        if self._mode == "box_budget":
-            # The sets are validated BoxBudgets: no checks per call.
+        M = self._M
+        reps = len(Y) // M
+        if self._box:
+            # The family is validated: no checks per call.
             return _box_budget_rows(np.asarray(Y, dtype=float),
-                                    _tile(self._lo, reps),
-                                    _tile(self._hi, reps),
-                                    _tile(self._theta, reps))
-        if self._mode == "flow":
-            # One dual run per profile: the run's stopping test is joint.
-            return np.concatenate([
-                _project_flow_batch(block, self._B, self._b_ods)
-                for block in np.split(np.asarray(Y, dtype=float), reps)])
-        return np.stack([project_individual(cs, y)
-                         for cs, y in zip(self.individual * reps, Y)])
+                                    *_tile(self._bounds, reps))
+        return np.stack([project_individual(self.family[r % M], y)
+                         for r, y in enumerate(Y)])
 
     def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
         """Every agent's stationarity residual -P_T(-G[i]), T the tangent
-        cone of its set at X[i], with the active sets it used; None unless
-        all sets are boxes or all are box-budget sets.
+        cone of its set at X[i], with the active sets it used; None for a
+        flow family.
 
         The active sets are those of ``active_rows``: at_lo where
         x <= lo + tol, at_hi where x >= hi - tol, and the budget row where
         sum(x) <= theta + tol.  T bounds each active component's sign and,
-        under an active budget, the sum from below by 0.  For a box the
-        projection is a clip; for a box-budget set it is
+        under an active budget, the sum from below by 0.  The projection is
         ``project_box_budget_batch`` with the free bounds at
         +-(n + 1)(|G[i]|_inf + 1), which the projection never reaches.
-        Returns (R, at_lo, at_hi, budget) with R and the masks (M, n) and
-        budget (M,).
+        Returns (R, at_lo, at_hi, pinned, budget) with R and the masks
+        (M, n), pinned where lo == hi, and budget (M,).
         """
-        if self._mode not in ("box", "box_budget"):
+        if not self._box:
             return None
-        at_lo = X <= self._lo + tol
-        at_hi = X >= self._hi - tol
-        if self._mode == "box":
-            budget = np.zeros(len(X), dtype=bool)
-            P = np.clip(-G, np.where(at_lo, 0.0, -np.inf),
-                        np.where(at_hi, 0.0, np.inf))
-        else:
-            budget = X.sum(axis=1) <= self._theta + tol
-            far = (X.shape[1] + 1) * (np.max(np.abs(G), axis=1,
-                                             keepdims=True) + 1.0)
-            P = project_box_budget_batch(-G, np.where(at_lo, 0.0, -far),
-                                         np.where(at_hi, 0.0, far),
-                                         np.where(budget, 0.0, -np.inf))
-        return -P, at_lo, at_hi, budget
+        lo, hi, theta = self.family.lo, self.family.hi, self.family.theta
+        at_lo = X <= lo + tol
+        at_hi = X >= hi - tol
+        budget = X.sum(axis=1) <= theta + tol
+        far = (X.shape[1] + 1) * (np.max(np.abs(G), axis=1,
+                                         keepdims=True) + 1.0)
+        P = project_box_budget_batch(-G, np.where(at_lo, 0.0, -far),
+                                     np.where(at_hi, 0.0, far),
+                                     np.where(budget, 0.0, -np.inf))
+        return -P, at_lo, at_hi, lo == hi, budget
 
     def minimize_linear(self, Q_costs: np.ndarray):
         """Every agent's minimizer of Q_costs[i]^T x over its set: exact for
-        box-budget sets (a greedy fill), None for the others."""
-        if self._mode != "box_budget":
-            return None
-        return _greedy_linear_box_budget_batch(Q_costs, self._lo, self._hi,
-                                               self._theta)
+        a box family (a greedy fill), None for a flow family."""
+        f = self.family
+        return (_greedy_linear_box_budget_batch(Q_costs, f.lo, f.hi, f.theta)
+                if self._box else None)
 
     def capped(self, cap_hi: np.ndarray):
         """Projector onto the same sets with every upper bound lowered to
-        cap_hi (never below lo), or None unless all sets are boxes or all
-        are box-budget sets.  The lowered bounds are checked once, here:
-        InfeasibleSetError when a cap pushes some budget above sum(hi)."""
-        if self._mode not in ("box", "box_budget"):
+        cap_hi (never below lo), or None for a flow family.  The lowered
+        bounds are checked once, here: InfeasibleSetError when a cap pushes
+        some budget above sum(hi)."""
+        if not self._box:
             return None
-        lo = self._lo
-        hi = np.maximum(np.minimum(self._hi, cap_hi), lo)  # tight-cap roundoff
-        if self._mode == "box":
-            return lambda Y: np.clip(Y, lo, hi)
-        theta = self._theta
-        _check_box_budget(lo, hi, theta)
+        lo, hi, *theta = self._bounds
+        hi = np.maximum(np.minimum(hi, cap_hi), lo)  # tight-cap roundoff
+        check_box_budget(lo, hi, self.family.theta)
         return lambda Y: _box_budget_rows(np.asarray(Y, dtype=float), lo, hi,
-                                          theta)
+                                          *theta)

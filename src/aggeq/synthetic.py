@@ -6,7 +6,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game import (AggregativeGame, Box, CouplingConstraint, QuadraticCost)
+from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                   QuadraticCost)
 
 
 def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
@@ -24,7 +25,7 @@ def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     c = rng.uniform(c_low, c_high, size=(M, n))
     cost = QuadraticCost(Q=q * np.eye(n), C=np.eye(n), c=c)
-    individual = tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M))
+    individual = BoxFamily.common(np.zeros(n), np.ones(n), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling, tag="quadratic")

@@ -18,7 +18,7 @@ from aggeq.analysis import (distance_bounds, epsilon_nash, estimate_constants,
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import (build_network, build_route_choice_game,
                                 load_network, traffic_bounds)
-from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
+from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
                         FlowPolytope, QuadraticCost, aggregate_matrix)
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis, operator_gap)
@@ -174,7 +174,7 @@ def test_criterion_7_brute_force_oracle():
                          c=np.array([[-2.0], [-2.0]]))
     game = AggregativeGame(
         M=2, n=1, cost=cost,
-        individual=(Box([0.0], [2.0]), Box([0.0], [2.0])),
+        individual=BoxFamily.common([0.0], [2.0], 2),
         coupling=CouplingConstraint.per_component_cap([0.5], 2))
     res = asymmetric_projection(game, NASH, SolverConfig(tol=1e-6))
 
@@ -197,7 +197,7 @@ def test_criterion_7_brute_force_oracle():
         M=1, n=1,
         cost=QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
                            c=np.array([[-2.0]])),
-        individual=(Box([0.0], [3.0]),),
+        individual=BoxFamily.common([0.0], [3.0], 1),
         coupling=CouplingConstraint.per_component_cap([1.0], 1))
     res_s = asymmetric_projection(single, NASH, SolverConfig(tol=1e-6))
     kkt_ok = (abs(res_s.x.entries[0] - 1.0) <= 1e-4
@@ -233,7 +233,7 @@ def test_criterion_9_projection_suite():
         hi = lo + rng.uniform(0.5, 2.0, size=n)
         theta = float(lo.sum() + rng.uniform(0.2, 0.8) * (hi - lo).sum())
         box = Box(lo, hi)
-        bb = BoxBudget(lo, hi, theta)
+        bb = Box(lo, hi, theta)
         for cs, dim in ((box, n), (bb, n), (flow, 2)):
             y1 = rng.uniform(-3.0, 3.0, size=dim)
             y2 = rng.uniform(-3.0, 3.0, size=dim)
@@ -299,7 +299,7 @@ def test_criterion_10_operator_suite():
         M=3, n=2,
         cost=QuadraticCost(Q=np.eye(2), C=np.zeros((2, 2)),
                            c=np.zeros((3, 2))),
-        individual=tuple(Box(np.zeros(2), np.ones(2)) for _ in range(3)),
+        individual=BoxFamily.common(np.zeros(2), np.ones(2), 3),
         coupling=CouplingConstraint.per_component_cap(np.ones(2), 3))
     rep = monotonicity_analysis(build_operator(affine, NASH))
     ok = ok and rep.exact and abs(rep.alpha - 1.0) <= 1e-12

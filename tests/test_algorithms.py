@@ -8,7 +8,7 @@ from aggeq.algorithms import (INNER_MAX_ITER, SOLVERS, EquilibriumResult,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
-from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
+from aggeq.game import (AggregativeGame, BoxFamily, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility, aggregate_matrix)
 from aggeq.apps.ev import build_ev_game, generate_ev_params
@@ -26,14 +26,14 @@ def single_agent_game():
     cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
                          c=np.array([[-2.0]]))
     return AggregativeGame(
-        M=1, n=1, cost=cost, individual=(Box([0.0], [3.0]),),
+        M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [3.0], 1),
         coupling=CouplingConstraint.per_component_cap([1.0], 1))
 
 
 def quadratic_cap_game(M=2, n=1, q=1.0, c_val=-2.0, K=0.5, hi=2.0):
     cost = QuadraticCost(Q=q * np.eye(n), C=np.eye(n),
                          c=np.full((M, n), c_val))
-    individual = tuple(Box(np.zeros(n), np.full(n, hi)) for _ in range(M))
+    individual = BoxFamily.common(np.zeros(n), np.full(n, hi), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling)
@@ -80,12 +80,13 @@ def reference_adjoint(coupling, lam):
 
 
 def reference_projector(game):
-    """Test oracle: np.clip for boxes, else the profile projector."""
-    if all(isinstance(cs, Box) for cs in game.individual):
-        lo = np.stack([cs.lo for cs in game.individual])
-        hi = np.stack([cs.hi for cs in game.individual])
-        return lambda Y: np.clip(Y, lo, hi)
-    return ProfileProjector(game.individual)
+    """Test oracle: np.clip for a box family without finite budgets, else
+    the profile projector.  A family with budgets, such as an EV game's,
+    must not be clipped."""
+    family = game.individual
+    if isinstance(family, BoxFamily) and np.all(family.theta == -np.inf):
+        return lambda Y: np.clip(Y, family.lo, family.hi)
+    return ProfileProjector(family)
 
 
 def apa_reference_loop(game, flavor, config, rep):
@@ -300,7 +301,7 @@ class TestBestResponse:
         cost = PriceTimesUsage(utility=ZeroUtility(), price=price, n=3)
         game = AggregativeGame(
             M=1, n=3, cost=cost,
-            individual=(BoxBudget(np.zeros(3), np.ones(3), 2.0),),
+            individual=BoxFamily(np.zeros((1, 3)), np.ones((1, 3)), [2.0]),
             coupling=CouplingConstraint.per_component_cap(np.ones(3), 1))
         out = best_response(game, 0, z=np.zeros(3), lam=np.zeros(3))
         assert np.allclose(out, [0.0, 1.0, 1.0])
@@ -327,9 +328,11 @@ class TestBestResponse:
         price = DiagonalPrice(lambda z: costs, lambda z: np.zeros(n),
                               lambda z: np.zeros(n))
         cost = PriceTimesUsage(utility=ZeroUtility(), price=price, n=n)
-        cs = BoxBudget(np.zeros(n), rng.uniform(0.5, 1.0, size=n), 2.0)
+        family = BoxFamily(np.zeros((1, n)),
+                           rng.uniform(0.5, 1.0, size=(1, n)), [2.0])
+        cs = family[0]
         game = AggregativeGame(
-            M=1, n=n, cost=cost, individual=(cs,),
+            M=1, n=n, cost=cost, individual=family,
             coupling=CouplingConstraint.per_component_cap(np.ones(n), 1))
         lam = rng.uniform(0.0, 0.3, size=n)
         out = best_response(game, 0, z=np.zeros(n), lam=lam)
@@ -349,7 +352,7 @@ class TestBestResponse:
                                price=price)
         game = AggregativeGame(
             M=M, n=n, cost=cost,
-            individual=tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M)),
+            individual=BoxFamily.common(np.zeros(n), np.ones(n), M),
             coupling=CouplingConstraint.per_component_cap(np.ones(n), M))
         # A zero-curvature utility would route to projected gradient, so
         # emulate it by tightening the tolerance on the generic path via a
@@ -496,7 +499,7 @@ class TestSolverBehavior:
                              c=rng.uniform(-1.0, 0.0, size=(M, n)))
         game = AggregativeGame(
             M=M, n=n, cost=cost,
-            individual=tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M)),
+            individual=BoxFamily.common(np.zeros(n), np.ones(n), M),
             coupling=CouplingConstraint.per_component_cap(np.full(n, 0.2), M))
         cfg = SolverConfig(tau=0.1, tol=1e-6, max_iter=5000)
         res_n = asymmetric_projection(game, NASH, cfg)
@@ -599,7 +602,7 @@ class TestSolverBehavior:
         cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
                              c=np.array([[-2.0]]))
         game = AggregativeGame(
-            M=1, n=1, cost=cost, individual=(Box([0.0], [1.0]),),
+            M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [1.0], 1),
             coupling=CouplingConstraint.per_component_cap([1.0], 1))
         res = SOLVERS[name].solve(game, SolverConfig(tol=1e-8))
         assert res.converged

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import time
@@ -17,11 +18,10 @@ from aggeq.analysis import (ConstantsEstimate, VerificationReport,
 from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network, build_route_choice_game
-from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
-                        FlowPolytope, QuadraticCost,
+from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
+                        FlowFamily, FlowPolytope, QuadraticCost,
                         aggregate_matrix, feasibility_report)
 from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
-from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -29,7 +29,7 @@ def single_agent_game(K=1.0, hi=3.0):
     cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
                          c=np.array([[-2.0]]))
     return AggregativeGame(
-        M=1, n=1, cost=cost, individual=(Box([0.0], [hi]),),
+        M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [hi], 1),
         coupling=CouplingConstraint.per_component_cap([K], 1))
 
 
@@ -70,13 +70,17 @@ class TestOuterSumEigenvalue:
 
 def active_rows_loop_oracle(cs, x, tol):
     """Test oracle: the per-component loop that found the active rows
-    before the constraint sets owned ``active_rows``."""
+    before the constraint sets owned ``active_rows``, with a pinned
+    component (lo == hi) as one equality row."""
     n = x.size
     ineq = []
     eq = []
-    if isinstance(cs, (Box, BoxBudget)):
+    if isinstance(cs, Box):
         lo, hi = cs.lo, cs.hi
         for t in range(n):
+            if lo[t] == hi[t]:
+                eq.append(np.eye(n)[t])
+                continue
             if x[t] <= lo[t] + tol:
                 row = np.zeros(n)
                 row[t] = -1.0
@@ -85,7 +89,7 @@ def active_rows_loop_oracle(cs, x, tol):
                 row = np.zeros(n)
                 row[t] = 1.0
                 ineq.append(row)
-        if isinstance(cs, BoxBudget) and float(np.sum(x)) <= cs.theta + tol:
+        if float(np.sum(x)) <= cs.theta + tol:
             ineq.append(-np.ones(n))
     elif isinstance(cs, FlowPolytope):
         for t in range(n):
@@ -136,10 +140,11 @@ def street_grid_network(rows, cols):
 
 def bvls_kkt_oracle(game, flavor, X, lam, tol=analysis.ACTIVE_TOL):
     """Test oracle: the per-agent BVLS fit and rank test that kkt_residual
-    made for every set family before box and box-budget sets took the
-    tangent-cone projection.  Returns G and, per agent, the stationarity
-    residual, the smallest inequality multiplier (nan without one) and
-    whether the active rows are rank-deficient."""
+    made for every set family before box families took the tangent-cone
+    projection, with pinned components as equality rows.  Returns G and,
+    per agent, the stationarity residual, the smallest inequality
+    multiplier (nan without one) and whether the active rows are
+    rank-deficient."""
     G = (build_operator(game, flavor).evaluate_blocks(X)
          + game.coupling.adjoint_blocks(lam))
     stat = np.empty(game.M)
@@ -206,14 +211,15 @@ class TestActiveRows:
     def test_box_at_lo_and_hi(self):
         cs = Box([0.0, 0.0, 0.5, 0.0, 1.0], [1.0, 2.0, 0.5, 1.0, 3.0])
         x = np.array([0.0, 2.0, 0.5, 1.0 - 1e-8, 2.0])
-        ineq, _ = self.assert_matches_oracle(cs, x)
-        # Component 2 is pinned (lo = hi): its lo row precedes its hi row.
+        ineq, eq = self.assert_matches_oracle(cs, x)
+        # Component 2 is pinned (lo = hi): one equality row, no bound rows.
         t, col = np.nonzero(ineq)
-        assert list(col) == [0, 1, 2, 2, 3]
-        assert list(ineq[t, col]) == [-1.0, 1.0, -1.0, 1.0, 1.0]
+        assert list(col) == [0, 1, 3]
+        assert list(ineq[t, col]) == [-1.0, 1.0, 1.0]
+        assert np.array_equal(eq, np.eye(5)[[2]])
 
     def test_box_budget_on_the_budget(self):
-        cs = BoxBudget(np.zeros(4), np.ones(4), 1.5)
+        cs = Box(np.zeros(4), np.ones(4), 1.5)
         for x in (np.array([0.0, 1.0, 0.5, 0.0]),   # on the budget
                   np.array([0.0, 1.0, 1.0, 0.3]),   # budget slack
                   np.array([0.2, 0.4, 0.5, 0.4])):  # only the budget
@@ -276,7 +282,7 @@ class TestKktResidual:
         cost = QuadraticCost(Q=np.eye(1), C=np.zeros((1, 1)),
                              c=np.array([[-5.0]]))
         game = AggregativeGame(
-            M=1, n=1, cost=cost, individual=(Box([0.0], [3.0]),),
+            M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [3.0], 1),
             coupling=CouplingConstraint.per_component_cap([10.0], 1))
         out = kkt_residual(game, NASH, np.array([3.0]), np.zeros(1))
         assert out["stationarity"] <= 1e-9
@@ -295,7 +301,7 @@ class TestKktResidual:
                              c=np.array([[1.0, 2.0, -1.0, 3.0]]))
         game = AggregativeGame(
             M=1, n=4, cost=cost,
-            individual=(FlowPolytope(B, np.array([-1.0, 1.0])),),
+            individual=FlowFamily(B, [[-1.0, 1.0]]),
             coupling=CouplingConstraint.per_component_cap(np.full(4, 10.0),
                                                           1))
         start = time.perf_counter()
@@ -305,6 +311,37 @@ class TestKktResidual:
         assert out["degenerate_active_set"]
         assert out["stationarity"] == pytest.approx(1.0, abs=1e-12)
         assert out["min_mu"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_complementarity_skips_rows_without_a_multiplier(self):
+        # An uncoupled game encodes "no coupling" as a cap of +inf, whose
+        # slack is +inf: 0 * inf must not turn the gap into nan.
+        cost = QuadraticCost(Q=np.eye(2), C=0.5 * np.eye(2),
+                             c=np.array([[-0.5, 0.2], [0.1, -0.3]]))
+        game = AggregativeGame(
+            M=2, n=2, cost=cost,
+            individual=BoxFamily.common(np.zeros(2), np.ones(2), 2),
+            coupling=CouplingConstraint.per_component_cap(
+                [np.inf, 0.5], 2))
+        X = np.array([[0.5, 0.0], [0.0, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kkt_residual(game, NASH, X, np.zeros(2))
+            assert out["complementarity"] == 0.0
+            # A positive multiplier on the finite row still counts.
+            out = kkt_residual(game, NASH, X, np.array([0.0, 2.0]))
+        assert out["complementarity"] == pytest.approx(2.0 * 0.3, abs=1e-15)
+
+    def test_pinned_slots_are_equality_rows_on_ev_games(self):
+        game = build_ev_game(generate_ev_params(M=150, seed=5))
+        family = game.individual
+        res = extragradient(game, WARDROP, SolverConfig())
+        assert res.converged
+        # Every agent has a slot outside its window, where lo == hi == 0.
+        assert np.all(np.any(family.lo == family.hi, axis=1))
+        out = kkt_residual(game, WARDROP, res.x.entries, res.lam)
+        assert not out["degenerate_active_set"]
+        # min_mu is a multiplier, not the placeholder 0 of a degenerate set.
+        assert out["min_mu"] != 0.0
 
 
 def open_window_ev_game(M, seed):
@@ -324,7 +361,7 @@ def kkt_points(game, flavor, seed):
     X0 = res.x.as_matrix()
     rng = np.random.default_rng(seed)
     sample = default_sampler(game)
-    proj = ProfileProjector(game.individual)
+    proj = game.projector
     points = [X0]
     for _ in range(6):
         points.append(sample(rng))
@@ -335,8 +372,8 @@ def kkt_points(game, flavor, seed):
 
 
 class TestKktTangentCone:
-    """Box and box-budget stationarity is -P_T(-G): it agrees with the
-    per-agent BVLS oracle, and so do the rank test and the multipliers."""
+    """Box-family stationarity is -P_T(-G): it agrees with the per-agent
+    BVLS oracle, and so do the rank test and the multipliers."""
 
     def assert_matches_bvls(self, game, flavor, X, lam):
         out = kkt_residual(game, flavor, X, lam)
@@ -345,8 +382,7 @@ class TestKktTangentCone:
         assert abs(out["stationarity"] - np.max(stat)) <= 1e-12 * scale
         assert out["degenerate_active_set"] == bool(np.any(degenerate))
         # Per agent: a non-degenerate agent's smallest multiplier is BVLS's.
-        cone = ProfileProjector(game.individual).tangent_residual(
-            X, G, analysis.ACTIVE_TOL)
+        cone = game.projector.tangent_residual(X, G, analysis.ACTIVE_TOL)
         for i in np.flatnonzero(~np.isnan(mu)):
             row = [a[i:i + 1] for a in cone]
             _, mu_i, deg_i = analysis._cone_multipliers(G[i:i + 1], *row)
@@ -375,14 +411,13 @@ class TestKktTangentCone:
                                                          lam)
             seen["degenerate"] += int(np.sum(degenerate))
             seen["regular"] += int(np.sum(~degenerate & ~np.isnan(mu)))
-        # The EV windows pin the slots outside them (lo == hi == 0).
-        if kind == "ev":
-            assert seen["degenerate"] > 0
-        else:
-            assert seen["regular"] > 0
+        # The EV windows pin the slots outside them (lo == hi == 0): one
+        # equality row each, which leaves the active sets regular.
+        assert seen["regular"] > 0
 
     def test_budget_cases_one_by_one(self):
-        # Agent 0: slot 1 pinned (lo == hi), budget slack.  Agent 1: budget
+        # Agent 0: slot 1 pinned (lo == hi, one equality row), budget
+        # slack.  Agent 1: budget
         # active, every slot at a bound.  Agent 2: budget active with free
         # slots and one at lo.  Agent 3: interior.  Agent 4: budget active
         # alone.
@@ -397,13 +432,12 @@ class TestKktTangentCone:
                              c=rng.normal(size=(5, 3)))
         game = AggregativeGame(
             M=5, n=3, cost=cost,
-            individual=tuple(BoxBudget(lo[i], hi[i], theta[i])
-                             for i in range(5)),
+            individual=BoxFamily(lo, hi, theta),
             coupling=CouplingConstraint.per_component_cap(np.full(3, 2.0),
                                                           5))
         for lam in (np.zeros(3), rng.uniform(0.0, 3.0, size=3)):
             _, mu, degenerate = self.assert_matches_bvls(game, NASH, X, lam)
-            assert list(degenerate) == [True, True, False, False, False]
+            assert list(degenerate) == [False, True, False, False, False]
             assert np.isnan(mu[3]) and not np.isnan(mu[2])
 
     def test_bvls_runs_only_for_flow_and_halfspace_sets(self, monkeypatch):
@@ -441,7 +475,7 @@ class TestEpsilonNash:
                              c=np.full((M, n), -0.5))
         game = AggregativeGame(
             M=M, n=n, cost=cost,
-            individual=tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M)),
+            individual=BoxFamily.common(np.zeros(n), np.ones(n), M),
             coupling=CouplingConstraint.per_component_cap(np.ones(n), M))
         res = extragradient(game, WARDROP, SolverConfig(tol=1e-8))
         assert res.converged
@@ -461,7 +495,8 @@ class TestEpsilonNash:
                              c=np.ones((2, 1)))
         game = AggregativeGame(
             M=2, n=1, cost=cost,
-            individual=(Box([0.0], [1.0]), BoxBudget([0.0], [1.0], 0.5)),
+            individual=BoxFamily([[0.0], [0.0]], [[1.0], [1.0]],
+                                 [-np.inf, 0.5]),
             coupling=CouplingConstraint.per_component_cap([10.0], 2))
         assert epsilon_nash(game, np.array([[0.0], [0.5]])) <= 1e-9
 
@@ -592,7 +627,7 @@ class TestScalingInvariance:
         M, n, K = 2, 1, 0.5
         cost = QuadraticCost(Q=np.eye(1), C=np.eye(1),
                              c=np.full((M, n), -2.0))
-        individual = tuple(Box([0.0], [2.0]) for _ in range(M))
+        individual = BoxFamily.common([0.0], [2.0], M)
         A = np.full((1, M * n), 1.0 / M)
         results = {}
         for gamma in (1.0, 4.0):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from aggeq.algorithms import SolverConfig, best_response, two_level_wardrop
+from aggeq import projection
+from aggeq.algorithms import (SolverConfig, best_response, extragradient,
+                              two_level_wardrop)
 from aggeq.apps.ev import (EvParams, build_ev_game, default_demand,
                            ev_condition_check, generate_ev_params, sqrt_price)
 from aggeq.apps.traffic import (_edge_price, build_network,
@@ -12,13 +14,74 @@ from aggeq.apps.traffic import (_edge_price, build_network,
                                 travel_time_derivative,
                                 travel_time_second_derivative)
 from aggeq.errors import ConfigError, DimensionError, InfeasibleSetError
+from aggeq.cli import ExperimentConfig, build_game
 from aggeq.game import DiagonalPrice
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis)
-from aggeq.projection import ProfileProjector
+from aggeq.synthetic import build_quadratic_game
 
 TWO_ROUTE_EDGES = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0),
                    (0, 1, 2.0, 2.0), (1, 0, 2.0, 2.0)]
+
+
+# ---------------------------------------------------------------------------
+# Projection paths the builders reach
+# ---------------------------------------------------------------------------
+
+
+def custom_file_game(tmp_path, M=5, n=3):
+    """A game through the custom-file builder: general Q and C, a common
+    box and no coupling."""
+    rng = np.random.default_rng(0)
+    L = rng.normal(size=(n, n))
+    path = tmp_path / "game.npz"
+    np.savez(path, Q=L @ L.T + n * np.eye(n), C=0.5 * np.eye(n),
+             c=rng.normal(size=(M, n)), lo=np.zeros(n), hi=np.ones(n))
+    return build_game(ExperimentConfig(
+        kind="custom-file", seed=0, sections={"custom": {"file": str(path)}}))
+
+
+@pytest.fixture
+def per_agent_calls(monkeypatch):
+    """Rows handed to project_individual, counted through the name the
+    profile projector calls it by."""
+    calls = []
+    real = projection.project_individual
+
+    def counting(cs, y):
+        calls.append(len(y))
+        return real(cs, y)
+
+    monkeypatch.setattr(projection, "project_individual", counting)
+    return calls
+
+
+class TestBuilderProjectionPaths:
+    """Box families from the builders take the batched path, whatever
+    their budgets; a route-choice game projects one row at a time."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "ev", "custom-file"])
+    def test_box_families_never_project_per_agent(self, kind, tmp_path,
+                                                  per_agent_calls):
+        game = {
+            "quadratic": lambda: build_quadratic_game(M=12, n=5, seed=1),
+            "ev": lambda: build_ev_game(generate_ev_params(M=30, seed=2)),
+            "custom-file": lambda: custom_file_game(tmp_path),
+        }[kind]()
+        res = extragradient(game, WARDROP, SolverConfig(max_iter=5))
+        Y = np.random.default_rng(3).normal(size=(3 * game.M, game.n))
+        X = game.projector(Y)
+        assert res.primal_updates == 5 and X.shape == Y.shape
+        assert per_agent_calls == []
+
+    def test_route_choice_projects_once_per_row(self, per_agent_calls):
+        net = build_network([0, 1], TWO_ROUTE_EDGES, f=0.15, h=2.0)
+        game = build_route_choice_game(net, M=3, seed=0)
+        rng = np.random.default_rng(4)
+        for reps in (1, 2):
+            per_agent_calls.clear()
+            game.projector(rng.normal(size=(reps * game.M, game.n)))
+            assert per_agent_calls == [game.n] * (reps * game.M)
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +98,6 @@ class TestEvBuilder:
         assert game.meta["xtilde0"] == pytest.approx(params.xtilde0)
         assert game.coupling.A is None
         assert np.allclose(game.coupling.b, 0.55)
-
-    def test_ev_game_reaches_batched_box_budget_projection(self):
-        game = build_ev_game(generate_ev_params(M=30, seed=2))
-        assert ProfileProjector(game.individual)._mode == "box_budget"
 
     def test_generated_population_properties(self):
         params = generate_ev_params(M=50, seed=1)

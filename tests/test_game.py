@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from aggeq.errors import DimensionError, InfeasibleSetError
-from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
-                        DiagonalPrice, FlowPolytope, PriceTimesUsage,
+from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
+                        DiagonalPrice, FlowFamily, FlowPolytope,
+                        PriceTimesUsage,
                         QuadraticCost, QuadraticTracking, StrategyProfile,
                         ZeroUtility, aggregate, cost_value,
                         feasibility_report)
@@ -12,7 +13,7 @@ from aggeq.game import (AggregativeGame, Box, BoxBudget, CouplingConstraint,
 def make_quadratic_game(M=2, n=1, q=1.0, c_mat=None, K=10.0, lo=0.0, hi=1.0):
     c = np.zeros((M, n)) if c_mat is None else np.asarray(c_mat, dtype=float)
     cost = QuadraticCost(Q=q * np.eye(n), C=np.eye(n), c=c)
-    individual = tuple(Box(np.full(n, lo), np.full(n, hi)) for _ in range(M))
+    individual = BoxFamily.common(np.full(n, lo), np.full(n, hi), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling)
@@ -79,7 +80,7 @@ class TestCostValue:
                                 lambda z: np.zeros_like(z)),
             n=1)
         game = AggregativeGame(
-            M=1, n=1, cost=cost, individual=(Box([0.0], [10.0]),),
+            M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [10.0], 1),
             coupling=CouplingConstraint.per_component_cap([10.0], 1))
         assert cost_value(game, 0, [2.0], [3.0]) == pytest.approx(6.0)
 
@@ -230,7 +231,11 @@ class TestIndividualSets:
 
     def test_box_budget_requires_attainable_theta(self):
         with pytest.raises(InfeasibleSetError):
-            BoxBudget([0.0, 0.0], [1.0, 1.0], 3.0)
+            Box([0.0, 0.0], [1.0, 1.0], 3.0)
+        with pytest.raises(InfeasibleSetError):
+            BoxFamily(np.zeros((2, 2)), np.ones((2, 2)), [1.0, 3.0])
+        with pytest.raises(InfeasibleSetError):
+            BoxFamily(np.ones((2, 1)), np.zeros((2, 1)))
 
     def test_flow_polytope_bod_validation(self):
         B = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -246,13 +251,26 @@ class TestIndividualSets:
         with pytest.raises(InfeasibleSetError, match="inconsistent"):
             FlowPolytope(B, [-1.0, 0.0, 0.0, 1.0])
         FlowPolytope(B, [-1.0, 1.0, 0.0, 0.0])
+        # A family checks each distinct row once, and every row it holds.
+        with pytest.raises(InfeasibleSetError, match="inconsistent"):
+            FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
+        family = FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0]] * 3)
+        assert len(family) == 3 and not family.B.flags.writeable
+        assert family[2].B is family.B
 
     def test_violation_values(self):
         box = Box([0.0], [1.0])
         assert box.violation([1.1]) == pytest.approx(0.1)
         assert box.violation([0.5]) == 0.0
-        bb = BoxBudget([0.0, 0.0], [1.0, 1.0], 1.5)
+        bb = Box([0.0, 0.0], [1.0, 1.0], 1.5)
         assert bb.violation([0.5, 0.5]) == pytest.approx(0.5)
+        # A family's violations are its views', one row per agent.
+        family = BoxFamily([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                           [-np.inf, 1.5])
+        X = np.array([[1.2, 0.5], [0.5, 0.5]])
+        assert np.array_equal(family.violation(X),
+                              [family[i].violation(X[i]) for i in range(2)])
+        assert family[0].theta == -np.inf and family[1].theta == 1.5
 
 
 class TestFeasibilityReport:
@@ -284,12 +302,14 @@ class TestGameConstruction:
         cost = QuadraticCost(Q=np.eye(1), C=np.eye(1), c=np.zeros((2, 1)))
         with pytest.raises(DimensionError):
             AggregativeGame(
-                M=2, n=1, cost=cost, individual=(Box([0.0], [1.0]),),
+                M=2, n=1, cost=cost,
+                individual=BoxFamily.common([0.0], [1.0], 1),
                 coupling=CouplingConstraint.per_component_cap([1.0], 2))
 
     def test_rejects_dimension_mismatch(self):
         cost = QuadraticCost(Q=np.eye(2), C=np.eye(2), c=np.zeros((1, 2)))
         with pytest.raises(DimensionError):
             AggregativeGame(
-                M=1, n=2, cost=cost, individual=(Box([0.0], [1.0]),),
+                M=1, n=2, cost=cost,
+                individual=BoxFamily.common([0.0], [1.0], 1),
                 coupling=CouplingConstraint.per_component_cap([1.0, 1.0], 1))

@@ -5,7 +5,7 @@ from aggeq import operators
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network, build_route_choice_game
 from aggeq.errors import DimensionError, InfeasibleSetError
-from aggeq.game import (AggregativeGame, Box, CouplingConstraint,
+from aggeq.game import (AggregativeGame, BoxFamily, CouplingConstraint,
                         DiagonalPrice, PriceTimesUsage, QuadraticCost,
                         QuadraticTracking, ZeroUtility, aggregate_matrix)
 from aggeq.operators import (NASH, WARDROP, _min_eig_diag_plus_rank2,
@@ -20,7 +20,7 @@ def quadratic_game(M=2, n=1, q=1.0, C=None, c=None, K=10.0):
     C = np.eye(n) if C is None else np.asarray(C, dtype=float)
     c = np.zeros((M, n)) if c is None else np.asarray(c, dtype=float)
     cost = QuadraticCost(Q=q * np.eye(n), C=C, c=c)
-    individual = tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M))
+    individual = BoxFamily.common(np.zeros(n), np.ones(n), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling)
@@ -36,7 +36,7 @@ def sqrt_price_game(M=3, n=4, seed=0, utility=None):
         utility = QuadraticTracking(rng.uniform(0.5, 2.0, size=M),
                                     rng.uniform(size=(M, n)))
     cost = PriceTimesUsage(utility=utility, price=price, n=n)
-    individual = tuple(Box(np.zeros(n), np.ones(n)) for _ in range(M))
+    individual = BoxFamily.common(np.zeros(n), np.ones(n), M)
     coupling = CouplingConstraint.per_component_cap(np.ones(n), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
                            coupling=coupling)
@@ -69,7 +69,7 @@ class TestEvaluation:
                               lambda z: np.zeros_like(z))
         cost = PriceTimesUsage(utility=ZeroUtility(), price=price, n=1)
         game = AggregativeGame(
-            M=1, n=1, cost=cost, individual=(Box([0.0], [10.0]),),
+            M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [10.0], 1),
             coupling=CouplingConstraint.per_component_cap([10.0], 1))
         assert np.allclose(build_operator(game, WARDROP).evaluate([2.0]),
                            [2.0])
@@ -500,7 +500,7 @@ class TestDefaultSampler:
     def test_draws_match_uniform_then_projection(self, make_game):
         game = make_game()
         proj = ProfileProjector(game.individual)
-        lo, hi = map(np.stack, zip(*(cs.bounds() for cs in game.individual)))
+        lo, hi = game.individual.bounds()
         sample = default_sampler(game)
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         for count in (None, 4, None, 1):
@@ -517,6 +517,6 @@ class TestDefaultSampler:
         game = quadratic_game()
         game = AggregativeGame(
             M=2, n=1, cost=game.cost, coupling=game.coupling,
-            individual=(Box([0.0], [1.0]), Box([0.0], [np.inf])))
+            individual=BoxFamily([[0.0], [0.0]], [[1.0], [np.inf]]))
         with pytest.raises(InfeasibleSetError):
             default_sampler(game)

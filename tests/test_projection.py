@@ -5,11 +5,11 @@ from aggeq import projection
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network
 from aggeq.errors import ConvergenceError, InfeasibleSetError
-from aggeq.game import Box, BoxBudget, FlowPolytope
+from aggeq.game import Box, BoxFamily, FlowFamily, FlowPolytope
 from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
-                              project_box, project_box_budget,
-                              project_box_budget_batch, project_flow_polytope,
-                              project_halfspace, project_individual)
+                              project_box_budget, project_box_budget_batch,
+                              project_flow_polytope, project_halfspace,
+                              project_individual)
 
 TWO_NODE_B = np.array([[-1.0, -1.0], [1.0, 1.0]])  # two parallel edges
 
@@ -57,16 +57,19 @@ def hard_box_budget_batch(rng, m, n):
 
 
 class TestClosedFormProjectors:
+    """A box without a budget (theta = -inf) is the componentwise clamp."""
+
     def test_box_clamp(self):
-        assert np.allclose(project_box([1.5, -0.2], [0, 0], [1, 1]),
-                           [1.0, 0.0])
+        out = project_box_budget([1.5, -0.2], [0, 0], [1, 1], -np.inf)
+        assert out.tobytes() == np.array([1.0, 0.0]).tobytes()
 
     def test_box_interior_fixed(self):
-        assert np.allclose(project_box([0.3], [0.0], [1.0]), [0.3])
+        assert np.allclose(project_box_budget([0.3], [0.0], [1.0], -np.inf),
+                           [0.3])
 
     def test_box_rejects_bad_bounds(self):
         with pytest.raises(InfeasibleSetError):
-            project_box([0.0], [1.0], [0.0])
+            project_box_budget([0.0], [1.0], [0.0], -np.inf)
 
     def test_halfspace(self):
         a = np.array([1.0, 0.0])
@@ -179,8 +182,7 @@ class TestBreakpointSearch:
         Y = 1e3 * rng.uniform(-3.0, 3.0, size=(m, n))
         theta = lo.sum(axis=1) + 1.0 * (hi.sum(axis=1) - lo.sum(axis=1))
         assert np.any(theta > hi.sum(axis=1) + 1e-12)
-        for i in range(m):
-            BoxBudget(lo[i], hi[i], theta[i])
+        BoxFamily(lo, hi, theta)
         X = project_box_budget_batch(Y, lo, hi, theta)
         assert np.all(X >= lo) and np.all(X <= hi)
         clip_sum = np.clip(Y, lo, hi).sum(axis=1)
@@ -192,7 +194,7 @@ class TestBreakpointSearch:
         # A budget clearly above sum(hi) is still rejected.
         over = theta + 1e-9 * np.abs(hi).sum(axis=1)
         with pytest.raises(InfeasibleSetError):
-            BoxBudget(lo[0], hi[0], over[0])
+            Box(lo[0], hi[0], over[0])
         with pytest.raises(InfeasibleSetError):
             project_box_budget_batch(Y, lo, hi, np.where(
                 np.arange(m) == 5, over, theta))
@@ -250,11 +252,11 @@ class TestDispatch:
     def test_box_dispatch(self):
         cs = Box(np.zeros(2), np.ones(2))
         y = np.array([1.5, -0.2])
-        assert np.allclose(project_individual(cs, y),
-                           project_box(y, cs.lo, cs.hi))
+        assert (project_individual(cs, y).tobytes()
+                == np.clip(y, cs.lo, cs.hi).tobytes())
 
     def test_box_budget_dispatch(self):
-        cs = BoxBudget(np.zeros(2), np.ones(2), 1.0)
+        cs = Box(np.zeros(2), np.ones(2), 1.0)
         y = np.array([0.2, 0.2])
         assert np.allclose(project_individual(cs, y),
                            project_box_budget(y, cs.lo, cs.hi, cs.theta))
@@ -276,7 +278,7 @@ def _random_projector_cases(rng, n=4):
     hi = lo + rng.uniform(0.5, 2.0, size=n)
     box = Box(lo, hi)
     theta = float(lo.sum() + rng.uniform(0.2, 0.8) * (hi - lo).sum())
-    bb = BoxBudget(lo, hi, theta)
+    bb = Box(lo, hi, theta)
     fp = FlowPolytope(TWO_NODE_B, np.array([-1.0, 1.0]))
 
     def sample_box(r):
@@ -403,11 +405,14 @@ class TestFlowProjection:
             [-1.0, 1.0, -1.0, 1.0],
             [1.0, -1.0, 1.0, -1.0],
         ])
-        fp = FlowPolytope(B, np.array([-1.0, 1.0]))
-        proj = ProfileProjector([fp] * 6)
+        family = FlowFamily(B, np.tile([-1.0, 1.0], (6, 1)))
+        fp = family[0]
+        proj = ProfileProjector(family)
         rng = np.random.default_rng(14)
         Y = rng.uniform(-50.0, 50.0, size=(6, 4))
         X = proj(Y)
+        assert np.array_equal(family.violation(X),
+                              [fp.violation(x) for x in X])
         for i in range(6):
             assert fp.violation(X[i]) <= 1e-8
             single = project_individual(fp, Y[i])
@@ -422,16 +427,15 @@ class TestFlowProjection:
         hi[0, 1] = lo[0, 1]
         theta = lo.sum(axis=1) + rng.uniform(0.2, 0.8, size=M) \
             * (hi - lo).sum(axis=1)
-        boxes = [Box(lo[i], hi[i]) for i in range(M)]
-        budgets = [BoxBudget(lo[i], hi[i], theta[i]) for i in range(M)]
+        mixed = np.where(np.arange(M) < 2, -np.inf, theta)
         B = grid_incidence(2, 2)
         b_od = np.zeros(B.shape[0])
         b_od[0], b_od[-1] = -1.0, 1.0
-        shared = FlowPolytope(B, b_od)
-        for sets in (boxes, budgets, [shared] * M, boxes[:2] + budgets[2:]):
-            proj = ProfileProjector(sets)
-            dim = sets[0].dim
-            Y = rng.uniform(-3.0, 3.0, size=(k * M, dim))
+        for family in (BoxFamily(lo, hi), BoxFamily(lo, hi, theta),
+                       FlowFamily(B, np.tile(b_od, (M, 1))),
+                       BoxFamily(lo, hi, mixed)):
+            proj = ProfileProjector(family)
+            Y = rng.uniform(-3.0, 3.0, size=(k * M, family.n))
             want = np.concatenate([proj(Y[j * M:(j + 1) * M])
                                    for j in range(k)])
             got = proj(Y)
@@ -439,40 +443,40 @@ class TestFlowProjection:
             assert got.tobytes() == want.tobytes()
 
     def test_profile_projector_modes(self):
-        boxes = [Box(np.zeros(3), np.ones(3)) for _ in range(4)]
-        proj = ProfileProjector(boxes)
+        # One box body: a family without finite budgets is clamped, and a
+        # row with theta = -inf beside budget rows gets the same clamp.
+        proj = ProfileProjector(BoxFamily.common(np.zeros(3), np.ones(3), 4))
         Y = np.array([[1.5, -0.2, 0.5]] * 4)
-        assert np.allclose(proj(Y), np.clip(Y, 0.0, 1.0))
-        budgets = [BoxBudget(np.zeros(3), np.ones(3), 1.5) for _ in range(4)]
-        projb = ProfileProjector(budgets)
+        assert proj(Y).tobytes() == np.clip(Y, 0.0, 1.0).tobytes()
+        theta = np.array([1.5, 1.5, -np.inf, 1.5])
+        projb = ProfileProjector(BoxFamily(np.zeros((4, 3)), np.ones((4, 3)),
+                                           theta))
         Xb = projb(np.zeros((4, 3)))
-        for row in Xb:
-            assert row.sum() >= 1.5 - 1e-9
+        assert np.all(Xb[[0, 1, 3]].sum(axis=1) >= 1.5 - 1e-9)
+        assert np.array_equal(Xb[2], np.zeros(3))
 
 
 class TestValidateOnce:
-    """ProfileProjector's sets are validated BoxBudgets, so its box-budget
-    path skips project_box_budget_batch's checks; a capped projector checks
-    its fixed bounds once, when it is built."""
+    """ProfileProjector's family is validated, so its box-budget path
+    skips project_box_budget_batch's checks; a capped projector checks its
+    fixed bounds once, when it is built."""
 
     @pytest.fixture
     def ev(self):
         game = build_ev_game(generate_ev_params(M=15, seed=6))
-        lo = np.stack([cs.lo for cs in game.individual])
-        hi = np.stack([cs.hi for cs in game.individual])
-        theta = np.array([cs.theta for cs in game.individual])
-        return game, lo, hi, theta
+        family = game.individual
+        return game, family.lo, family.hi, family.theta
 
     @pytest.fixture
     def checks(self, monkeypatch):
         calls = []
-        real = projection._check_box_budget
+        real = projection.check_box_budget
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(projection, "_check_box_budget", counting)
+        monkeypatch.setattr(projection, "check_box_budget", counting)
         return calls
 
     def test_profile_path_matches_the_public_function(self, ev, checks):
@@ -503,8 +507,8 @@ class TestValidateOnce:
         assert got.tobytes() == want.tobytes()
 
     def test_capped_projector_refuses_a_budget_above_the_caps(self):
-        sets = [BoxBudget(np.zeros(3), np.ones(3), 2.0) for _ in range(2)]
-        proj = ProfileProjector(sets)
+        proj = ProfileProjector(BoxFamily(np.zeros((2, 3)), np.ones((2, 3)),
+                                          [2.0, 2.0]))
         proj.capped(np.full((2, 3), 0.7))  # sum 2.1 >= 2: fine
         with pytest.raises(InfeasibleSetError):
             proj.capped(np.full((2, 3), 0.5))
