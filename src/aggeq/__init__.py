@@ -15,7 +15,7 @@ from .errors import (AggeqError, ConfigError, ConvergenceError,
 from .game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
                    DiagonalPrice, FlowFamily, FlowPolytope, PriceTimesUsage,
                    QuadraticCost, QuadraticTracking, StrategyProfile,
-                   ZeroUtility, aggregate, cost_value, feasibility_report)
+                   ZeroUtility, cost_value, feasibility_report)
 from .operators import (NASH, WARDROP, GameOperator, MonotonicityReport,
                         build_operator, monotonicity_analysis, operator_gap,
                         quadratic_monotonicity_conditions)

@@ -38,7 +38,7 @@ from .errors import ConvergenceError, DimensionError
 from .game import AggregativeGame, StrategyProfile, aggregate_matrix
 from .operators import (NASH, WARDROP, MonotonicityReport, build_operator,
                         monotonicity_analysis)
-from .projection import ProfileProjector
+from .projection import ProfileProjector, projected_gradient
 
 DIVERGENCE_FACTOR = 1e6
 # Cap on the passes of each inner loop of the two-level scheme: the
@@ -130,15 +130,9 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
     if L <= 0:
         raise ConvergenceError(
             "projected gradient needs positive own-cost curvature")
-    step = 1.0 / L
-    X = X0.copy()
-    for _ in range(INNER_MAX_ITER):
-        G = cost.grad_own_all(X, z) + charge
-        X_new = proj(X - step * G)
-        if float(np.max(np.abs(X_new - X), initial=0.0)) <= inner_tol:
-            return X_new
-        X = X_new
-    raise ConvergenceError("optimal responses did not converge", last=X)
+    return projected_gradient(lambda X: cost.grad_own_all(X, z) + charge,
+                              proj, X0, 1.0 / L, inner_tol, INNER_MAX_ITER,
+                              "optimal responses")
 
 
 def best_response(game: AggregativeGame, i: int, z, lam,

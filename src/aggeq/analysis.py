@@ -15,12 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, InfeasibleSetError
+from .errors import DimensionError, InfeasibleSetError
 from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
                    feasibility_report)
 from .operators import (NASH, SAMPLE_CHUNK_ENTRIES, build_operator,
                         default_sampler, monotonicity_analysis)
-from .projection import dykstra, project_halfspace, project_individual
+from .projection import (dykstra, project_halfspace, project_individual,
+                         projected_gradient)
 
 ACTIVE_TOL = 1e-6
 # Stop test and pass cap of epsilon_nash's projected-gradient deviation.
@@ -172,30 +173,20 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
 def epsilon_nash(game: AggregativeGame, x_bar) -> float:
     """Largest cost improvement any single agent can achieve by deviating
     within the coupled feasible set, with the deviation entering the
-    population average.  Nonnegative; zero at a Nash equilibrium."""
+    population average.  Nonnegative; zero at a Nash equilibrium.  The
+    deviation gradients are the Nash mapping's rows at the per-agent
+    averages (X + S) / M, S[i] the sum of the other agents' strategies."""
     X_bar = game.profile(x_bar).as_matrix()
     M, cost = game.M, game.cost
     S = M * aggregate_matrix(X_bar)[None, :] - X_bar
-
-    def deviation(X):
-        return cost.deviation_value_grad(X, (X + S) / M, M)
-
+    nash = build_operator(game, NASH)
     proj = _deviation_projector(game, X_bar, S)
     L = max(cost.deviation_lipschitz(M, game.bounding_box()[1]), 1e-12)
-    step = 1.0 / L
-    X = proj(X_bar.copy())
-    for _ in range(DEVIATION_MAX_ITER):
-        _, G = deviation(X)
-        X_new = proj(X - step * G)
-        if float(np.max(np.abs(X_new - X), initial=0.0)) <= DEVIATION_TOL:
-            X = X_new
-            break
-        X = X_new
-    else:
-        raise ConvergenceError("deviation subproblem did not converge",
-                               last=X)
-    base, _ = deviation(X_bar)
-    best, _ = deviation(X)
+    X = projected_gradient(lambda X: nash.evaluate_blocks(X, (X + S) / M),
+                           proj, proj(X_bar.copy()), 1.0 / L, DEVIATION_TOL,
+                           DEVIATION_MAX_ITER, "deviation subproblem")
+    base = cost.value_all(X_bar, (X_bar + S) / M)
+    best = cost.value_all(X, (X + S) / M)
     return float(max(0.0, np.max(base - best)))
 
 

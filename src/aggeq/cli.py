@@ -217,24 +217,21 @@ def _write_report(out_dir, row):
 
 
 def _verify_and_report(cfg, game, flavor, X, lam, columns):
-    """Verify (X, lam) and write its report.csv row plus ``columns``.  An
-    infeasible X, or a verification sub-solver that fails to converge,
-    still gets a row of its feasibility columns (and, for the sub-solver,
-    a ``verification_error`` column with its message) before the error
-    propagates (exit 1)."""
+    """Verify (X, lam) and write its report.csv row plus ``columns``.  A
+    verification that fails, on an infeasible X, on a set it cannot sample
+    or on a sub-solver that does not converge, still gets a row of X's
+    feasibility columns before the error propagates (exit 1); a feasible
+    X's row adds a ``verification_error`` column with the message."""
     feas_tol = max(1e-6, 10.0 * cfg.tol)
     try:
         report = verify_equilibrium(game, flavor, X, lam, seed=cfg.seed,
                                     feas_tol=feas_tol)
-    except InfeasibleSetError:
+    except (InfeasibleSetError, ConvergenceError) as exc:
         feas = feasibility_report(game, X, tol=feas_tol)
-        if not feas.feasible:
-            _write_report(cfg.output_dir, {**feas.as_row(), **columns})
-        raise
-    except ConvergenceError as exc:
-        feas = feasibility_report(game, X, tol=feas_tol)
-        _write_report(cfg.output_dir, {**feas.as_row(), **columns,
-                                       "verification_error": str(exc)})
+        row = {**feas.as_row(), **columns}
+        if feas.feasible:
+            row["verification_error"] = str(exc)
+        _write_report(cfg.output_dir, row)
         raise
     _write_report(cfg.output_dir, {**report.as_row(), **columns})
 

@@ -90,19 +90,6 @@ def sum_rounding_bound(a) -> np.ndarray:
     return a.shape[-1] * np.finfo(float).eps * np.abs(a).sum(axis=-1)
 
 
-def aggregate(x: Union[StrategyProfile, np.ndarray], M: Optional[int] = None,
-              n: Optional[int] = None) -> np.ndarray:
-    """Population average (1/M) sum_i x^i of a strategy profile."""
-    if isinstance(x, StrategyProfile):
-        return x.aggregate()
-    if M is None or n is None:
-        raise DimensionError("aggregate of a raw vector needs M and n")
-    x = _vec(x, "profile")
-    if x.size != M * n:
-        raise DimensionError(f"profile length {x.size} != M*n = {M * n}")
-    return aggregate_matrix(x.reshape(M, n))
-
-
 # ---------------------------------------------------------------------------
 # Individual constraint sets
 # ---------------------------------------------------------------------------
@@ -427,12 +414,6 @@ class ZeroUtility:
     def lipschitz(self):
         return 0.0
 
-    def value(self, i, x_i):
-        return 0.0
-
-    def grad(self, i, x_i):
-        return np.zeros_like(np.asarray(x_i, dtype=float))
-
     def value_all(self, X):
         return np.zeros(X.shape[0])
 
@@ -468,13 +449,6 @@ class QuadraticTracking:
     def lipschitz(self):
         return float(np.max(self.gamma))
 
-    def value(self, i, x_i):
-        d = np.asarray(x_i, dtype=float) - self.ref[i]
-        return 0.5 * self.gamma[i] * float(d @ d)
-
-    def grad(self, i, x_i):
-        return self.gamma[i] * (np.asarray(x_i, dtype=float) - self.ref[i])
-
     def value_all(self, X):
         d = X - self.ref
         return 0.5 * self.gamma * np.einsum("ij,ij->i", d, d)
@@ -495,16 +469,17 @@ class QuadraticTracking:
 # Cost models
 # ---------------------------------------------------------------------------
 #
-# Both give gradients per agent and for all agents (grad_own at fixed z,
-# grad_agg with respect to z), and:
-# * own_lipschitz(): a Lipschitz constant of grad_own in x, for every agent;
+# Both work on all agents at once.  X is an (M, n) profile and z one (n,)
+# average or an (M, n) matrix of per-agent averages z_i; row i of
+# value_all(X, z) is J^i(X[i], z_i), of grad_own_all(X, z) its gradient in
+# X[i] and of grad_agg_all(X, z) its gradient in z_i.  They also give:
+# * own_lipschitz(): a Lipschitz constant of grad_own_all in X, every agent;
 # * aggregate_lipschitz(hi): (L_p, source) of the price/aggregate coupling;
 # * closed_form_response(z, charge, proj): all agents' minimizers of
 #   J^i(x, z) + charge[i]^T x over their sets, or None without a closed form;
-# * deviation_value_grad(X, Z, M): values and gradient rows of agent i's
-#   deviation objective x -> J^i(x, (x + S_i) / M) at X[i], where
-#   Z = (X + S) / M and S_i sums the other agents' strategies;
-# * deviation_lipschitz(M, hi): a Lipschitz constant of those gradients;
+# * deviation_lipschitz(M, hi): a Lipschitz constant of the gradient of
+#   x -> J^i(x, (x + S_i) / M), S_i the other agents' sum: the Nash
+#   mapping's row i at the averages (X + S) / M;
 # * the structure of the game mapping's Jacobian, Nash when nash is true and
 #   Wardrop otherwise, where each model answers None for the structure it
 #   lacks: constant_jacobian(M, nash) and exact_constants(M, nash) (the
@@ -556,20 +531,14 @@ class QuadraticCost:
     def n(self):
         return self.Q.shape[0]
 
-    def value(self, i, x_i, z):
-        x_i = np.asarray(x_i, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return float(0.5 * x_i @ self.Q @ x_i + (self.C @ z + self.c[i]) @ x_i)
-
-    def grad_own(self, i, x_i, z):
-        return self.Q @ np.asarray(x_i, dtype=float) + self.C @ z + self.c[i]
-
-    def grad_agg(self, i, x_i, z):
-        return self.C.T @ np.asarray(x_i, dtype=float)
+    def value_all(self, X, z):
+        lin = z @ self.C.T + self.c
+        return 0.5 * np.einsum("ij,jk,ik->i", X, self.Q, X) \
+            + np.einsum("ij,ij->i", lin, X)
 
     def grad_own_all(self, X, z):
         out = X @ self.Q.T if self.q_scale is None else X * self.q_scale
-        out += self.C @ z if self.c_scale is None else z * self.c_scale
+        out += z @ self.C.T if self.c_scale is None else z * self.c_scale
         out += self.c
         return out
 
@@ -584,13 +553,6 @@ class QuadraticCost:
 
     def closed_form_response(self, z, charge, proj):
         return None
-
-    def deviation_value_grad(self, X, Z, M):
-        lin = Z @ self.C.T + self.c
-        vals = 0.5 * np.einsum("ij,jk,ik->i", X, self.Q, X) \
-            + np.einsum("ij,ij->i", lin, X)
-        grads = X @ self.Q.T + lin + (X @ self.C) / M
-        return vals, grads
 
     def deviation_lipschitz(self, M, hi) -> float:
         return float(np.linalg.norm(self.Q + (self.C + self.C.T) / M, 2))
@@ -632,21 +594,16 @@ class PriceTimesUsage:
     price: DiagonalPrice
     n: int
 
-    def value(self, i, x_i, z):
-        x_i = np.asarray(x_i, dtype=float)
-        return float(self.utility.value(i, x_i) + self.price.value(z) @ x_i)
-
-    def grad_own(self, i, x_i, z):
-        return self.utility.grad(i, x_i) + self.price.value(z)
-
-    def grad_agg(self, i, x_i, z):
-        return self.price.diag(z) * np.asarray(x_i, dtype=float)
+    def value_all(self, X, z):
+        return self.utility.value_all(X) \
+            + np.einsum("ij,ij->i", np.broadcast_to(self.price.value(z),
+                                                    X.shape), X)
 
     def grad_own_all(self, X, z):
-        return self.utility.grad_all(X) + self.price.value(z)[None, :]
+        return self.utility.grad_all(X) + self.price.value(z)
 
     def grad_agg_all(self, X, z):
-        return X * self.price.diag(z)[None, :]
+        return X * self.price.diag(z)
 
     def own_lipschitz(self) -> float:
         return self.utility.lipschitz()
@@ -662,14 +619,7 @@ class PriceTimesUsage:
         return best, "formula"
 
     def closed_form_response(self, z, charge, proj):
-        return self.utility.response(self.price.value(z)[None, :] + charge,
-                                     proj)
-
-    def deviation_value_grad(self, X, Z, M):
-        p = self.price.value(Z)
-        vals = self.utility.value_all(X) + np.einsum("ij,ij->i", p, X)
-        grads = self.utility.grad_all(X) + p + (self.price.diag(Z) * X) / M
-        return vals, grads
+        return self.utility.response(self.price.value(z) + charge, proj)
 
     def deviation_lipschitz(self, M, hi) -> float:
         """Own curvature plus the chain-rule terms, with |p'| and |p''|
@@ -763,14 +713,17 @@ class AggregativeGame:
 
 
 def cost_value(game: AggregativeGame, i: int, x_i, z) -> float:
-    """Cost J^i(x^i, z) of agent i at strategy x_i and average z."""
+    """Cost J^i(x^i, z) of agent i at strategy x_i and average z: row i of
+    the cost model's value_all on a profile whose row i is x_i, O(M n)."""
     if not 0 <= i < game.M:
         raise IndexError(f"agent index {i} out of range [0, {game.M})")
     x_i = _vec(x_i, "x_i")
     z = _vec(z, "z")
     if x_i.size != game.n or z.size != game.n:
         raise DimensionError("x_i and z must have length n")
-    return game.cost.value(i, x_i, z)
+    X = np.zeros((game.M, game.n))
+    X[i] = x_i
+    return float(game.cost.value_all(X, z)[i])
 
 
 @dataclass(frozen=True)

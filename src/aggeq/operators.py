@@ -43,7 +43,9 @@ class GameOperator:
 
     def evaluate_blocks(self, X: np.ndarray,
                         z: Optional[np.ndarray] = None) -> np.ndarray:
-        """F(X) as an (M, n) matrix; z is X's aggregate (None computes it)."""
+        """F(X) as an (M, n) matrix; z is X's aggregate (None computes it)
+        or an (M, n) matrix of per-agent averages, as ``epsilon_nash``
+        passes its deviations' averages."""
         X = np.asarray(X, dtype=float)
         if z is None:
             z = aggregate_matrix(X)

@@ -1,8 +1,10 @@
 """Exact Euclidean projections onto the constraint geometries used by the
 solvers: boxes with an optional budget, flow polytopes, halfspaces, and
 intersections handled by Dykstra's alternating scheme.  Also the exact
-linear minimizer over box-plus-budget sets, and ``ProfileProjector``, which
-projects a whole profile onto a game's set family.
+linear minimizer over box-plus-budget sets, ``ProfileProjector``, which
+projects a whole profile onto a game's set family, and ``projected_gradient``,
+the one projected-gradient loop (the two-level scheme's optimal responses and
+the epsilon-Nash deviation run it).
 
 All functions are pure.
 """
@@ -208,6 +210,21 @@ def dykstra(y, projectors: Sequence[Callable], tol: float = DYKSTRA_TOL,
     raise ConvergenceError(
         f"dykstra did not converge in {max_iter} sweeps (gap {gap:.3e})",
         last=x, gap=gap)
+
+
+def projected_gradient(grad: Callable, proj: Callable, X: np.ndarray,
+                       step: float, tol: float, max_iter: int,
+                       what: str) -> np.ndarray:
+    """Iterate X <- proj(X - step * grad(X)) from X until a pass moves X by
+    at most tol in inf-norm, and return that pass's point.  Raises
+    ConvergenceError, with the last iterate, after max_iter passes; its
+    message says that ``what`` did not converge."""
+    for _ in range(max_iter):
+        X_new = proj(X - step * grad(X))
+        if float(np.max(np.abs(X_new - X), initial=0.0)) <= tol:
+            return X_new
+        X = X_new
+    raise ConvergenceError(f"{what} did not converge", last=X)
 
 
 def project_individual(cs: Union[Box, FlowPolytope], y) -> np.ndarray:

@@ -359,18 +359,19 @@ class TestBestResponse:
         # direct reimplementation here.
         z = rng.uniform(0.2, 0.8, size=n)
         lam = rng.uniform(0.0, 0.5, size=n)
+        # Every agent's loop at once, agent i with step 1 / gamma[i].
+        charge = game.coupling.adjoint_blocks(lam)
+        X = np.full((M, n), 0.5)
+        step = 1.0 / gamma[:, None]
+        for _ in range(200_000):
+            G = cost.grad_own_all(X, z) + charge
+            X_new = np.clip(X - step * G, 0.0, 1.0)
+            if np.max(np.abs(X_new - X)) <= 1e-12:
+                break
+            X = X_new
         for i in range(M):
             closed = best_response(game, i, z, lam)
-            charge = game.coupling.agent_block(i).T @ lam
-            x = np.full(n, 0.5)
-            step = 1.0 / gamma[i]
-            for _ in range(200_000):
-                g = cost.grad_own(i, x, z) + charge
-                x_new = np.clip(x - step * g, 0.0, 1.0)
-                if np.max(np.abs(x_new - x)) <= 1e-12:
-                    break
-                x = x_new
-            assert np.max(np.abs(closed - x)) <= 1e-8
+            assert np.max(np.abs(closed - X[i])) <= 1e-8
 
     def test_rejects_negative_multiplier(self):
         game = single_agent_game()

@@ -94,7 +94,42 @@ class TestRun:
         for name in RUN_FILES[:3]:
             assert (bad / name).read_bytes() == (good / name).read_bytes(), \
                 name
-        assert not (bad / "report.csv").exists()
+        # The result is feasible, so its row says why verification failed.
+        report = read_rows(bad / "report.csv")
+        assert len(report) == 1
+        row = report[0]
+        assert sorted(row) == sorted(FAILURE_COLUMNS + [
+            "converged", "algorithm", "M", "seed", "primal_updates",
+            "dual_updates", "verification_error"])
+        assert row["feasible"] == "1"
+        assert row["verification_error"] == "verification failed"
+
+    def test_feasible_result_on_unbounded_sets_writes_failure_report(
+            self, tmp_path, capsys):
+        # Verification cannot sample an unbounded box; the solve, which
+        # needs no samples here, still gets its report.csv row.
+        M, n = 4, 3
+        path = tmp_path / "game.npz"
+        np.savez(path, Q=np.eye(n), C=0.5 * np.eye(n),
+                 c=-np.arange(1.0, M * n + 1).reshape(M, n) / M,
+                 lo=np.zeros(n), hi=np.full(n, np.inf))
+        cfg = write_config(tmp_path, "[experiment]\nkind = custom-file\n"
+                           "seed = 0\nalgorithm = extragradient\n"
+                           f"tol = 1e-6\n\n[custom]\nfile = {path}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "failure: unbounded individual sets" in capsys.readouterr().err
+        for name in RUN_FILES:
+            assert (out / name).exists(), name
+        report = read_rows(out / "report.csv")
+        assert len(report) == 1
+        row = report[0]
+        assert sorted(row) == sorted(FAILURE_COLUMNS + [
+            "converged", "algorithm", "M", "seed", "primal_updates",
+            "dual_updates", "verification_error"])
+        assert (row["feasible"], row["converged"], row["algorithm"],
+                row["M"]) == ("1", "1", "extragradient", "4")
+        assert row["verification_error"] == "unbounded individual sets"
 
     def test_infeasible_result_writes_failure_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, INFEASIBLE_CONFIG)

@@ -6,7 +6,7 @@ from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
                         DiagonalPrice, FlowFamily, FlowPolytope,
                         PriceTimesUsage,
                         QuadraticCost, QuadraticTracking, StrategyProfile,
-                        ZeroUtility, aggregate, cost_value,
+                        ZeroUtility, aggregate_matrix, cost_value,
                         feasibility_report)
 
 
@@ -51,16 +51,12 @@ class TestStrategyProfile:
     def test_aggregate_linear(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x = rng.normal(size=12)
-            y = rng.normal(size=12)
+            x = rng.normal(size=(4, 3))
+            y = rng.normal(size=(4, 3))
             a, b = rng.normal(size=2)
-            lhs = aggregate(a * x + b * y, 4, 3)
-            rhs = a * aggregate(x, 4, 3) + b * aggregate(y, 4, 3)
+            lhs = aggregate_matrix(a * x + b * y)
+            rhs = a * aggregate_matrix(x) + b * aggregate_matrix(y)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_aggregate_raw_vector_needs_dims(self):
-        with pytest.raises(DimensionError):
-            aggregate(np.zeros(4))
 
 
 class TestCostValue:
@@ -98,10 +94,12 @@ class TestCostValue:
         c = rng.normal(size=(3, n))
         cost = QuadraticCost(Q=Q, C=C, c=c)
         for _ in range(10):
-            x = rng.normal(size=n)
+            X = rng.normal(size=(3, n))
             z = rng.normal(size=n)
-            want = 0.5 * x @ Q @ x + (C @ z + c[1]) @ x
-            assert cost.value(1, x, z) == pytest.approx(want, abs=1e-12)
+            vals = cost.value_all(X, z)
+            for i, x in enumerate(X):
+                want = 0.5 * x @ Q @ x + (C @ z + c[i]) @ x
+                assert vals[i] == pytest.approx(want, abs=1e-12)
 
 
 class TestGradients:
@@ -113,11 +111,11 @@ class TestGradients:
         C = rng.normal(size=(n, n))
         c = rng.normal(size=(2, n))
         cost = QuadraticCost(Q=Q, C=C, c=c)
+        X = rng.normal(size=(2, n))
+        z = rng.normal(size=n)
+        own = cost.grad_own_all(X, z)
         for i in range(2):
-            x = rng.normal(size=n)
-            z = rng.normal(size=n)
-            assert np.allclose(cost.grad_own(i, x, z), Q @ x + C @ z + c[i],
-                               atol=1e-14)
+            assert np.allclose(own[i], Q @ X[i] + C @ z + c[i], atol=1e-14)
 
     @pytest.mark.parametrize("variant", ["quadratic", "price"])
     def test_gradients_match_finite_differences(self, variant):
@@ -138,21 +136,22 @@ class TestGradients:
                     lambda z: 0.5 / np.sqrt(1.0 + z),
                     lambda z: -0.25 * (1.0 + z) ** -1.5),
                 n=n)
+        # Row i of value_all depends only on X[i] and z, so shifting every
+        # row by e differentiates every row at once.
         h = 1e-6
-        for i in range(2):
-            x = rng.uniform(0.1, 0.9, size=n)
-            z = rng.uniform(0.1, 0.9, size=n)
-            g_own = cost.grad_own(i, x, z)
-            g_agg = cost.grad_agg(i, x, z)
-            for t in range(n):
-                e = np.zeros(n)
-                e[t] = h
-                fd_own = (cost.value(i, x + e, z)
-                          - cost.value(i, x - e, z)) / (2 * h)
-                fd_agg = (cost.value(i, x, z + e)
-                          - cost.value(i, x, z - e)) / (2 * h)
-                assert g_own[t] == pytest.approx(fd_own, rel=1e-4, abs=1e-8)
-                assert g_agg[t] == pytest.approx(fd_agg, rel=1e-4, abs=1e-8)
+        X = rng.uniform(0.1, 0.9, size=(2, n))
+        z = rng.uniform(0.1, 0.9, size=n)
+        g_own = cost.grad_own_all(X, z)
+        g_agg = cost.grad_agg_all(X, z)
+        for t in range(n):
+            e = np.zeros(n)
+            e[t] = h
+            fd_own = (cost.value_all(X + e, z)
+                      - cost.value_all(X - e, z)) / (2 * h)
+            fd_agg = (cost.value_all(X, z + e)
+                      - cost.value_all(X, z - e)) / (2 * h)
+            assert g_own[:, t] == pytest.approx(fd_own, rel=1e-4, abs=1e-8)
+            assert g_agg[:, t] == pytest.approx(fd_agg, rel=1e-4, abs=1e-8)
 
     def test_vectorized_grads_match_per_agent(self):
         rng = np.random.default_rng(4)
@@ -161,13 +160,23 @@ class TestGradients:
         Q = Q @ Q.T
         cost = QuadraticCost(Q=Q, C=rng.normal(size=(n, n)),
                              c=rng.normal(size=(M, n)))
+        # One average per agent: row i is the row of a common-average call
+        # at agent i's average, and the formula of agent i.
         X = rng.normal(size=(M, n))
-        z = rng.normal(size=n)
-        own = cost.grad_own_all(X, z)
-        agg = cost.grad_agg_all(X, z)
+        Z = rng.normal(size=(M, n))
+        own = cost.grad_own_all(X, Z)
+        agg = cost.grad_agg_all(X, Z)
+        vals = cost.value_all(X, Z)
         for i in range(M):
-            assert np.allclose(own[i], cost.grad_own(i, X[i], z), atol=1e-12)
-            assert np.allclose(agg[i], cost.grad_agg(i, X[i], z), atol=1e-12)
+            assert np.allclose(own[i], cost.grad_own_all(X, Z[i])[i],
+                               atol=1e-12)
+            assert np.allclose(agg[i], cost.grad_agg_all(X, Z[i])[i],
+                               atol=1e-12)
+            assert vals[i] == pytest.approx(cost.value_all(X, Z[i])[i],
+                                            abs=1e-12)
+            assert np.allclose(own[i], Q @ X[i] + cost.C @ Z[i] + cost.c[i],
+                               atol=1e-12)
+            assert np.allclose(agg[i], cost.C.T @ X[i], atol=1e-12)
 
 
 class TestCouplingConstraint:
