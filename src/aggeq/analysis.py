@@ -10,7 +10,7 @@ population-size monotonicity estimates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,8 @@ from .errors import DimensionError, InfeasibleSetError
 from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
                    feasibility_report)
 from .operators import (NASH, SAMPLE_CHUNK_ENTRIES, build_operator,
-                        default_sampler, monotonicity_analysis)
+                        coupling_constants, default_sampler,
+                        monotonicity_analysis)
 from .projection import (dykstra, project_halfspace, project_individual,
                          projected_gradient)
 
@@ -34,17 +35,18 @@ class ConstantsEstimate:
     """Problem constants feeding the theoretical bounds.
 
     R bounds the norm of every individual strategy; L_p is the Lipschitz
-    constant of the price/aggregate coupling; L2 = R * L_p bounds the
-    aggregate-gradient term; alpha is the strong-monotonicity constant of
-    the Nash mapping.
+    constant of the price/aggregate coupling; alpha is the
+    strong-monotonicity constant of the Nash mapping.
     """
 
     R: float
-    L2: float
+    L_p: float
     alpha: float
-    source: str  # exact | formula | sampled
-    L_p: float = 0.0
-    extras: dict = field(default_factory=dict)
+
+    @property
+    def L2(self) -> float:
+        """R * L_p, the bound on the aggregate-gradient term."""
+        return self.R * self.L_p
 
 
 @dataclass
@@ -74,64 +76,44 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def coupling_constants(game: AggregativeGame) -> tuple:
-    """(R, L_p, source): R from the tightest common box, L_p and its source
-    from the price/aggregate coupling.  No monotonicity sampling."""
-    lo, hi = game.bounding_box()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise InfeasibleSetError("unbounded individual sets")
-    R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    return (R, *game.cost.aggregate_lipschitz(hi))
-
-
 def estimate_constants(game: AggregativeGame,
                        alpha: Optional[float] = None) -> ConstantsEstimate:
-    """R from the tightest common box, L2 = R * L_p, alpha of the Nash map."""
-    R, L_p, source = coupling_constants(game)
+    """R and L_p of ``coupling_constants``, alpha of the Nash map."""
+    R, L_p = coupling_constants(game)
     if alpha is None:
-        rep = monotonicity_analysis(build_operator(game, NASH))
-        alpha = rep.safe_alpha()
-        if not rep.exact and source == "exact":
-            source = "formula"
-    extras = dict(game.meta)
-    extras["n"] = game.n
-    return ConstantsEstimate(R=R, L2=R * L_p, alpha=float(alpha),
-                             source=source, L_p=L_p, extras=extras)
+        alpha = monotonicity_analysis(build_operator(game, NASH)).safe_alpha()
+    return ConstantsEstimate(R=R, L_p=L_p, alpha=float(alpha))
 
 
-def wardrop_epsilon_bound(constants: ConstantsEstimate, M: int,
-                          tag: Optional[str] = None) -> dict:
+def wardrop_epsilon_bound(constants: ConstantsEstimate, M: int) -> float:
     """A Wardrop equilibrium is an epsilon-Nash equilibrium with epsilon
-    bounded by 2 R L2 / M; application tags add their specialized forms."""
-    out = {"generic": 2.0 * constants.R * constants.L2 / M}
-    ex = constants.extras
-    if tag == "ev" and "xtilde0" in ex:
-        out["ev"] = 2.0 * ex["n"] * ex["xtilde0"] ** 2 * constants.L_p / M
-    if tag == "traffic" and "E" in ex and "f_min" in ex:
-        out["traffic"] = ex["E"] / (M * ex["f_min"])
-    return out
+    bounded by 2 R L2 / M."""
+    return 2.0 * constants.R * constants.L2 / M
 
 
-def distance_bounds(constants: ConstantsEstimate, M: int,
-                    tag: Optional[str] = None) -> dict:
+def distance_bounds(constants: ConstantsEstimate, M: int) -> dict:
     """Bounds on the Nash/Wardrop strategy and aggregate distances."""
     alpha = constants.alpha
     if alpha <= 0:
         raise DimensionError("distance bounds need alpha > 0")
-    out = {
+    return {
         "strategy_bound": constants.L2 / (alpha * np.sqrt(M)),
         "sigma_bound": float(np.sqrt(
             2.0 * constants.R * constants.L2 / (alpha * M))),
     }
-    ex = constants.extras
-    if tag == "ev" and "xtilde0" in ex:
-        out["ev_sigma_bound"] = ex["xtilde0"] * float(np.sqrt(
-            2.0 * ex["n"] * constants.L_p / (alpha * M)))
-    if tag == "traffic" and all(k in ex for k in ("E", "f_min", "gamma_hat")):
-        out["traffic_sigma_bound"] = float(
-            np.sqrt(ex["E"])
-            / (2.0 * ex["f_min"] * ex["gamma_hat"] * np.sqrt(M)))
-    return out
+
+
+def equilibrium_bounds(game: AggregativeGame,
+                       constants: ConstantsEstimate) -> dict:
+    """Every bound the paper gives for the game: the generic epsilon bound,
+    the distance bounds when alpha > 0, and the game's
+    ``application_bounds``."""
+    bounds = {"eps_generic": wardrop_epsilon_bound(constants, game.M)}
+    if constants.alpha > 0:
+        bounds.update(distance_bounds(constants, game.M))
+    if game.application_bounds is not None:
+        bounds.update(game.application_bounds(constants))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +418,11 @@ def verify_equilibrium(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
     eps = epsilon_nash(game, X) if compute_epsilon else float("nan")
     if constants is None:
         constants = estimate_constants(game)
-    bounds = {}
-    for key, val in wardrop_epsilon_bound(constants, game.M,
-                                          game.tag).items():
-        bounds[f"eps_{key}"] = val
-    if constants.alpha > 0:
-        bounds.update(distance_bounds(constants, game.M, game.tag))
     return VerificationReport(
         kkt_stationarity=kkt["stationarity"],
         complementarity_gap=kkt["complementarity"],
         vi_gap_sampled=gap,
         feasibility=feas,
         epsilon_nash=eps,
-        bounds=bounds,
+        bounds=equilibrium_bounds(game, constants),
     )

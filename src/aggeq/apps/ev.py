@@ -9,7 +9,9 @@ per-slot cap limits the fleet average.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from ..errors import DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, BoxFamily, CouplingConstraint,
                     DiagonalPrice, PriceTimesUsage, ZeroUtility,
-                    sum_rounding_bound)
+                    grid_extremes, sum_rounding_bound)
 
 DEFAULT_PRICE_COEFF = 0.15
 DEFAULT_KAPPA = 12.0
@@ -42,48 +44,25 @@ class EvParams:
     d: np.ndarray  # (n,)
     kappa: np.ndarray  # (n,)
     K: np.ndarray  # (n,)
-    efficiency: np.ndarray = None  # (M,), b^i > 0
-    s_init: np.ndarray = None  # (M,) initial charge
-    eta: np.ndarray = None  # (M,) desired charge
-    price_coeff: float = DEFAULT_PRICE_COEFF
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        xtilde = np.asarray(self.xtilde, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        kappa = np.asarray(self.kappa, dtype=float)
-        K = np.asarray(self.K, dtype=float)
-        eff = (np.ones(self.M) if self.efficiency is None
-               else np.asarray(self.efficiency, dtype=float))
-        s_init = (np.zeros(self.M) if self.s_init is None
-                  else np.asarray(self.s_init, dtype=float))
-        eta = (s_init + eff * theta if self.eta is None
-               else np.asarray(self.eta, dtype=float))
+        for name in ("theta", "xtilde", "d", "kappa", "K"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        theta, xtilde = self.theta, self.xtilde
         if xtilde.shape != (self.M, self.n):
             raise DimensionError("xtilde must be (M, n)")
-        for arr, name in ((theta, "theta"), (eff, "efficiency"),
-                          (s_init, "s_init"), (eta, "eta")):
-            if arr.shape != (self.M,):
-                raise DimensionError(f"{name} must have one entry per agent")
-        for arr, name in ((d, "d"), (kappa, "kappa"), (K, "K")):
-            if arr.shape != (self.n,):
+        if theta.shape != (self.M,):
+            raise DimensionError("theta must have one entry per agent")
+        for name in ("d", "kappa", "K"):
+            if getattr(self, name).shape != (self.n,):
                 raise DimensionError(f"{name} must have one entry per slot")
-        if np.any(eff <= 0):
-            raise InfeasibleSetError("efficiencies must be positive")
-        if np.any(np.abs((eta - s_init) / eff - theta) > 1e-9):
-            raise InfeasibleSetError(
-                "theta must equal (eta - s_init) / efficiency")
         if np.any(theta < 0) or np.any(xtilde < 0):
             raise InfeasibleSetError("required charge and slot caps must be"
                                      " nonnegative")
         if np.any(xtilde.sum(axis=1) < theta - sum_rounding_bound(xtilde)):
             raise InfeasibleSetError(
                 "some agent cannot meet its requirement inside its window")
-        for name, val in (("theta", theta), ("xtilde", xtilde), ("d", d),
-                          ("kappa", kappa), ("K", K),
-                          ("efficiency", eff), ("s_init", s_init),
-                          ("eta", eta)):
-            object.__setattr__(self, name, val)
 
     @property
     def xtilde0(self) -> float:
@@ -164,43 +143,65 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
                     kappa=np.full(n, float(kappa)), K=np.full(n, float(K)))
 
 
-def _greedy_population_feasibility(params: EvParams):
-    """Cheap certificate that the coupled set is nonempty.
-
-    Assigns each agent's requirement greedily across its window subject to
-    the remaining per-slot fleet capacity M * K_t.  Success proves
-    nonemptiness; failure raises.
-    """
-    room = params.M * params.K.copy()
+def _check_population(params: EvParams) -> None:
+    """Raise InfeasibleSetError when the coupled set is provably empty:
+    theta_i > sum_t min(xtilde_it, M K_t) for some agent i, or
+    sum_i theta_i > sum_t min(M K_t, sum_i xtilde_it).  Else fill each
+    requirement greedily within the remaining fleet room M K_t: success
+    proves the set nonempty; failure proves nothing, so it only warns."""
+    room = params.M * params.K
+    own = np.minimum(params.xtilde, room)
+    short = params.theta - own.sum(axis=1) > sum_rounding_bound(own)
+    if np.any(short):
+        raise InfeasibleSetError("per-slot caps leave no room for agent"
+                                 f" {int(np.argmax(short))}'s requirement")
+    fleet = np.minimum(room, params.xtilde.sum(axis=0))
+    if params.theta.sum() - fleet.sum() \
+            > sum_rounding_bound(np.r_[params.theta, fleet]):
+        raise InfeasibleSetError(
+            "per-slot caps leave no room for the fleet's requirements")
     for i in range(params.M):
         need = params.theta[i]
         take = np.minimum(params.xtilde[i], room)
-        order = np.argsort(-take, kind="stable")
-        for t in order:
+        for t in np.argsort(-take, kind="stable"):
             amt = min(take[t], need)
             room[t] -= amt
             need -= amt
             if need <= 1e-12:
                 break
         if need > 1e-12:
-            raise InfeasibleSetError(
-                f"per-slot caps leave no room for agent {i}'s requirement")
+            warnings.warn("a greedy fill does not certify that the charging"
+                          " game's coupled set is nonempty", RuntimeWarning,
+                          stacklevel=3)
+            return
 
 
 def build_ev_game(params: EvParams) -> AggregativeGame:
-    """Charging game: box-budget agents, per-slot fleet cap, sqrt price."""
-    _greedy_population_feasibility(params)
+    """Charging game: box-budget agents, per-slot fleet cap, sqrt price,
+    and the bounds of ``_ev_bounds``."""
+    _check_population(params)
     individual = BoxFamily(np.zeros_like(params.xtilde), params.xtilde,
                            params.theta)
     coupling = CouplingConstraint.per_component_cap(params.K, params.M)
     cost = PriceTimesUsage(
         utility=ZeroUtility(),
-        price=sqrt_price(params.d, params.kappa, params.price_coeff),
+        price=sqrt_price(params.d, params.kappa),
         n=params.n)
-    meta = {"xtilde0": params.xtilde0}
+    bounds = partial(_ev_bounds, params.n, params.xtilde0, params.M)
     return AggregativeGame(M=params.M, n=params.n, cost=cost,
                            individual=individual, coupling=coupling,
-                           tag="ev", meta=meta)
+                           application_bounds=bounds)
+
+
+def _ev_bounds(n, xtilde0, M, constants) -> dict:
+    """The charging section's bounds: ``eps_ev`` = 2 n xtilde0^2 L_p / M on
+    a Wardrop equilibrium's epsilon, and when alpha > 0 ``ev_sigma_bound``
+    = xtilde0 sqrt(2 n L_p / (alpha M)) on the Nash/Wardrop average gap."""
+    out = {"eps_ev": 2.0 * n * xtilde0 ** 2 * constants.L_p / M}
+    if constants.alpha > 0:
+        out["ev_sigma_bound"] = xtilde0 * float(np.sqrt(
+            2.0 * n * constants.L_p / (constants.alpha * M)))
+    return out
 
 
 def ev_condition_check(params: EvParams, grid_step: float = 1e-4,
@@ -213,12 +214,9 @@ def ev_condition_check(params: EvParams, grid_step: float = 1e-4,
     default sqrt price derived from the params.
     """
     if price is None:
-        price = sqrt_price(params.d, params.kappa, params.price_coeff)
+        price = sqrt_price(params.d, params.kappa)
     x0 = params.xtilde0
-    zs = np.arange(0.0, x0 + grid_step, grid_step)
-    min_value = np.inf
-    for chunk in np.array_split(zs, max(1, zs.size // 4096)):
-        Z = chunk[:, None]  # broadcasts against the n slot parameters
-        expr = price.diag(Z) - x0 * price.diag2(Z) / 8.0
-        min_value = min(min_value, float(np.min(expr)))
-    return {"holds": bool(min_value > 0.0), "min_value": float(min_value)}
+    min_value, = grid_extremes(
+        np.arange(0.0, x0 + grid_step, grid_step), params.n,
+        lambda Z: (price.diag(Z) - x0 * price.diag2(Z) / 8.0,), np.minimum)
+    return {"holds": bool(min_value > 0.0), "min_value": min_value}

@@ -325,7 +325,8 @@ def build_route_choice_game(network: RoadNetwork,
     Strategies are per-edge transit probabilities; the preferred route is
     the free-flow shortest path of each agent's origin-destination pair.
     Omitted od_pairs are drawn uniformly (distinct origin/destination) for
-    M agents.
+    M agents.  Its application bounds are the epsilon and distance bounds
+    of ``traffic_bounds`` at gamma_hat = gamma_range[0].
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -355,15 +356,27 @@ def build_route_choice_game(network: RoadNetwork,
         price=_edge_price(network),
         n=E)
     coupling = CouplingConstraint.per_component_cap(network.K, M)
-    meta = {
-        "E": E,
-        "f_min": float(np.min(network.f)),
-        "gamma_hat": float(gamma_range[0]),
-        "od_pairs": tuple(od_pairs),
-    }
+    bounds = partial(_route_bounds, E, float(np.min(network.f)),
+                     float(gamma_range[0]), M)
     return AggregativeGame(M=M, n=E, cost=cost,
                            individual=FlowFamily(network.B, b_ods),
-                           coupling=coupling, tag="traffic", meta=meta)
+                           coupling=coupling, application_bounds=bounds)
+
+
+def _distance_and_eps(E, f_min, gamma_hat, M) -> tuple:
+    """The route-choice section's Nash/Wardrop aggregate distance bound
+    and epsilon bound for Wardrop solutions."""
+    return (float(np.sqrt(E) / (2.0 * f_min * gamma_hat * np.sqrt(M))),
+            E / (M * f_min))
+
+
+def _route_bounds(E, f_min, gamma_hat, M, constants) -> dict:
+    """``eps_traffic``, and ``traffic_sigma_bound`` when alpha > 0."""
+    distance, eps = _distance_and_eps(E, f_min, gamma_hat, M)
+    out = {"eps_traffic": eps}
+    if constants.alpha > 0:
+        out["traffic_sigma_bound"] = distance
+    return out
 
 
 def traffic_bounds(network: RoadNetwork, gamma_hat: float, M: int) -> dict:
@@ -373,9 +386,7 @@ def traffic_bounds(network: RoadNetwork, gamma_hat: float, M: int) -> dict:
         raise DimensionError("gamma_hat must be positive")
     Deltas = smoothing_constants(network.f, network.h, network.t_free).Delta
     m_threshold = float(np.max(1.0 / (32.0 * network.f * Deltas * gamma_hat)))
-    E = network.n_edges
-    f_min = float(np.min(network.f))
-    distance = float(np.sqrt(E) / (2.0 * f_min * gamma_hat * np.sqrt(M)))
-    eps = E / (M * f_min)
+    distance, eps = _distance_and_eps(network.n_edges,
+                                      float(np.min(network.f)), gamma_hat, M)
     return {"M_threshold": m_threshold, "distance_bound": distance,
             "eps": eps}

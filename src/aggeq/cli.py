@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import SOLVERS, TRACE_COLUMNS, SolverConfig
-from .analysis import (distance_bounds, estimate_constants,
-                       verify_equilibrium)
+from .analysis import (distance_bounds, equilibrium_bounds,
+                       estimate_constants, verify_equilibrium)
 from .apps.ev import build_ev_game, generate_ev_params
 from .apps.traffic import (_require_columns, build_route_choice_game,
                            load_network)
@@ -170,8 +170,7 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
             coupling = CouplingConstraint.per_component_cap(
                 np.full(n, np.inf), M_file)
         return AggregativeGame(M=M_file, n=n, cost=cost,
-                               individual=individual, coupling=coupling,
-                               tag="custom")
+                               individual=individual, coupling=coupling)
     raise ConfigError(f"unknown kind {cfg.kind!r}")
 
 
@@ -290,11 +289,13 @@ def cmd_sweep_m(cfg: ExperimentConfig) -> int:
         d_s = float(np.linalg.norm(aggregate_matrix(Xn)
                                    - aggregate_matrix(Xw)))
         constants = estimate_constants(game)
-        bounds = distance_bounds(constants, M, game.tag)
-        sigma_bound = min(v for k, v in bounds.items() if "sigma" in k)
+        # distance_bounds raises when alpha <= 0: no bound to compare with.
+        strategy_bound = distance_bounds(constants, M)["strategy_bound"]
+        sigma_bound = min(v for k, v in equilibrium_bounds(
+            game, constants).items() if "sigma" in k)
         rows.append([
             M, int(res_n.converged), int(res_w.converged), _fmt(d_x),
-            _fmt(d_s), _fmt(bounds["strategy_bound"]), _fmt(sigma_bound),
+            _fmt(d_s), _fmt(strategy_bound), _fmt(sigma_bound),
             _fmt(constants.alpha), _fmt(1.0 / np.sqrt(M))])
         if not (res_n.converged and res_w.converged):
             failures += 1

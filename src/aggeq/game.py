@@ -340,12 +340,6 @@ class CouplingConstraint:
             return self.A
         return np.kron(np.ones((1, self.M)), np.eye(self.n)) / self.M
 
-    def agent_block(self, i: int) -> np.ndarray:
-        """A_(:,i), the m x n block acting on agent i."""
-        if self.A is None:
-            return np.eye(self.n) / self.M
-        return self.A[:, i * self.n : (i + 1) * self.n]
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """A x for an (M, n) strategy matrix."""
         if self.A is None:
@@ -402,6 +396,19 @@ class DiagonalPrice:
 
     def diag2(self, z):
         return np.asarray(self.ddf(z), dtype=float)
+
+
+def grid_extremes(grid, n, terms, extreme=np.maximum) -> list:
+    """extreme (np.maximum or np.minimum) of each array terms(Z) returns,
+    over the points z_j of the 1-D grid as rows z_j 1^T of Z.  Chunks of
+    about 1,024 points keep the (k, n) temporaries in cache; an extreme
+    over chunks is exact, so the chunking moves no float."""
+    best = None
+    for z in np.array_split(grid, max(1, grid.size // 1024)):
+        Z = np.broadcast_to(z[:, None], (z.size, n))
+        vals = [extreme.reduce(t, axis=None) for t in terms(Z)]
+        best = vals if best is None else list(map(extreme, best, vals))
+    return [float(v) for v in best]
 
 
 class ZeroUtility:
@@ -474,7 +481,8 @@ class QuadraticTracking:
 # value_all(X, z) is J^i(X[i], z_i), of grad_own_all(X, z) its gradient in
 # X[i] and of grad_agg_all(X, z) its gradient in z_i.  They also give:
 # * own_lipschitz(): a Lipschitz constant of grad_own_all in X, every agent;
-# * aggregate_lipschitz(hi): (L_p, source) of the price/aggregate coupling;
+# * aggregate_lipschitz(hi): L_p, the Lipschitz constant of the
+#   price/aggregate coupling;
 # * closed_form_response(z, charge, proj): all agents' minimizers of
 #   J^i(x, z) + charge[i]^T x over their sets, or None without a closed form;
 # * deviation_lipschitz(M, hi): a Lipschitz constant of the gradient of
@@ -548,8 +556,8 @@ class QuadraticCost:
     def own_lipschitz(self) -> float:
         return float(np.linalg.norm(self.Q, 2))
 
-    def aggregate_lipschitz(self, hi) -> tuple:
-        return float(np.linalg.norm(self.C, 2)), "exact"
+    def aggregate_lipschitz(self, hi) -> float:
+        return float(np.linalg.norm(self.C, 2))
 
     def closed_form_response(self, z, charge, proj):
         return None
@@ -608,26 +616,24 @@ class PriceTimesUsage:
     def own_lipschitz(self) -> float:
         return self.utility.lipschitz()
 
-    def aggregate_lipschitz(self, hi) -> tuple:
-        """max |p'| over a 1e-4 grid of [0, max(hi)], scanned in chunks
-        of about 1,024 points, whose (1024, n) temporaries stay in cache."""
+    def aggregate_lipschitz(self, hi) -> float:
+        """max |p'| over a 1e-4 grid of [0, max(hi)]."""
         grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
-        best = 0.0
-        for z in np.array_split(grid, max(1, grid.size // 1024)):
-            Z = np.broadcast_to(z[:, None], (z.size, self.n))
-            best = max(best, float(np.max(np.abs(self.price.diag(Z)))))
-        return best, "formula"
+        return grid_extremes(grid, self.n,
+                             lambda Z: (np.abs(self.price.diag(Z)),))[0]
 
     def closed_form_response(self, z, charge, proj):
         return self.utility.response(self.price.value(z) + charge, proj)
 
     def deviation_lipschitz(self, M, hi) -> float:
         """Own curvature plus the chain-rule terms, with |p'| and |p''|
-        maximized over a 2049-point grid of [0, max(hi)]."""
-        zg = np.linspace(0.0, float(np.max(hi)), 2049)
-        Z = np.broadcast_to(zg[:, None], (zg.size, self.n))
-        dmax = float(np.max(np.abs(self.price.diag(Z))))
-        ddmax = float(np.max(np.abs(self.price.diag2(Z))))
+        maximized over a 2049-point grid of [0, max(hi)].  The grid is
+        coarser than aggregate_lipschitz's: it sets only epsilon_nash's
+        step, and the 1e-4 grid would add milliseconds to every call."""
+        dmax, ddmax = grid_extremes(
+            np.linspace(0.0, float(np.max(hi)), 2049), self.n,
+            lambda Z: (np.abs(self.price.diag(Z)),
+                       np.abs(self.price.diag2(Z))))
         xmax = float(np.max(np.abs(hi)))
         return self.own_lipschitz() + 2.0 * dmax / M + ddmax * xmax / M**2
 
@@ -676,8 +682,9 @@ class AggregativeGame:
     cost: CostModel
     individual: SetFamily
     coupling: CouplingConstraint
-    tag: Optional[str] = None
-    meta: dict = field(default_factory=dict)
+    # Set by an application's builder: its own bounds, a dict, as a function
+    # of the game's ConstantsEstimate, added to the generic ones.
+    application_bounds: Optional[Callable[..., dict]] = None
 
     def __post_init__(self):
         if self.M <= 0 or self.n <= 0:

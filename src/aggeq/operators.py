@@ -127,24 +127,29 @@ def build_operator(game: AggregativeGame, flavor: str) -> GameOperator:
     return GameOperator(game, flavor)
 
 
-def operator_gap(game: AggregativeGame, x, L2: Optional[float] = None
-                 ) -> tuple:
-    """Norm of the Nash/Wardrop mapping difference and its 1/sqrt(M) bound.
+def coupling_constants(game: AggregativeGame) -> tuple:
+    """(R, L_p): R the norm bound of the tightest common box, L_p the cost
+    model's aggregate Lipschitz constant.  No monotonicity sampling."""
+    lo, hi = game.bounding_box()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise InfeasibleSetError("unbounded individual sets")
+    R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+    return R, game.cost.aggregate_lipschitz(hi)
 
-    Returns (gap, bound).  When an exact aggregate-Lipschitz constant L2 is
-    supplied the gap is asserted to respect the bound.
+
+def operator_gap(game: AggregativeGame, x) -> tuple:
+    """Norm of the Nash/Wardrop mapping difference and its bound
+    R L_p / sqrt(M), from ``coupling_constants``.
+
+    Returns (gap, bound) and asserts that the gap respects the bound.
     """
     X = game.profile(x).as_matrix()
     f_n = build_operator(game, NASH).evaluate_blocks(X)
     f_w = build_operator(game, WARDROP).evaluate_blocks(X)
     gap = float(np.linalg.norm((f_n - f_w).reshape(-1)))
-    exact = L2 is not None
-    if L2 is None:
-        from .analysis import coupling_constants
-        R, L_p, source = coupling_constants(game)
-        L2, exact = R * L_p, source in ("exact", "formula")
-    bound = L2 / np.sqrt(game.M)
-    if exact and gap > bound + 1e-9:
+    R, L_p = coupling_constants(game)
+    bound = R * L_p / np.sqrt(game.M)
+    if gap > bound + 1e-9:
         raise AssertionError(
             f"mapping gap {gap:.3e} exceeds bound {bound:.3e}")
     return gap, bound

@@ -28,4 +28,4 @@ def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
     individual = BoxFamily.common(np.zeros(n), np.ones(n), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)
     return AggregativeGame(M=M, n=n, cost=cost, individual=individual,
-                           coupling=coupling, tag="quadratic")
+                           coupling=coupling)

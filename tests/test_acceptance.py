@@ -12,9 +12,9 @@ import pytest
 
 from aggeq.algorithms import (SolverConfig, asymmetric_projection,
                               extragradient, two_level_wardrop)
-from aggeq.analysis import (distance_bounds, epsilon_nash, estimate_constants,
-                            ev_dual_uniqueness, outer_sum_eigenvalue_check,
-                            wardrop_epsilon_bound)
+from aggeq.analysis import (epsilon_nash, equilibrium_bounds,
+                            estimate_constants, ev_dual_uniqueness,
+                            outer_sum_eigenvalue_check)
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import (build_network, build_route_choice_game,
                                 load_network, traffic_bounds)
@@ -88,10 +88,10 @@ def sweep_results():
             d_x = float(np.linalg.norm((Xn - Xw).reshape(-1)))
             d_s = float(np.linalg.norm(aggregate_matrix(Xn)
                                        - aggregate_matrix(Xw)))
-            constants = estimate_constants(game)
             rows.append({"M": M, "game": game, "res_w": res_w,
-                         "d_x": d_x, "d_s": d_s, "constants": constants,
-                         "bounds": distance_bounds(constants, M, game.tag)})
+                         "d_x": d_x, "d_s": d_s,
+                         "bounds": equilibrium_bounds(
+                             game, estimate_constants(game))})
         out[family] = rows
     out["elapsed"] = time.time() - t0
     return out
@@ -123,8 +123,7 @@ def test_criterion_4_epsilon_nash(sweep_results):
     for family in ("quadratic", "ev"):
         for row in sweep_results[family]:
             eps = epsilon_nash(row["game"], row["res_w"].x.entries)
-            bound = wardrop_epsilon_bound(row["constants"],
-                                          row["M"])["generic"]
+            bound = row["bounds"]["eps_generic"]
             ok = ok and (eps <= bound + 1e-6)
             worst_slack = min(worst_slack, bound - eps)
     _report(4, ok, f"epsilon-Nash of every Wardrop solution within"

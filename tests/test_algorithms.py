@@ -336,7 +336,7 @@ class TestBestResponse:
             coupling=CouplingConstraint.per_component_cap(np.ones(n), 1))
         lam = rng.uniform(0.0, 0.3, size=n)
         out = best_response(game, 0, z=np.zeros(n), lam=lam)
-        q = costs + game.coupling.agent_block(0).T @ lam
+        q = costs + game.coupling.adjoint_blocks(lam)[0]
         oracle = greedy_loop_oracle(q, cs.lo, cs.hi, cs.theta)
         assert np.max(np.abs(out - oracle)) <= 1e-12
 

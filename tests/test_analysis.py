@@ -11,7 +11,8 @@ from scipy.optimize import lsq_linear
 from aggeq import analysis
 from aggeq.algorithms import SolverConfig, asymmetric_projection, extragradient
 from aggeq.analysis import (ConstantsEstimate, VerificationReport,
-                            distance_bounds, epsilon_nash, estimate_constants,
+                            distance_bounds, epsilon_nash,
+                            equilibrium_bounds, estimate_constants,
                             ev_dual_uniqueness, kkt_residual,
                             outer_sum_eigenvalue_check, verify_equilibrium,
                             vi_gap_sampled, wardrop_epsilon_bound)
@@ -451,7 +452,7 @@ class TestKktTangentCone:
             return lsq_linear(*args, **kwargs)
 
         monkeypatch.setattr("scipy.optimize.lsq_linear", counting_lsq)
-        consts = ConstantsEstimate(R=1.0, L2=1.0, alpha=0.0, source="exact")
+        consts = ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.0)
         game = build_ev_game(generate_ev_params(M=6, seed=1))
         res = extragradient(game, NASH, SolverConfig(tol=1e-5))
         verify_equilibrium(game, NASH, res.x.entries, res.lam,
@@ -580,29 +581,47 @@ class TestViGapChunks:
 
 class TestBounds:
     def test_epsilon_bound_substitution(self):
-        consts = ConstantsEstimate(R=1.0, L2=2.0, alpha=1.0, source="exact")
-        assert wardrop_epsilon_bound(consts, 100)["generic"] \
-            == pytest.approx(0.04)
+        consts = ConstantsEstimate(R=1.0, L_p=2.0, alpha=1.0)
+        assert wardrop_epsilon_bound(consts, 100) == pytest.approx(0.04)
 
     def test_distance_bound_substitution(self):
-        consts = ConstantsEstimate(R=1.0, L2=1.0, alpha=0.5, source="exact")
+        consts = ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.5)
         out = distance_bounds(consts, 100)
         assert out["strategy_bound"] == pytest.approx(0.2)
         assert out["sigma_bound"] == pytest.approx(np.sqrt(2.0 / 50.0))
 
     def test_distance_bound_needs_positive_alpha(self):
-        consts = ConstantsEstimate(R=1.0, L2=1.0, alpha=0.0, source="exact")
+        consts = ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.0)
         with pytest.raises(DimensionError):
             distance_bounds(consts, 10)
 
+    def test_l2_is_r_times_l_p(self):
+        assert ConstantsEstimate(R=3.0, L_p=0.1, alpha=0.0).L2 == 3.0 * 0.1
+
     def test_traffic_sigma_bound_substitution(self):
-        consts = ConstantsEstimate(
-            R=1.0, L2=1.0, alpha=0.5, source="exact",
-            extras={"E": 20, "f_min": 4e-3, "gamma_hat": 0.5})
-        out = distance_bounds(consts, 60, tag="traffic")
+        # 20 edges of capacity 4e-3, gamma_hat = 0.5, M = 60.
+        edges = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0)] * 10
+        net = build_network([0, 1], edges, f=4e-3, h=7200.0)
+        game = build_route_choice_game(net, od_pairs=[(0, 1)] * 60, M=60,
+                                       gamma_range=(0.5, 3.5), seed=0)
+        out = game.application_bounds(
+            ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.5))
         want = np.sqrt(20.0) / (2.0 * 4e-3 * 0.5 * np.sqrt(60.0))
         assert out["traffic_sigma_bound"] == pytest.approx(want)
         assert out["traffic_sigma_bound"] == pytest.approx(144.3, abs=0.1)
+
+    def test_equilibrium_bounds_join_generic_and_application(self):
+        consts = ConstantsEstimate(R=2.0, L_p=0.5, alpha=0.25)
+        game = build_quadratic_game(M=4, n=3, seed=0)
+        generic = {"eps_generic": 2.0 * 2.0 * 1.0 / 4,
+                   **distance_bounds(consts, 4)}
+        assert equilibrium_bounds(game, consts) == generic
+        ev = build_ev_game(generate_ev_params(M=4, seed=0, n=6))
+        assert equilibrium_bounds(ev, consts) \
+            == {**generic, **ev.application_bounds(consts)}
+        flat = ConstantsEstimate(R=2.0, L_p=0.5, alpha=0.0)
+        assert equilibrium_bounds(ev, flat).keys() \
+            == {"eps_generic", "eps_ev"}
 
     def test_estimate_constants_quadratic(self):
         game = build_quadratic_game(M=4, n=6, seed=2)
@@ -610,7 +629,6 @@ class TestBounds:
         assert consts.L_p == pytest.approx(
             np.linalg.norm(game.cost.C, 2), abs=1e-12)
         assert consts.R == pytest.approx(np.sqrt(game.n), abs=1e-12)
-        assert consts.L2 == pytest.approx(consts.R * consts.L_p, abs=1e-12)
         assert consts.alpha > 0
 
     def test_estimate_constants_traffic_radius(self):
@@ -622,7 +640,6 @@ class TestBounds:
                                        seed=0)
         consts = estimate_constants(game, alpha=0.5)
         assert consts.R == pytest.approx(np.sqrt(net.n_edges), abs=1e-12)
-        assert consts.extras["E"] == net.n_edges
 
 
 class TestScalingInvariance:

@@ -13,9 +13,10 @@ from aggeq.apps.traffic import (_edge_price, build_network,
                                 traffic_bounds, travel_time,
                                 travel_time_derivative,
                                 travel_time_second_derivative)
+from aggeq.analysis import ConstantsEstimate, verify_equilibrium
 from aggeq.errors import ConfigError, DimensionError, InfeasibleSetError
 from aggeq.cli import ExperimentConfig, build_game
-from aggeq.game import DiagonalPrice
+from aggeq.game import DiagonalPrice, feasibility_report
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis)
 from aggeq.synthetic import build_quadratic_game
@@ -93,9 +94,16 @@ class TestEvBuilder:
     def test_default_population_builds(self):
         params = generate_ev_params(M=100, seed=0)
         game = build_ev_game(params)
-        assert game.tag == "ev"
         assert game.M == 100 and game.n == 24
-        assert game.meta["xtilde0"] == pytest.approx(params.xtilde0)
+        consts = ConstantsEstimate(R=2.0, L_p=0.3, alpha=0.5)
+        x0 = params.xtilde0
+        assert game.application_bounds(consts) == {
+            "eps_ev": 2.0 * 24 * x0 ** 2 * 0.3 / 100,
+            "ev_sigma_bound": x0 * float(np.sqrt(2.0 * 24 * 0.3
+                                                 / (0.5 * 100)))}
+        assert game.application_bounds(
+            ConstantsEstimate(R=2.0, L_p=0.3, alpha=0.0)).keys() \
+            == {"eps_ev"}
         assert game.coupling.A is None
         assert np.allclose(game.coupling.b, 0.55)
 
@@ -130,6 +138,27 @@ class TestEvBuilder:
         game = build_ev_game(params)
         assert game.M == 2
 
+    def test_feasible_population_the_greedy_fill_misses(self):
+        # Only x^1 = (0, 1), x^2 = (1, 0) meets every constraint; filling
+        # agent 1 first takes slot 0 and leaves agent 2 no room.
+        params = EvParams(n=2, M=2, theta=np.array([1.0, 1.0]),
+                          xtilde=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                          d=np.ones(2), kappa=np.ones(2), K=np.full(2, 0.5))
+        with pytest.warns(RuntimeWarning, match="not certify"):
+            game = build_ev_game(params)
+        res = extragradient(game, NASH, SolverConfig(tol=1e-6))
+        assert res.converged
+        assert feasibility_report(game, res.x, tol=1e-5).feasible
+        assert np.max(np.abs(res.x.as_matrix() - [[0.0, 1.0], [1.0, 0.0]])) \
+            <= 1e-5
+
+    def test_one_agent_without_room_rejected(self):
+        params = EvParams(n=2, M=2, theta=np.array([0.2, 1.5]),
+                          xtilde=np.array([[1.0, 1.0], [2.0, 0.0]]),
+                          d=np.ones(2), kappa=np.ones(2), K=np.full(2, 0.5))
+        with pytest.raises(InfeasibleSetError, match="agent 1"):
+            build_ev_game(params)
+
     def test_infeasible_population_rejected(self):
         params = EvParams(n=2, M=2, theta=np.array([1.0, 1.0]),
                           xtilde=np.ones((2, 2)), d=np.full(2, 2.0),
@@ -156,7 +185,7 @@ class TestEvBuilder:
         grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
         Z = np.broadcast_to(grid[:, None], (grid.size, game.n))
         want = float(np.max(np.abs(game.cost.price.diag(Z))))
-        assert game.cost.aggregate_lipschitz(hi) == (want, "formula")
+        assert game.cost.aggregate_lipschitz(hi) == want
 
 
 class TestEvCondition:
@@ -469,11 +498,17 @@ class TestRouteChoiceGame:
             seed=seed)
 
     def test_builder_metadata(self):
+        # E = 4 edges, f_min = 0.15, gamma_hat = 0.5, M = 4.
         net, game = self.gentle_game()
-        assert game.tag == "traffic"
-        assert game.meta["E"] == 4
-        assert game.meta["f_min"] == pytest.approx(0.15)
-        assert game.meta["gamma_hat"] == pytest.approx(0.5)
+        out = game.application_bounds(
+            ConstantsEstimate(R=2.0, L_p=1.0, alpha=0.5))
+        assert out == {
+            "eps_traffic": 4 / (4 * 0.15),
+            "traffic_sigma_bound": float(
+                np.sqrt(4) / (2.0 * 0.15 * 0.5 * np.sqrt(4)))}
+        assert game.application_bounds(
+            ConstantsEstimate(R=2.0, L_p=1.0, alpha=0.0)) \
+            == {"eps_traffic": out["eps_traffic"]}
         assert len(game.individual) == game.M
 
     def test_vacuous_caps_leave_duals_zero(self):
@@ -516,8 +551,7 @@ class TestRouteChoiceGame:
     def test_wardrop_strongly_monotone_above_gamma_hat(self):
         net, game = self.gentle_game(M=3)
         rep = monotonicity_analysis(build_operator(game, WARDROP))
-        gamma_hat = game.meta["gamma_hat"]
-        assert rep.alpha >= gamma_hat - 1e-6
+        assert rep.alpha >= 0.5 - 1e-6  # gamma_hat, the least weight
 
     def test_bad_od_pair_rejected(self):
         net = build_network([0, 1], TWO_ROUTE_EDGES)
@@ -544,6 +578,23 @@ class TestTrafficBounds:
         assert out["distance_bound"] == pytest.approx(
             np.sqrt(E) / (2.0 * f_min * 0.5 * np.sqrt(60.0)))
         assert out["eps"] == pytest.approx(E / (60 * f_min))
+
+    def test_verified_game_reports_the_section_bounds(self):
+        # E = 4 edges of capacity f = 0.15, weights from gamma_hat = 0.5,
+        # M = 5 agents.
+        net = build_network([0, 1], TWO_ROUTE_EDGES, f=0.15, h=2.0)
+        game = build_route_choice_game(net, od_pairs=[(0, 1)] * 5, M=5,
+                                       gamma_range=(0.5, 3.5), seed=0)
+        res = two_level_wardrop(game, SolverConfig(tol=1e-6))
+        assert res.converged
+        row = verify_equilibrium(game, WARDROP, res.x, res.lam,
+                                 n_samples=20).as_row()
+        eps = 4 / (5 * 0.15)
+        sigma = float(np.sqrt(4) / (2.0 * 0.15 * 0.5 * np.sqrt(5)))
+        assert row["bound_eps_traffic"] == eps
+        assert row["bound_traffic_sigma_bound"] == sigma
+        out = traffic_bounds(net, 0.5, 5)
+        assert (out["eps"], out["distance_bound"]) == (eps, sigma)
 
     def test_rejects_bad_gamma(self):
         net = build_network([0, 1], TWO_ROUTE_EDGES)

@@ -397,6 +397,28 @@ n = 4
         assert float(row["sigma_distance"]) \
             <= float(row["sigma_bound"]) + 1e-6
 
+    def test_sweep_needs_a_positive_alpha(self, tmp_path, monkeypatch,
+                                          capsys):
+        # Solved, but with no strong-monotonicity constant for the
+        # distance bounds: exit 1 with the bounds' message.
+        cfg = write_config(tmp_path, """\
+[experiment]
+kind = quadratic
+seed = 3
+m_list = 4
+tol = 1e-5
+
+[quadratic]
+n = 3
+""")
+        monkeypatch.setattr(cli, "estimate_constants",
+                            lambda game: analysis.estimate_constants(
+                                game, alpha=0.0))
+        assert main(["sweep-m", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err \
+            == "failure: distance bounds need alpha > 0\n"
+
     def test_non_increasing_m_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, """\
 [experiment]
@@ -509,7 +531,7 @@ net = build_network(list(range(6)), edges, f=0.15, h=2.0, K=0.4)
 game = build_route_choice_game(net, M=3, seed=0)
 verify_equilibrium(game, WARDROP, game.cost.utility.ref,
                    np.zeros(game.coupling.m),
-                   constants=ConstantsEstimate(1.0, 1.0, 0.0, "exact"),
+                   constants=ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.0),
                    n_samples=2, compute_epsilon=False)
 print("after route choice", "scipy.optimize" in sys.modules)
 """
