@@ -146,9 +146,10 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
 def _check_population(params: EvParams) -> None:
     """Raise InfeasibleSetError when the coupled set is provably empty:
     theta_i > sum_t min(xtilde_it, M K_t) for some agent i, or
-    sum_i theta_i > sum_t min(M K_t, sum_i xtilde_it).  Else fill each
-    requirement greedily within the remaining fleet room M K_t: success
-    proves the set nonempty; failure proves nothing, so it only warns."""
+    sum_i theta_i > sum_t min(M K_t, sum_i xtilde_it).  Else fill the
+    requirements greedily, agent by agent, each into its slots' takes
+    min(xtilde_it, remaining fleet room) largest first: success proves the
+    set nonempty; failure proves nothing, so it only warns."""
     room = params.M * params.K
     own = np.minimum(params.xtilde, room)
     short = params.theta - own.sum(axis=1) > sum_rounding_bound(own)
@@ -160,20 +161,37 @@ def _check_population(params: EvParams) -> None:
             > sum_rounding_bound(np.r_[params.theta, fleet]):
         raise InfeasibleSetError(
             "per-slot caps leave no room for the fleet's requirements")
-    for i in range(params.M):
-        need = params.theta[i]
-        take = np.minimum(params.xtilde[i], room)
-        for t in np.argsort(-take, kind="stable"):
-            amt = min(take[t], need)
-            room[t] -= amt
-            need -= amt
-            if need <= 1e-12:
-                break
-        if need > 1e-12:
-            warnings.warn("a greedy fill does not certify that the charging"
-                          " game's coupled set is nonempty", RuntimeWarning,
-                          stacklevel=3)
-            return
+    # Agents fill at once up to the first one whose takes the room left by
+    # the agents before it cuts; from there, one agent at a time.  left[i]
+    # is the room agent i finds, in the loop's order of subtractions.
+    left = np.subtract.accumulate(
+        np.vstack([room, _descending_fill(own, params.theta)]))
+    cut = np.flatnonzero(np.any(left[1:-1] < own[1:], axis=1))
+    first = cut[0] + 1 if cut.size else params.M
+    missed = np.any(params.theta[:first] - own[:first].sum(axis=1) > 1e-12)
+    room = left[first]
+    for xtilde, need in zip(params.xtilde[first:], params.theta[first:]):
+        if missed:
+            break
+        take = np.minimum(xtilde, room)[None, :]
+        room = room - _descending_fill(take, np.reshape(need, 1))[0]
+        missed = need - take.sum() > 1e-12
+    if missed:
+        warnings.warn("a greedy fill does not certify that the charging"
+                      " game's coupled set is nonempty", RuntimeWarning,
+                      stacklevel=3)
+
+
+def _descending_fill(take, need):
+    """Each row's greedy fill of need[i] into take[i], largest entry first
+    (ties in index order), each entry up to its take."""
+    rows = np.arange(len(take))[:, None]
+    order = np.argsort(-take, axis=1, kind="stable")
+    sorted_take = take[rows, order]
+    before = np.cumsum(sorted_take, axis=1) - sorted_take
+    fill = np.empty_like(take)
+    fill[rows, order] = np.clip(need[:, None] - before, 0.0, sorted_take)
+    return fill
 
 
 def build_ev_game(params: EvParams) -> AggregativeGame:

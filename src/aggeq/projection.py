@@ -6,7 +6,10 @@ projects a whole profile onto a game's set family, and ``projected_gradient``,
 the one projected-gradient loop (the two-level scheme's optimal responses and
 the epsilon-Nash deviation run it).
 
-All functions are pure.
+All functions are pure.  ``ProfileProjector`` keeps one speed-only cache: on
+a family with budgets, the partition (components inside the box, at hi) of
+each row in its last one-profile call, which lets rows whose partition still
+holds skip the breakpoint sort.  It never changes a result.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DimensionError
 from .game import (Box, BoxFamily, FlowPolytope, SetFamily, check_box_budget,
                    sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
+# A cached partition is kept when every component clears its bounds by this
+# many times the rounding bound n * eps * (sum(|y| + |lo| + |hi|) + |theta|)
+# of the row's sums.
+_HINT_SLACK = 8.0
+_EPS = np.finfo(float).eps
 
 
 def project_box_budget(y, lo, hi, theta) -> np.ndarray:
@@ -56,49 +64,81 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
 
 
 def _box_budget_rows(Y, lo, hi, theta=None) -> np.ndarray:
-    """The body of project_box_budget_batch, for float Y and bounds of its
-    shape that passed check_box_budget; the clamp alone when theta is
-    None."""
+    """The body of project_box_budget_batch, for float Y of shape (M, n)
+    or (k, M, n), (M, n) bounds and (M,) budgets that passed
+    check_box_budget; the clamp alone when theta is None."""
+    X, need = _clamp_need(Y, lo, hi, theta)
+    if need is None or not np.any(need):
+        return X
+    agents = np.nonzero(need)[-1]
+    y, l, h, t = Y[need], lo[agents], hi[agents], theta[agents]
+    inside, at_hi = _sort_partition(y, l, h, t)
+    mu, count = _multiplier(y, l, h, t, inside, at_hi)
+    X[need] = _finish(y + mu[:, None], l, h, t, inside, count)
+    return X
+
+
+def _clamp_need(Y, lo, hi, theta):
+    """The clamp X of Y into [lo, hi] and the mask of the rows whose clamp
+    misses theta by more than its sum's rounding bound (None without
+    theta)."""
     X = np.minimum(np.maximum(Y, lo), hi)
     if theta is None:
-        return X
-    short = theta - X.sum(axis=1)
+        return X, None
+    short = theta - X.sum(axis=-1)
     need = short > 0.0
     need[need] = short[need] > sum_rounding_bound(X[need])
-    if not np.any(need):
-        return X
-    y, l, h, t = Y[need], lo[need], hi[need], theta[need]
+    return X, need
+
+
+def _sort_partition(y, l, h, t):
+    """Each row's partition (inside, at_hi) of the budget step, from the
+    breakpoint search of project_box_budget_batch: the components strictly
+    inside the box and those at hi on the segment where s reaches t; none
+    inside on a row whose t rounds above sum(h)."""
     m, n = y.shape
     rows = np.arange(m)
     bp = np.concatenate([l - y, h - y], axis=1)
     order = np.argsort(bp, axis=1)
     b = bp.ravel()[order + 2 * n * rows[:, None]]
     # free[:, j]: count of components strictly inside the box for mu between
-    # b[:, j] and b[:, j + 1]; rise[:, j] = s(b[:, j + 1]) - sum(lo).
+    # b[:, j] and b[:, j + 1]; rise[:, j] = s(b[:, j + 1]) - sum(l).
     free = np.cumsum(np.where(order < n, 1.0, -1.0), axis=1)
     rise = np.cumsum(free[:, :-1] * np.diff(b, axis=1), axis=1)
-    # s reaches theta on the segment [b[:, k], b[:, k + 1]], which has
-    # positive length and a free component; k == 2n - 1 only when theta
-    # rounds above s(b[:, -1]) = sum(hi): there x = hi, and count >= 1
-    # only keeps the discarded refit finite.
+    # s reaches t on the segment [b[:, k], b[:, k + 1]], which then has
+    # positive length and free[:, k] >= 1 components inside; k == 2n - 1
+    # only when t rounds above s(b[:, -1]) = sum(h).
     k = np.count_nonzero(rise < (t - l.sum(axis=1))[:, None], axis=1)
-    full = k == 2 * n - 1
-    k = np.minimum(k, 2 * n - 2)
-    left = b[rows, k][:, None]
+    left = b[rows, np.minimum(k, 2 * n - 2)][:, None]
     at_hi = h - y <= left
     inside = (l - y <= left) & ~at_hi
-    count = np.maximum(free[rows, k], 1.0)
+    inside[k == 2 * n - 1] = False
+    return inside, at_hi
+
+
+def _multiplier(y, l, h, t, inside, at_hi):
+    """The budget multiplier mu of each row under its partition, solved in
+    closed form on the components inside (inf on a row with none), and the
+    count of those components, at least 1.  ``inside`` takes precedence
+    where both masks are set."""
+    count = inside.sum(axis=1)
+    none = count == 0
+    count[none] = 1
     mu = (t - np.where(inside, y, np.where(at_hi, h, l)).sum(axis=1)) / count
-    mu[full] = np.inf
-    x = np.clip(y + mu[:, None], l, h)
-    # Rounding can leave a sum a few ulps short of theta.  The free
-    # components take the deficit plus a bound on the rounding of the two
-    # n-term sums and of the additions themselves: n * eps * sum(|x|).
+    mu[none] = np.inf
+    return mu, count
+
+
+def _finish(z, l, h, t, inside, count):
+    """Each row's projection clip(z, l, h), z = y + mu, with the rounding
+    correction: rounding can leave a sum a few ulps short of t, so the
+    components inside take the deficit plus a bound on the rounding of the
+    two n-term sums and of the additions themselves, n * eps * sum(|x|)."""
+    x = np.clip(z, l, h)
     deficit = t - x.sum(axis=1)
     step = (deficit + sum_rounding_bound(x)) / count
-    X[need] = np.where(inside & (deficit > 0)[:, None],
-                       np.minimum(x + step[:, None], h), x)
-    return X
+    return np.where(inside & (deficit > 0)[:, None],
+                    np.minimum(x + step[:, None], h), x)
 
 
 def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
@@ -234,38 +274,93 @@ def project_individual(cs: Union[Box, FlowPolytope], y) -> np.ndarray:
     return project_box_budget(y, cs.lo, cs.hi, cs.theta)
 
 
-def _tile(arrays: tuple, k: int):
-    """Each array stacked k times along its first axis."""
-    return arrays if k == 1 else [np.concatenate([a] * k) for a in arrays]
-
-
 class ProfileProjector:
     """Projection of an (M, n) strategy matrix onto the product of the
     agents' sets, one set family.  A box family takes one batched pass (the
     clamp alone when no budget is finite), a flow family one
     ``project_individual`` call per row.  A (k M, n) stack of k profiles,
     row r belonging to agent r mod M, is projected in the same call, each
-    row to the bytes it gets alone."""
+    row to the bytes it gets alone.
+
+    On a bounded box family with budgets, a one-profile call starts from
+    each row's partition (inside, at_hi) in the last such call; only rows
+    where it fails ``_warm``'s margin check run the breakpoint sort, whose
+    partitions refresh the cache.  A row's bytes depend only on its
+    partition, and a kept partition is the one the sort would choose."""
 
     def __init__(self, family: SetFamily):
         self.family = family
         self._M = len(family)
         self._box = isinstance(family, BoxFamily)
+        self._inside = None
         if self._box:
+            lo, hi, theta = family.lo, family.hi, family.theta
             # The clamp's bounds, plus the budgets when some are finite.
-            budgets = bool(np.any(family.theta > -np.inf))
-            self._bounds = ((family.lo, family.hi, family.theta) if budgets
-                            else (family.lo, family.hi))
+            budgets = bool(np.any(theta > -np.inf))
+            self._bounds = (lo, hi, theta) if budgets else (lo, hi)
+            if budgets and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+                self._inside = np.zeros(lo.shape, dtype=bool)
+                self._at_hi = np.zeros(lo.shape, dtype=bool)
+                self._pinned = lo == hi
+                # The bounds' share of every row's margin.
+                self._scale = float(np.max(np.abs(lo).sum(axis=1)
+                                           + np.abs(hi).sum(axis=1)))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         M = self._M
         reps = len(Y) // M
-        if self._box:
-            # The family is validated: no checks per call.
-            return _box_budget_rows(np.asarray(Y, dtype=float),
-                                    *_tile(self._bounds, reps))
-        return np.stack([project_individual(self.family[r % M], y)
-                         for r, y in enumerate(Y)])
+        if reps < 1 or reps * M != len(Y):
+            raise DimensionError(f"a profile stack has a positive multiple"
+                                 f" of {M} rows, not {len(Y)}")
+        if not self._box:
+            return np.stack([project_individual(self.family[r % M], y)
+                             for r, y in enumerate(Y)])
+        # The family is validated: no checks per call.
+        Y = np.ascontiguousarray(Y, dtype=float)
+        if reps == 1:
+            return (self._warm(Y) if self._inside is not None
+                    else _box_budget_rows(Y, *self._bounds))
+        # A stack is projected as a (k, M, n) view against the (M, n) bounds.
+        return _box_budget_rows(Y.reshape(reps, M, -1),
+                                *self._bounds).reshape(Y.shape)
+
+    def _warm(self, Y: np.ndarray) -> np.ndarray:
+        """_box_budget_rows of one profile, started from the cached
+        partitions, which the sorted rows refresh."""
+        lo, hi, theta = self._bounds
+        X, need = _clamp_need(Y, lo, hi, theta)
+        if not np.any(need):
+            return X
+        rows = slice(None) if np.all(need) else need  # all rows: views
+        y, l, h, t, inside, at_hi, pinned = (a[rows] for a in (
+            Y, lo, hi, theta, self._inside, self._at_hi, self._pinned))
+        mu, count = _multiplier(y, l, h, t, inside, at_hi)
+        z = y + mu[:, None]
+        # A row keeps its partition when every component clears its bounds
+        # by the margin on the sides the partition puts it: above lo when
+        # inside or at hi, below it otherwise; above hi when at hi (and not
+        # inside), below it otherwise.  A pinned slot (lo == hi) gives the
+        # same bytes at hi or at lo, so only being inside fails it.  A row
+        # with no component inside (mu = inf) is always sorted.  theta is
+        # at most sum(|lo|) + sum(|hi|) on a row that needs the budget.
+        n = Y.shape[1]
+        margin = _HINT_SLACK * n * _EPS * (n * np.abs(y).max()
+                                           + 2.0 * self._scale)
+        above, below = z - l, h - z
+        ok = (np.abs(above) > margin) & ((above > 0.0) == (inside | at_hi))
+        ok &= np.abs(below) > margin
+        ok &= (below < 0.0) == (at_hi & ~inside)
+        ok |= pinned & ~inside
+        bad = ~ok.all(axis=1) | (mu == np.inf)
+        if np.any(bad):
+            sub = [a[bad] for a in (y, l, h, t)]
+            part = _sort_partition(*sub)
+            mu_b, count[bad] = _multiplier(*sub, *part)
+            z[bad] = sub[0] + mu_b[:, None]
+            inside[bad], at_hi[bad] = part
+            self._inside[rows], self._at_hi[rows] = inside, at_hi
+        X[rows] = _finish(z, l, h, t, inside, count)
+        return X
 
     def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
         """Every agent's stationarity residual -P_T(-G[i]), T the tangent

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from aggeq import projection
+from aggeq import algorithms, projection
 from aggeq.algorithms import (SolverConfig, best_response, extragradient,
                               two_level_wardrop)
-from aggeq.apps.ev import (EvParams, build_ev_game, default_demand,
+from aggeq.apps.ev import (EvParams, _check_population, build_ev_game,
+                           default_demand,
                            ev_condition_check, generate_ev_params, sqrt_price)
 from aggeq.apps.traffic import (_edge_price, build_network,
                                 build_route_choice_game, load_network,
@@ -74,6 +77,49 @@ class TestBuilderProjectionPaths:
         X = game.projector(Y)
         assert res.primal_updates == 5 and X.shape == Y.shape
         assert per_agent_calls == []
+
+    def test_ev_forward_steps_reuse_the_last_partitions(self, monkeypatch):
+        # At least 90% of an EV solve's forward-step rows keep the partition
+        # of the previous call and skip the breakpoint sort; clearing that
+        # cache before every call changes no byte and no count.
+        params = generate_ev_params(M=30, seed=2)
+        game = build_ev_game(params)
+        counts = {"step": False, "rows": 0, "sorted": 0}
+        sort, step = projection._sort_partition, algorithms._forward_step
+
+        def counting_sort(y, *args):
+            counts["sorted"] += counts["step"] * len(y)
+            return sort(y, *args)
+
+        def counting_step(op, proj, X, *args):
+            counts["step"] = True
+            counts["rows"] += len(X)
+            try:
+                return step(op, proj, X, *args)
+            finally:
+                counts["step"] = False
+
+        monkeypatch.setattr(projection, "_sort_partition", counting_sort)
+        monkeypatch.setattr(algorithms, "_forward_step", counting_step)
+        warm = extragradient(game, NASH, SolverConfig())
+        assert counts["rows"] == 2 * game.M * warm.primal_updates
+        assert counts["sorted"] <= 0.1 * counts["rows"]
+
+        cached = projection.ProfileProjector._warm
+
+        def cleared(self, Y):
+            self._inside[:] = False
+            self._at_hi[:] = False
+            return cached(self, Y)
+
+        monkeypatch.setattr(projection.ProfileProjector, "_warm", cleared)
+        counts.update(rows=0, sorted=0)
+        cold = extragradient(build_ev_game(params), NASH, SolverConfig())
+        assert counts["sorted"] >= 0.9 * counts["rows"]
+        assert cold.x.as_matrix().tobytes() == warm.x.as_matrix().tobytes()
+        assert cold.lam.tobytes() == warm.lam.tobytes()
+        assert (cold.primal_updates, cold.dual_updates, cold.trace) \
+            == (warm.primal_updates, warm.dual_updates, warm.trace)
 
     def test_route_choice_projects_once_per_row(self, per_agent_calls):
         net = build_network([0, 1], TWO_ROUTE_EDGES, f=0.15, h=2.0)
@@ -151,6 +197,57 @@ class TestEvBuilder:
         assert feasibility_report(game, res.x, tol=1e-5).feasible
         assert np.max(np.abs(res.x.as_matrix() - [[0.0, 1.0], [1.0, 0.0]])) \
             <= 1e-5
+
+    def test_greedy_fill_matches_a_slot_by_slot_loop(self):
+        # The batched fill and its per-agent fallback give the outcome of a
+        # loop that fills each agent's slots one at a time, largest take
+        # first, on random populations that raise, warn and pass.
+        def slot_loop(params):
+            room = params.M * params.K
+            for i in range(params.M):
+                need = params.theta[i]
+                take = np.minimum(params.xtilde[i], room)
+                for t in np.argsort(-take, kind="stable"):
+                    amt = min(take[t], need)
+                    room[t] -= amt
+                    need -= amt
+                    if need <= 1e-12:
+                        break
+                if need > 1e-12:
+                    return "warn"
+            return "pass"
+
+        def outcome(params):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    _check_population(params)
+                except InfeasibleSetError:
+                    return "raise"
+            return "warn" if caught else "pass"
+
+        # All agents filled at once would fit the room here, but agent 1's
+        # fill cuts agent 2's take of slot 1, and agent 3 finds no room.
+        params = EvParams(n=2, M=3, theta=np.array([2.0, 1.0, 3.0]),
+                          xtilde=np.array([[0.0, 2.0], [2.0, 3.0],
+                                           [3.0, 0.0]]),
+                          d=np.ones(2), kappa=np.ones(2), K=np.ones(2))
+        assert outcome(params) == slot_loop(params) == "warn"
+        rng = np.random.default_rng(8)
+        seen = set()
+        for _ in range(600):
+            M, n = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            xtilde = np.round(rng.uniform(0.0, 2.0, size=(M, n)), 1)
+            xtilde[rng.random((M, n)) < 0.3] = 0.0
+            theta = np.round(rng.random(M) * xtilde.sum(axis=1), 1)
+            params = EvParams(n=n, M=M, theta=theta, xtilde=xtilde,
+                              d=np.ones(n), kappa=np.ones(n),
+                              K=np.round(rng.uniform(0.0, 1.5, size=n), 1))
+            got = outcome(params)
+            if got != "raise":
+                assert got == slot_loop(params)
+            seen.add(got)
+        assert seen == {"raise", "warn", "pass"}
 
     def test_one_agent_without_room_rejected(self):
         params = EvParams(n=2, M=2, theta=np.array([0.2, 1.5]),

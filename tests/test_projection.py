@@ -4,7 +4,8 @@ import pytest
 from aggeq import projection
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network
-from aggeq.errors import ConvergenceError, InfeasibleSetError
+from aggeq.errors import (ConvergenceError, DimensionError,
+                          InfeasibleSetError)
 from aggeq.game import Box, BoxFamily, FlowFamily, FlowPolytope
 from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
                               project_box_budget, project_box_budget_batch,
@@ -512,3 +513,102 @@ class TestValidateOnce:
         proj.capped(np.full((2, 3), 0.7))  # sum 2.1 >= 2: fine
         with pytest.raises(InfeasibleSetError):
             proj.capped(np.full((2, 3), 0.5))
+
+
+class TestProfileRowCount:
+    """A profile stack has a positive multiple of M rows, for either kind
+    of family."""
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_other_row_counts_raise(self, rows):
+        B = np.array([[-1.0, -1.0], [1.0, 1.0]])
+        for family in (BoxFamily.common(np.zeros(2), np.ones(2), 3),
+                       BoxFamily(np.zeros((3, 2)), np.ones((3, 2)),
+                                 np.ones(3)),
+                       FlowFamily(B, np.tile([-1.0, 1.0], (3, 1)))):
+            with pytest.raises(DimensionError, match="multiple of 3"):
+                ProfileProjector(family)(np.zeros((rows, 2)))
+
+
+def near_breakpoints(rng, Y, lo, hi, theta):
+    """Y with, in each row that needs its budget step, one component moved
+    so that one of its breakpoints lies 0, 1, 4, 1e3 or 1e6 ulps of the
+    row's multiplier from it, on either side."""
+    X = project_box_budget_batch(Y, lo, hi, theta)
+    Y = Y.copy()
+    for i, (x, y, l, h) in enumerate(zip(X, Y, lo, hi)):
+        free = np.flatnonzero((x > l) & (x < h))
+        if not free.size or x.sum() > theta[i]:
+            continue
+        mu = x[free[0]] - y[free[0]]
+        j = rng.integers(len(y))
+        delta = rng.choice([0.0, 1.0, 4.0, 1e3, 1e6]) * np.spacing(mu) \
+            * rng.choice([-1.0, 1.0])
+        Y[i, j] = rng.choice([l[j], h[j]]) - (mu + delta)
+    return Y
+
+
+class TestWarmPartition:
+    """A one-profile call of a family with budgets starts from the
+    partitions its last such call chose.  Whatever that cache holds (the
+    last call's, a far point's, random masks, another family's), each row
+    gets the bytes of the breakpoint search."""
+
+    M = 40
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    def test_any_hint_gives_the_sort_bytes(self, n, monkeypatch):
+        rng = np.random.default_rng(40 + n)
+        M, rows = self.M, {"sorted": 0, "all": 0, "on": False}
+        sort = projection._sort_partition
+
+        def counting(y, *args):
+            rows["sorted"] += rows["on"] * len(y)
+            return sort(y, *args)
+
+        monkeypatch.setattr(projection, "_sort_partition", counting)
+        other = ProfileProjector(BoxFamily(*hard_box_budget_batch(
+            rng, M, n)[1:]))
+        for _ in range(6):
+            Y, lo, hi, theta = hard_box_budget_batch(rng, M, n)
+            proj = ProfileProjector(BoxFamily(lo, hi, theta))
+            for step in range(36):
+                kind = step % 6
+                if kind == 0:  # a far point: the cache is stale
+                    Y = np.round(rng.uniform(-3.0, 3.0, size=(M, n)), 1)
+                elif kind == 1:  # a small move: most partitions hold
+                    Y = Y + rng.normal(scale=1e-3, size=Y.shape)
+                elif kind == 2:
+                    proj._inside = rng.random((M, n)) < 0.4
+                    proj._at_hi = rng.random((M, n)) < 0.4
+                elif kind == 3:
+                    other(rng.uniform(-3.0, 3.0, size=(M, n)))
+                    proj._inside = other._inside.copy()
+                    proj._at_hi = other._at_hi.copy()
+                elif kind == 4:
+                    Y = near_breakpoints(rng, Y, lo, hi, theta)
+                else:  # ties among the breakpoints
+                    Y = np.round(Y, 1)
+                rows["on"] = True
+                got = proj(Y)
+                rows["on"] = False
+                rows["all"] += M
+                want = project_box_budget_batch(Y, lo, hi, theta)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+        # The cache served rows, so the comparisons above tested it.
+        assert rows["sorted"] < 0.8 * rows["all"]
+
+    def test_budgets_met_by_the_clamp_keep_their_partition(self):
+        # Rows whose clamp meets the budget skip the budget step and leave
+        # their cached partition as it was.
+        lo, hi = np.zeros((2, 3)), np.ones((2, 3))
+        proj = ProfileProjector(BoxFamily(lo, hi, [1.0, 1.0]))
+        proj(np.full((2, 3), 0.1))
+        kept = proj._inside.copy(), proj._at_hi.copy()
+        Y = np.array([[0.1, 0.1, 0.1], [0.5, 0.5, 0.5]])
+        got = proj(Y)
+        assert got.tobytes() == project_box_budget_batch(
+            Y, lo, hi, [1.0, 1.0]).tobytes()
+        assert np.array_equal(proj._inside[1], kept[0][1])
+        assert np.array_equal(proj._at_hi[1], kept[1][1])
