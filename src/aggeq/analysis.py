@@ -139,8 +139,9 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
         Ai = A[:, i * n:(i + 1) * n]
         projs = [lambda v, cs=cs: project_individual(cs, v)]
         for a_row, beta in zip(Ai, slack + Ai @ X_bar[i]):
-            projs.append(lambda v, a=a_row, bb=beta:
-                         project_halfspace(v, a, bb))
+            if np.any(a_row):  # else agent i cannot move the row
+                projs.append(lambda v, a=a_row, bb=beta:
+                             project_halfspace(v, a, bb))
         projectors.append(projs)
 
     def proj(Y):

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, BoxFamily, CouplingConstraint,
                     DiagonalPrice, PriceTimesUsage, ZeroUtility,
-                    grid_extremes, sum_rounding_bound)
+                    grid_extremes, ordered_fill, sum_rounding_bound)
 
 DEFAULT_PRICE_COEFF = 0.15
 DEFAULT_KAPPA = 12.0
@@ -165,7 +165,7 @@ def _check_population(params: EvParams) -> None:
     # the agents before it cuts; from there, one agent at a time.  left[i]
     # is the room agent i finds, in the loop's order of subtractions.
     left = np.subtract.accumulate(
-        np.vstack([room, _descending_fill(own, params.theta)]))
+        np.vstack([room, ordered_fill(own, params.theta, -own)]))
     cut = np.flatnonzero(np.any(left[1:-1] < own[1:], axis=1))
     first = cut[0] + 1 if cut.size else params.M
     missed = np.any(params.theta[:first] - own[:first].sum(axis=1) > 1e-12)
@@ -174,24 +174,12 @@ def _check_population(params: EvParams) -> None:
         if missed:
             break
         take = np.minimum(xtilde, room)[None, :]
-        room = room - _descending_fill(take, np.reshape(need, 1))[0]
+        room = room - ordered_fill(take, np.reshape(need, 1), -take)[0]
         missed = need - take.sum() > 1e-12
     if missed:
         warnings.warn("a greedy fill does not certify that the charging"
                       " game's coupled set is nonempty", RuntimeWarning,
                       stacklevel=3)
-
-
-def _descending_fill(take, need):
-    """Each row's greedy fill of need[i] into take[i], largest entry first
-    (ties in index order), each entry up to its take."""
-    rows = np.arange(len(take))[:, None]
-    order = np.argsort(-take, axis=1, kind="stable")
-    sorted_take = take[rows, order]
-    before = np.cumsum(sorted_take, axis=1) - sorted_take
-    fill = np.empty_like(take)
-    fill[rows, order] = np.clip(need[:, None] - before, 0.0, sorted_take)
-    return fill
 
 
 def build_ev_game(params: EvParams) -> AggregativeGame:

@@ -90,6 +90,19 @@ def sum_rounding_bound(a) -> np.ndarray:
     return a.shape[-1] * np.finfo(float).eps * np.abs(a).sum(axis=-1)
 
 
+def ordered_fill(room, need, key) -> np.ndarray:
+    """Each row's greedy fill of need[i] into room[i], entries in ascending
+    order of key[i] (ties in index order), each taking what the entries
+    before it left, up to its room."""
+    rows = np.arange(len(room))[:, None]
+    order = np.argsort(key, axis=1, kind="stable")
+    sorted_room = room[rows, order]
+    before = np.cumsum(sorted_room, axis=1) - sorted_room
+    fill = np.empty_like(room)
+    fill[rows, order] = np.clip(need[:, None] - before, 0.0, sorted_room)
+    return fill
+
+
 # ---------------------------------------------------------------------------
 # Individual constraint sets
 # ---------------------------------------------------------------------------

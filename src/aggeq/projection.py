@@ -6,10 +6,11 @@ projects a whole profile onto a game's set family, and ``projected_gradient``,
 the one projected-gradient loop (the two-level scheme's optimal responses and
 the epsilon-Nash deviation run it).
 
-All functions are pure.  ``ProfileProjector`` keeps one speed-only cache: on
-a family with budgets, the partition (components inside the box, at hi) of
-each row in its last one-profile call, which lets rows whose partition still
-holds skip the breakpoint sort.  It never changes a result.
+All functions are pure but the box-budget body, whose speed-only cache is
+an argument: each row's partition (components inside the box, at hi) in the
+last call that passed it, which lets rows whose partition still holds skip
+the breakpoint sort.  ``ProfileProjector`` passes one, and each of its
+``capped`` closures its own.  It never changes a result.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 from .game import (Box, BoxFamily, FlowPolytope, SetFamily, check_box_budget,
-                   sum_rounding_bound)
+                   ordered_fill, sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
@@ -63,32 +64,74 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
     return _box_budget_rows(Y, lo, hi, theta)
 
 
-def _box_budget_rows(Y, lo, hi, theta=None) -> np.ndarray:
+def _box_budget_rows(Y, lo, hi, theta=None, hint=None) -> np.ndarray:
     """The body of project_box_budget_batch, for float Y of shape (M, n)
     or (k, M, n), (M, n) bounds and (M,) budgets that passed
-    check_box_budget; the clamp alone when theta is None."""
-    X, need = _clamp_need(Y, lo, hi, theta)
-    if need is None or not np.any(need):
-        return X
-    agents = np.nonzero(need)[-1]
-    y, l, h, t = Y[need], lo[agents], hi[agents], theta[agents]
-    inside, at_hi = _sort_partition(y, l, h, t)
-    mu, count = _multiplier(y, l, h, t, inside, at_hi)
-    X[need] = _finish(y + mu[:, None], l, h, t, inside, count)
-    return X
-
-
-def _clamp_need(Y, lo, hi, theta):
-    """The clamp X of Y into [lo, hi] and the mask of the rows whose clamp
-    misses theta by more than its sum's rounding bound (None without
-    theta)."""
+    check_box_budget; the clamp alone when theta is None.  ``hint``, a
+    ``_partition_cache`` for an (M, n) Y, holds each row's partition
+    (inside, at_hi) in the last call that passed it; rows where it fails
+    the margin check below run the breakpoint sort, whose partitions
+    refresh it in place.  Without a hint, every row that needs the budget
+    is sorted.  A row's bytes depend only on its partition, and a kept
+    partition is the one the sort would choose."""
     X = np.minimum(np.maximum(Y, lo), hi)
     if theta is None:
-        return X, None
+        return X
     short = theta - X.sum(axis=-1)
     need = short > 0.0
     need[need] = short[need] > sum_rounding_bound(X[need])
-    return X, need
+    if not np.any(need):
+        return X
+    if need.ndim > 1:
+        agents = np.nonzero(need)[-1]
+    elif np.all(need):
+        need = agents = slice(None)  # every row of one profile: views
+    else:
+        agents = need
+    y, l, h, t = Y[need], lo[agents], hi[agents], theta[agents]
+    if hint is None:
+        inside, at_hi = _sort_partition(y, l, h, t)
+    else:
+        inside, at_hi = hint[0][agents], hint[1][agents]
+    mu, count = _multiplier(y, l, h, t, inside, at_hi)
+    z = y + mu[:, None]
+    if hint is not None:
+        # A row keeps its partition when every component clears its bounds
+        # by the margin on the sides the partition puts it: above lo when
+        # inside or at hi, below it otherwise; above hi when at hi (and not
+        # inside), below it otherwise.  A pinned slot (lo == hi) gives the
+        # same bytes at hi or at lo, so only being inside fails it.  A row
+        # with no component inside (mu = inf) is always sorted.  theta is
+        # at most sum(|lo|) + sum(|hi|) on a row that needs the budget.
+        n = Y.shape[1]
+        margin = _HINT_SLACK * n * _EPS * (n * np.abs(y).max()
+                                           + 2.0 * hint[3])
+        above, below = z - l, h - z
+        ok = (np.abs(above) > margin) & ((above > 0.0) == (inside | at_hi))
+        ok &= np.abs(below) > margin
+        ok &= (below < 0.0) == (at_hi & ~inside)
+        ok |= hint[2][agents] & ~inside
+        bad = ~ok.all(axis=1) | (mu == np.inf)
+        if np.any(bad):
+            sub = [a[bad] for a in (y, l, h, t)]
+            part = _sort_partition(*sub)
+            mu_b, count[bad] = _multiplier(*sub, *part)
+            z[bad] = sub[0] + mu_b[:, None]
+            inside[bad], at_hi[bad] = part
+            hint[0][agents], hint[1][agents] = inside, at_hi
+    X[need] = _finish(z, l, h, t, inside, count)
+    return X
+
+
+def _partition_cache(lo, hi):
+    """A fresh hint for _box_budget_rows on (M, n) bounds lo, hi: the
+    partitions (inside, at_hi), the pinned slots (lo == hi) and the bounds'
+    share of every row's margin; None when some bound is infinite."""
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        return None
+    return (np.zeros(lo.shape, dtype=bool), np.zeros(lo.shape, dtype=bool),
+            lo == hi, float(np.max(np.abs(lo).sum(axis=1)
+                                   + np.abs(hi).sum(axis=1))))
 
 
 def _sort_partition(y, l, h, t):
@@ -153,12 +196,7 @@ def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
     X = np.where(Q_costs < 0.0, hi, lo)
     need = theta - X.sum(axis=1)
     need = np.where(need > 1e-15, need, 0.0)
-    rows = np.arange(len(X))[:, None]
-    order = np.argsort(Q_costs, axis=1, kind="stable")
-    room = (hi - X)[rows, order]
-    before = np.cumsum(room, axis=1) - room
-    X[rows, order] += np.clip(need[:, None] - before, 0.0, room)
-    return X
+    return X + ordered_fill(hi - X, need, Q_costs)
 
 
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
@@ -282,11 +320,9 @@ class ProfileProjector:
     row r belonging to agent r mod M, is projected in the same call, each
     row to the bytes it gets alone.
 
-    On a bounded box family with budgets, a one-profile call starts from
-    each row's partition (inside, at_hi) in the last such call; only rows
-    where it fails ``_warm``'s margin check run the breakpoint sort, whose
-    partitions refresh the cache.  A row's bytes depend only on its
-    partition, and a kept partition is the one the sort would choose."""
+    On a bounded box family with budgets, a one-profile call passes
+    ``_box_budget_rows`` the partitions (``_inside``, ``_at_hi``) of the
+    last such call as its hint."""
 
     def __init__(self, family: SetFamily):
         self.family = family
@@ -298,13 +334,9 @@ class ProfileProjector:
             # The clamp's bounds, plus the budgets when some are finite.
             budgets = bool(np.any(theta > -np.inf))
             self._bounds = (lo, hi, theta) if budgets else (lo, hi)
-            if budgets and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-                self._inside = np.zeros(lo.shape, dtype=bool)
-                self._at_hi = np.zeros(lo.shape, dtype=bool)
-                self._pinned = lo == hi
-                # The bounds' share of every row's margin.
-                self._scale = float(np.max(np.abs(lo).sum(axis=1)
-                                           + np.abs(hi).sum(axis=1)))
+            cache = _partition_cache(lo, hi) if budgets else None
+            if cache is not None:
+                self._inside, self._at_hi, self._pinned, self._scale = cache
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         M = self._M
@@ -318,49 +350,12 @@ class ProfileProjector:
         # The family is validated: no checks per call.
         Y = np.ascontiguousarray(Y, dtype=float)
         if reps == 1:
-            return (self._warm(Y) if self._inside is not None
-                    else _box_budget_rows(Y, *self._bounds))
+            hint = None if self._inside is None else (
+                self._inside, self._at_hi, self._pinned, self._scale)
+            return _box_budget_rows(Y, *self._bounds, hint=hint)
         # A stack is projected as a (k, M, n) view against the (M, n) bounds.
         return _box_budget_rows(Y.reshape(reps, M, -1),
                                 *self._bounds).reshape(Y.shape)
-
-    def _warm(self, Y: np.ndarray) -> np.ndarray:
-        """_box_budget_rows of one profile, started from the cached
-        partitions, which the sorted rows refresh."""
-        lo, hi, theta = self._bounds
-        X, need = _clamp_need(Y, lo, hi, theta)
-        if not np.any(need):
-            return X
-        rows = slice(None) if np.all(need) else need  # all rows: views
-        y, l, h, t, inside, at_hi, pinned = (a[rows] for a in (
-            Y, lo, hi, theta, self._inside, self._at_hi, self._pinned))
-        mu, count = _multiplier(y, l, h, t, inside, at_hi)
-        z = y + mu[:, None]
-        # A row keeps its partition when every component clears its bounds
-        # by the margin on the sides the partition puts it: above lo when
-        # inside or at hi, below it otherwise; above hi when at hi (and not
-        # inside), below it otherwise.  A pinned slot (lo == hi) gives the
-        # same bytes at hi or at lo, so only being inside fails it.  A row
-        # with no component inside (mu = inf) is always sorted.  theta is
-        # at most sum(|lo|) + sum(|hi|) on a row that needs the budget.
-        n = Y.shape[1]
-        margin = _HINT_SLACK * n * _EPS * (n * np.abs(y).max()
-                                           + 2.0 * self._scale)
-        above, below = z - l, h - z
-        ok = (np.abs(above) > margin) & ((above > 0.0) == (inside | at_hi))
-        ok &= np.abs(below) > margin
-        ok &= (below < 0.0) == (at_hi & ~inside)
-        ok |= pinned & ~inside
-        bad = ~ok.all(axis=1) | (mu == np.inf)
-        if np.any(bad):
-            sub = [a[bad] for a in (y, l, h, t)]
-            part = _sort_partition(*sub)
-            mu_b, count[bad] = _multiplier(*sub, *part)
-            z[bad] = sub[0] + mu_b[:, None]
-            inside[bad], at_hi[bad] = part
-            self._inside[rows], self._at_hi[rows] = inside, at_hi
-        X[rows] = _finish(z, l, h, t, inside, count)
-        return X
 
     def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
         """Every agent's stationarity residual -P_T(-G[i]), T the tangent
@@ -400,11 +395,13 @@ class ProfileProjector:
         """Projector onto the same sets with every upper bound lowered to
         cap_hi (never below lo), or None for a flow family.  The lowered
         bounds are checked once, here: InfeasibleSetError when a cap pushes
-        some budget above sum(hi)."""
+        some budget above sum(hi).  Like a one-profile call, each call
+        starts from the partitions of the closure's last one."""
         if not self._box:
             return None
         lo, hi, *theta = self._bounds
         hi = np.maximum(np.minimum(hi, cap_hi), lo)  # tight-cap roundoff
         check_box_budget(lo, hi, self.family.theta)
+        hint = _partition_cache(lo, hi) if theta else None
         return lambda Y: _box_budget_rows(np.asarray(Y, dtype=float), lo, hi,
-                                          *theta)
+                                          *theta, hint=hint)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from aggeq import analysis
+from aggeq import analysis, projection
 from aggeq.algorithms import SolverConfig, asymmetric_projection, extragradient
 from aggeq.analysis import (ConstantsEstimate, VerificationReport,
                             distance_bounds, epsilon_nash,
@@ -503,6 +503,46 @@ class TestEpsilonNash:
                                  [-np.inf, 0.5]),
             coupling=CouplingConstraint.per_component_cap([10.0], 2))
         assert epsilon_nash(game, np.array([[0.0], [0.5]])) <= 1e-9
+
+    def test_a_coupling_row_an_agent_cannot_move_leaves_its_set(self):
+        # x_bar exceeds the row, which only agent 0's block meets, by 1e-9
+        # (within verification's feas_tol): agents 1 and 2 ignore the row
+        # where they raised ZeroDivisionError on a halfspace 0^T v <= -1e-9.
+        game = build_quadratic_game(M=3, n=2, seed=0)
+        x_bar = np.full(6, 0.5)
+        A = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+        eps = [epsilon_nash(dataclasses.replace(
+            game, coupling=CouplingConstraint.dense(A, [b], 3, 2)), x_bar)
+            for b in (1.0, 1.0 - 1e-9)]
+        assert eps[0] > 0.2
+        assert eps[1] == pytest.approx(eps[0], abs=1e-8)
+
+    def test_ev_deviations_reuse_the_last_partitions(self, monkeypatch):
+        # The capped deviation projector warm-starts its breakpoint search;
+        # clearing its cache before every call changes no byte.
+        game = build_ev_game(generate_ev_params(M=30, seed=2))
+        x = extragradient(game, NASH, SolverConfig()).x.entries
+        counts = {"sorted": 0}
+        sort, body = projection._sort_partition, projection._box_budget_rows
+
+        def counting(y, *args):
+            counts["sorted"] += len(y)
+            return sort(y, *args)
+
+        monkeypatch.setattr(projection, "_sort_partition", counting)
+        warm, warm_sorted = epsilon_nash(game, x), counts["sorted"]
+
+        def cleared(Y, lo, hi, theta=None, hint=None):
+            if hint is not None:
+                hint[0][:] = False
+                hint[1][:] = False
+            return body(Y, lo, hi, theta, hint)
+
+        monkeypatch.setattr(projection, "_box_budget_rows", cleared)
+        counts["sorted"] = 0
+        cold = epsilon_nash(game, x)
+        assert np.float64(cold).tobytes() == np.float64(warm).tobytes()
+        assert warm_sorted < 0.5 * counts["sorted"]
 
 
 class TestViGap:

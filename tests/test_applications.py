@@ -105,14 +105,14 @@ class TestBuilderProjectionPaths:
         assert counts["rows"] == 2 * game.M * warm.primal_updates
         assert counts["sorted"] <= 0.1 * counts["rows"]
 
-        cached = projection.ProfileProjector._warm
+        cached = projection.ProfileProjector.__call__
 
         def cleared(self, Y):
             self._inside[:] = False
             self._at_hi[:] = False
             return cached(self, Y)
 
-        monkeypatch.setattr(projection.ProfileProjector, "_warm", cleared)
+        monkeypatch.setattr(projection.ProfileProjector, "__call__", cleared)
         counts.update(rows=0, sorted=0)
         cold = extragradient(build_ev_game(params), NASH, SolverConfig())
         assert counts["sorted"] >= 0.9 * counts["rows"]

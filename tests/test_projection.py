@@ -515,6 +515,50 @@ class TestValidateOnce:
             proj.capped(np.full((2, 3), 0.5))
 
 
+class TestCappedWarmStart:
+    """A capped closure keeps its own partition cache for its lowered
+    bounds: each call starts from the partitions of the closure's last
+    one and gets the bytes of the breakpoint search."""
+
+    def test_capped_calls_reuse_the_last_partitions(self, monkeypatch):
+        game = build_ev_game(generate_ev_params(M=40, seed=6))
+        lo, hi, theta = (game.individual.lo, game.individual.hi,
+                         game.individual.theta)
+        rng = np.random.default_rng(31)
+        cap_hi = np.where(rng.random(hi.shape) < 0.3, 0.8 * hi, hi)
+        capped = ProfileProjector(game.individual).capped(cap_hi)
+        lowered = np.maximum(np.minimum(hi, cap_hi), lo)
+        rows = {"sorted": 0, "on": False}
+        sort = projection._sort_partition
+
+        def counting(y, *args):
+            rows["sorted"] += rows["on"] * len(y)
+            return sort(y, *args)
+
+        monkeypatch.setattr(projection, "_sort_partition", counting)
+        sorted_rows = []
+        for step in range(9):
+            kind = step % 3
+            if kind == 0:  # a far point: the cache is stale
+                Y = rng.uniform(-1.0, 0.5, size=hi.shape) * hi
+            elif kind == 1:  # a small move: most partitions hold
+                Y = Y + rng.normal(scale=1e-3, size=Y.shape)
+            else:  # ties among the breakpoints
+                Y = np.round(Y, 1)
+            rows.update(sorted=0, on=True)
+            got = capped(Y)
+            rows["on"] = False
+            sorted_rows.append(rows["sorted"])
+            if step == 0:
+                need = np.clip(Y, lo, lowered).sum(axis=1) < theta
+            want = project_box_budget_batch(Y, lo, lowered, theta)
+            assert got.tobytes() == want.tobytes()
+        # The fresh cache sorts every row that needs the budget; a small move
+        # after a call sorts fewer rows than that call.
+        assert sorted_rows[0] == np.count_nonzero(need) > 0
+        assert all(sorted_rows[k] < sorted_rows[k - 1] for k in (1, 4, 7))
+
+
 class TestProfileRowCount:
     """A profile stack has a positive multiple of M rows, for either kind
     of family."""
