@@ -9,7 +9,7 @@ from .analysis import (ConstantsEstimate, VerificationReport,
                        distance_bounds, epsilon_nash, estimate_constants,
                        ev_dual_uniqueness, kkt_residual,
                        outer_sum_eigenvalue_check, verify_equilibrium,
-                       vi_gap_sampled, wardrop_epsilon_bound)
+                       vi_gap_bound, vi_gap_sampled, wardrop_epsilon_bound)
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      DimensionError, InfeasibleSetError)
 from .game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,

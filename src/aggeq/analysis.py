@@ -1,10 +1,11 @@
 """Equilibrium verification and theoretical bounds.
 
 Provides the epsilon-equilibrium measure (largest unilateral cost
-improvement over the coupled feasible set), KKT residuals, sampled
-variational-inequality gaps, constants estimation, the Nash/Wardrop
-distance and epsilon bounds, and the spectral inequality underpinning the
-population-size monotonicity estimates.
+improvement over the coupled feasible set), KKT residuals, a certified
+lower bound on the variational-inequality gap and a sampled estimate of
+it, constants estimation, the Nash/Wardrop distance and epsilon bounds,
+and the spectral inequality underpinning the population-size monotonicity
+estimates.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ConstantsEstimate:
 class VerificationReport:
     kkt_stationarity: float
     complementarity_gap: float
-    vi_gap_sampled: float
+    vi_gap_bound: float
     feasibility: FeasibilityReport
     epsilon_nash: float
     bounds: dict
@@ -62,7 +63,7 @@ class VerificationReport:
         row = {
             "kkt_stationarity": self.kkt_stationarity,
             "complementarity_gap": self.complementarity_gap,
-            "vi_gap_sampled": self.vi_gap_sampled,
+            "vi_gap_bound": self.vi_gap_bound,
             **self.feasibility.as_row(),
             "epsilon_nash": self.epsilon_nash,
         }
@@ -133,12 +134,21 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
             return proj
     A = coupling.matrix()
     slack = coupling.b - A @ X_bar.reshape(-1)
-    n = game.n
+    M, n = game.M, game.n
+    # On a row that x_bar exceeds (within the feasibility tolerance), the
+    # offset slack + a_i^T x_bar_i can fall below min over X_i of a_i^T v,
+    # and agent i's deviation set would be empty: clip it at that minimum.
+    floor = np.full((M, len(A)), -np.inf)
+    for j in np.flatnonzero(slack < 0.0):
+        blocks = A[j].reshape(M, n)
+        V = game.projector.minimize_linear(blocks)
+        floor[:, j] = np.einsum("ij,ij->i", blocks, V)
     projectors = []
     for i, cs in enumerate(game.individual):
         Ai = A[:, i * n:(i + 1) * n]
         projs = [lambda v, cs=cs: project_individual(cs, v)]
-        for a_row, beta in zip(Ai, slack + Ai @ X_bar[i]):
+        for a_row, beta in zip(Ai, np.maximum(slack + Ai @ X_bar[i],
+                                              floor[i])):
             if np.any(a_row):  # else agent i cannot move the row
                 projs.append(lambda v, a=a_row, bb=beta:
                              project_halfspace(v, a, bb))
@@ -364,7 +374,10 @@ def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
 
     Nonnegative (within tolerance) at a solution.  Samples are drawn from
     the individual sets; draws violating the coupling are pulled toward
-    x_bar along the segment, which stays feasible by convexity.  The
+    x_bar along the segment, which stays in the individual sets by
+    convexity.  The pull-back reads x_bar's slack b - A x_bar clipped at 0,
+    so on a row that x_bar exceeds within feas_tol the step is 0 (the
+    sample becomes x_bar), never negative.  The
     samples are drawn, projected and pulled back in chunks of about
     SAMPLE_CHUNK_ENTRIES entries, with the bytes of one sample at a time.
     ``feasibility`` is x_bar's ``feasibility_report`` at feas_tol when the
@@ -378,7 +391,7 @@ def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
     rng = np.random.default_rng(seed)
-    base = rep.coupling_residual  # b - A x_bar
+    base = np.maximum(rep.coupling_residual, 0.0)  # b - A x_bar
     chunk = max(1, SAMPLE_CHUNK_ENTRIES // X_bar.size)
     gap = np.inf
     for start in range(0, n_samples, chunk):
@@ -397,32 +410,62 @@ def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
 
 
 # ---------------------------------------------------------------------------
+# Certified variational-inequality gap
+# ---------------------------------------------------------------------------
+
+
+def vi_gap_bound(game: AggregativeGame, flavor: str, x_bar,
+                 lambda_bar) -> float:
+    """Lower bound on the VI gap min over feasible y of F(x_bar)^T
+    (y - x_bar), from one linear minimization over the individual sets.
+
+    For lam >= 0 and y in the coupled set, lam^T (A y - b) <= 0, so the gap
+    is at least the minimum over the product of the individual sets of
+    F(x_bar)^T (y - x_bar) + lam^T (A y - b), attained at Y =
+    ``minimize_linear(F(x_bar) + A^T lam)``.  That minimum is the bound
+    returned; it is 0 at a KKT pair, by LP duality (the gap functions of
+    Facchinei & Pang 2003, section 1.5), and negative for every lam at a
+    feasible x_bar that does not solve the VI, whose gap is negative.
+    Negative entries of lambda_bar count as 0, and only rows with
+    lam > 0 enter the sum, so a row without a bound (b = +inf) adds
+    nothing.  Raises InfeasibleSetError on unbounded box sets, and on a
+    flow family where some cost F + A^T lam is negative.
+    """
+    X = game.profile(x_bar).as_matrix()
+    lam = np.maximum(np.asarray(lambda_bar, dtype=float), 0.0)
+    coupling = game.coupling
+    F = build_operator(game, flavor).evaluate_blocks(X)
+    Y = game.projector.minimize_linear(F + coupling.adjoint_blocks(lam))
+    held = lam > 0.0
+    return float(F.reshape(-1) @ (Y - X).reshape(-1)
+                 - lam[held] @ coupling.residual(Y)[held])
+
+
+# ---------------------------------------------------------------------------
 # One-call verification
 # ---------------------------------------------------------------------------
 
 
 def verify_equilibrium(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
                        constants: Optional[ConstantsEstimate] = None,
-                       n_samples: int = 200, seed: int = 0,
                        compute_epsilon: bool = True,
                        feas_tol: float = 1e-6) -> VerificationReport:
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
-    # Feasibility first: the sampled VI gap rejects an infeasible x_bar, and
-    # the KKT fit would be spent on it for nothing.
+    # Feasibility first: an infeasible x_bar is rejected before the KKT fit
+    # is spent on it.
     feas = feasibility_report(game, X, tol=feas_tol)
     if not feas.feasible:
         raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
     kkt = kkt_residual(game, flavor, X, lam)
-    gap = vi_gap_sampled(game, flavor, X, n_samples=n_samples, seed=seed,
-                         feas_tol=feas_tol, feasibility=feas)
+    gap = vi_gap_bound(game, flavor, X, lam)
     eps = epsilon_nash(game, X) if compute_epsilon else float("nan")
     if constants is None:
         constants = estimate_constants(game)
     return VerificationReport(
         kkt_stationarity=kkt["stationarity"],
         complementarity_gap=kkt["complementarity"],
-        vi_gap_sampled=gap,
+        vi_gap_bound=gap,
         feasibility=feas,
         epsilon_nash=eps,
         bounds=equilibrium_bounds(game, constants),

@@ -10,7 +10,6 @@ penalty for deviating from its preferred (free-flow shortest) route.
 from __future__ import annotations
 
 import csv
-import heapq
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -20,6 +19,7 @@ import numpy as np
 from ..errors import ConfigError, DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, CouplingConstraint, DiagonalPrice,
                     FlowFamily, PriceTimesUsage, QuadraticTracking)
+from ..projection import shortest_path_edges
 
 SPEED_KMH = {"main": 50.0, "secondary": 30.0}
 
@@ -174,34 +174,18 @@ def _require_columns(reader, cols, path):
 
 def shortest_path(network: RoadNetwork, origin: int, destination: int,
                   weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Binary edge-indicator of the minimum-weight path.
-
-    Ties between equal-cost paths break toward the lexicographically
-    smallest edge-index sequence, so results are deterministic.
+    """Binary edge-indicator of the minimum-weight path, by
+    ``projection.shortest_path_edges``: ties between equal-cost paths break
+    toward the lexicographically smallest edge-index sequence, so results
+    are deterministic.
     """
-    E = network.n_edges
     w = network.t_free if weights is None else np.asarray(weights,
                                                           dtype=float)
     out_edges = [[] for _ in range(network.n_nodes)]
     for e, (tail, head, *_r) in enumerate(network.edges):
         out_edges[tail].append((e, head))
-    best = {origin: (0.0, ())}
-    heap = [(0.0, (), origin)]
-    while heap:
-        dist, path, u = heapq.heappop(heap)
-        if (dist, path) > best.get(u, (np.inf, ())):
-            continue
-        if u == destination:
-            break
-        for e, v in out_edges[u]:
-            cand = (dist + w[e], path + (e,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if destination not in best:
-        raise InfeasibleSetError("destination unreachable")
-    x = np.zeros(E)
-    x[list(best[destination][1])] = 1.0
+    x = np.zeros(network.n_edges)
+    x[list(shortest_path_edges(out_edges, w, origin, destination))] = 1.0
     return x
 
 

@@ -217,14 +217,13 @@ def _write_report(out_dir, row):
 
 def _verify_and_report(cfg, game, flavor, X, lam, columns):
     """Verify (X, lam) and write its report.csv row plus ``columns``.  A
-    verification that fails, on an infeasible X, on a set it cannot sample
+    verification that fails, on an infeasible X, on an unbounded set
     or on a sub-solver that does not converge, still gets a row of X's
     feasibility columns before the error propagates (exit 1); a feasible
     X's row adds a ``verification_error`` column with the message."""
     feas_tol = max(1e-6, 10.0 * cfg.tol)
     try:
-        report = verify_equilibrium(game, flavor, X, lam, seed=cfg.seed,
-                                    feas_tol=feas_tol)
+        report = verify_equilibrium(game, flavor, X, lam, feas_tol=feas_tol)
     except (InfeasibleSetError, ConvergenceError) as exc:
         feas = feasibility_report(game, X, tol=feas_tol)
         row = {**feas.as_row(), **columns}

@@ -442,7 +442,7 @@ class ZeroUtility:
 
     def response(self, q, proj):
         """Every agent's minimizer of q[i]^T x over its set: the sets'
-        linear minimizer, or None when they have none in closed form."""
+        linear minimizer."""
         return proj.minimize_linear(q)
 
 

@@ -1,8 +1,10 @@
 """Exact Euclidean projections onto the constraint geometries used by the
 solvers: boxes with an optional budget, flow polytopes, halfspaces, and
-intersections handled by Dykstra's alternating scheme.  Also the exact
-linear minimizer over box-plus-budget sets, ``ProfileProjector``, which
-projects a whole profile onto a game's set family, and ``projected_gradient``,
+intersections handled by Dykstra's alternating scheme.  Also
+``ProfileProjector``, which projects a whole profile onto a game's set
+family and minimizes linear costs over it exactly (a greedy fill for boxes
+with budgets, one shortest path per agent for flow sets), and
+``projected_gradient``,
 the one projected-gradient loop (the two-level scheme's optimal responses and
 the epsilon-Nash deviation run it).
 
@@ -15,11 +17,12 @@ the breakpoint sort.  ``ProfileProjector`` passes one, and each of its
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, InfeasibleSetError
 from .game import (Box, BoxFamily, FlowPolytope, SetFamily, check_box_budget,
                    ordered_fill, sum_rounding_bound)
 
@@ -199,6 +202,72 @@ def _greedy_linear_box_budget_batch(Q_costs: np.ndarray, lo, hi,
     return X + ordered_fill(hi - X, need, Q_costs)
 
 
+def shortest_path_edges(out_edges, weights, origin: int,
+                        destination: int) -> tuple:
+    """Edge indices, in path order, of the minimum-weight path from origin
+    to destination: Dijkstra's search over out_edges[u], the (edge, head)
+    pairs leaving node u in ascending edge order, with nonnegative weights
+    indexed by edge.  Ties between equal-cost paths break toward the
+    lexicographically smallest edge-index sequence, so results are
+    deterministic.  Raises InfeasibleSetError when the destination is
+    unreachable."""
+    best = {origin: (0.0, ())}
+    heap = [(0.0, (), origin)]
+    while heap:
+        dist, path, u = heapq.heappop(heap)
+        if (dist, path) > best.get(u, (np.inf, ())):
+            continue
+        if u == destination:
+            break
+        for e, v in out_edges[u]:
+            cand = (dist + weights[e], path + (e,))
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    if destination not in best:
+        raise InfeasibleSetError("destination unreachable")
+    return best[destination][1]
+
+
+def _flow_graph(family) -> tuple:
+    """The out-edge lists of a flow family's incidence matrix B and each
+    agent's (origin, destination), one node twice for a zero b_od, whose
+    path is empty.  Raises DimensionError unless every column of B has one
+    -1 (tail) and one +1 (head) and every b_od at most one origin."""
+    B, b_ods = family.B, family.b_ods
+    if not (np.all(np.count_nonzero(B, axis=0) == 2)
+            and np.all(B.min(axis=0) == -1.0)
+            and np.all(B.max(axis=0) == 1.0)):
+        raise DimensionError("a flow set's linear minimizer needs a"
+                             " node-edge incidence matrix")
+    if np.any(np.count_nonzero(b_ods < 0.0, axis=1) > 1):
+        raise DimensionError("a flow set's linear minimizer needs one"
+                             " origin per agent")
+    out_edges = [[] for _ in range(len(B))]
+    for e, (tail, head) in enumerate(zip(B.argmin(axis=0).tolist(),
+                                         B.argmax(axis=0).tolist())):
+        out_edges[tail].append((e, head))
+    return out_edges, list(zip(b_ods.argmin(axis=1).tolist(),
+                               b_ods.argmax(axis=1).tolist()))
+
+
+def _shortest_path_flows(Q_costs: np.ndarray, graph) -> np.ndarray:
+    """Exact minimizer of q^T x over {x in [0, 1]^E : B x = b_od} for every
+    row q of Q_costs: with nonnegative costs, the indicator of one shortest
+    path from the agent's origin to its destination (LeBlanc, Morlok &
+    Pierskalla 1975).  ``graph`` is ``_flow_graph`` of the family.  Raises
+    InfeasibleSetError on a negative or nan cost, where a shortest path is
+    not the minimizer."""
+    if not np.all(Q_costs >= 0.0):
+        raise InfeasibleSetError("a flow set's linear minimizer needs"
+                                 " nonnegative edge costs")
+    out_edges, ods = graph
+    X = np.zeros_like(Q_costs)
+    for x, q, od in zip(X, Q_costs, ods):
+        x[list(shortest_path_edges(out_edges, q.tolist(), *od))] = 1.0
+    return X
+
+
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
     """Projection onto {x in [0, 1]^E : B x = b_od}.
 
@@ -329,8 +398,11 @@ class ProfileProjector:
         self._M = len(family)
         self._box = isinstance(family, BoxFamily)
         self._inside = None
+        self._graph = None  # a flow family's _flow_graph, on first use
         if self._box:
             lo, hi, theta = family.lo, family.hi, family.theta
+            self._bounded = bool(np.all(np.isfinite(lo))
+                                 and np.all(np.isfinite(hi)))
             # The clamp's bounds, plus the budgets when some are finite.
             budgets = bool(np.any(theta > -np.inf))
             self._bounds = (lo, hi, theta) if budgets else (lo, hi)
@@ -384,12 +456,19 @@ class ProfileProjector:
                                      np.where(budget, 0.0, -np.inf))
         return -P, at_lo, at_hi, lo == hi, budget
 
-    def minimize_linear(self, Q_costs: np.ndarray):
-        """Every agent's minimizer of Q_costs[i]^T x over its set: exact for
-        a box family (a greedy fill), None for a flow family."""
+    def minimize_linear(self, Q_costs: np.ndarray) -> np.ndarray:
+        """Every agent's exact minimizer of Q_costs[i]^T x over its set: a
+        greedy fill for a box family, one shortest path per agent for a
+        flow family, whose costs must be nonnegative.  Raises
+        InfeasibleSetError on a box family with an infinite bound."""
         f = self.family
-        return (_greedy_linear_box_budget_batch(Q_costs, f.lo, f.hi, f.theta)
-                if self._box else None)
+        if not self._box:
+            if self._graph is None:
+                self._graph = _flow_graph(f)
+            return _shortest_path_flows(Q_costs, self._graph)
+        if not self._bounded:
+            raise InfeasibleSetError("unbounded individual sets")
+        return _greedy_linear_box_budget_batch(Q_costs, f.lo, f.hi, f.theta)
 
     def capped(self, cap_hi: np.ndarray):
         """Projector onto the same sets with every upper bound lowered to

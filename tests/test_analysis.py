@@ -15,14 +15,17 @@ from aggeq.analysis import (ConstantsEstimate, VerificationReport,
                             equilibrium_bounds, estimate_constants,
                             ev_dual_uniqueness, kkt_residual,
                             outer_sum_eigenvalue_check, verify_equilibrium,
-                            vi_gap_sampled, wardrop_epsilon_bound)
+                            vi_gap_bound, vi_gap_sampled,
+                            wardrop_epsilon_bound)
 from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.apps.ev import build_ev_game, generate_ev_params
-from aggeq.apps.traffic import build_network, build_route_choice_game
+from aggeq.apps.traffic import (build_network, build_route_choice_game,
+                                shortest_path)
 from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
                         FlowFamily, FlowPolytope, QuadraticCost,
                         aggregate_matrix, feasibility_report)
 from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
+from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
 
 
@@ -172,8 +175,9 @@ def bvls_kkt_oracle(game, flavor, X, lam, tol=analysis.ACTIVE_TOL):
 
 def vi_gap_loop_oracle(game, flavor, x_bar, n_samples, seed):
     """Test oracle: vi_gap_sampled's loop before it worked in chunks, one
-    sample drawn, projected and pulled back at a time.  Returns the gap and
-    the number of samples pulled back."""
+    sample drawn, projected and pulled back at a time, with x_bar's slack
+    clipped at 0.  Returns the gap and the number of samples pulled
+    back."""
     X_bar = game.profile(x_bar).as_matrix()
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
@@ -187,7 +191,7 @@ def vi_gap_loop_oracle(game, flavor, x_bar, n_samples, seed):
             pulled += 1
             D = X - X_bar
             d_resid = game.coupling.residual(X_bar) - resid
-            base = game.coupling.residual(X_bar)
+            base = np.maximum(game.coupling.residual(X_bar), 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(d_resid > 1e-15, base / d_resid, np.inf)
             theta = float(min(1.0, np.min(ratios, initial=1.0)))
@@ -456,13 +460,12 @@ class TestKktTangentCone:
         game = build_ev_game(generate_ev_params(M=6, seed=1))
         res = extragradient(game, NASH, SolverConfig(tol=1e-5))
         verify_equilibrium(game, NASH, res.x.entries, res.lam,
-                           constants=consts, n_samples=5,
-                           compute_epsilon=False)
+                           constants=consts, compute_epsilon=False)
         assert calls == []
         game = build_route_choice_game(two_way_grid_network(), M=3, seed=0)
         verify_equilibrium(game, WARDROP, game.cost.utility.ref,
                            np.zeros(game.coupling.m), constants=consts,
-                           n_samples=2, compute_epsilon=False)
+                           compute_epsilon=False)
         assert len(calls) == game.M
 
 
@@ -517,6 +520,20 @@ class TestEpsilonNash:
         assert eps[0] > 0.2
         assert eps[1] == pytest.approx(eps[0], abs=1e-8)
 
+    def test_an_exceeded_dense_row_leaves_every_deviation_set_nonempty(self):
+        # x_bar exceeds the row by 1e-9.  Agent 1 sits at its box's corner
+        # 0, so its offset 0 - 1e-9 lies below min over the box of
+        # v_1 + v_2 = 0.  Unclipped, its deviation set would be empty and
+        # Dykstra would not converge (gap 5e-10).
+        game = build_quadratic_game(M=3, n=2, seed=0)
+        x_bar = np.array([0.5, 0.5, 0.0, 0.0, 0.5, 0.5])
+        A = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+        eps = [epsilon_nash(dataclasses.replace(
+            game, coupling=CouplingConstraint.dense(A, [b], 3, 2)), x_bar)
+            for b in (1.0, 1.0 - 1e-9)]
+        assert eps[0] > 0.1
+        assert eps[1] == pytest.approx(eps[0], abs=1e-8)
+
     def test_ev_deviations_reuse_the_last_partitions(self, monkeypatch):
         # The capped deviation projector warm-starts its breakpoint search;
         # clearing its cache before every call changes no byte.
@@ -562,6 +579,37 @@ class TestViGap:
         game = single_agent_game()
         with pytest.raises(InfeasibleSetError):
             vi_gap_sampled(game, NASH, np.array([2.5]))
+
+    def test_pulled_back_samples_stay_in_the_individual_sets(self,
+                                                             monkeypatch):
+        # Extragradient at tol 1e-4 exceeds a cap by 7.7e-7, within
+        # feas_tol.  Unclipped, that row's negative slack would give a
+        # negative pull-back step, reflecting samples through x_bar and out
+        # of the individual sets.
+        game = build_ev_game(generate_ev_params(M=150, seed=5))
+        res = extragradient(game, WARDROP, SolverConfig(tol=1e-4))
+        X = res.x.as_matrix()
+        excess = float(np.max(-game.coupling.residual(X)))
+        assert 0.0 < excess < 1e-6
+        stacks = []
+
+        def recording(game):
+            sample = default_sampler(game)
+
+            def draw(rng, count=None):
+                stacks.append(sample(rng, count))
+                return stacks[-1]
+            return draw
+
+        monkeypatch.setattr(analysis, "default_sampler", recording)
+        gap = vi_gap_sampled(game, WARDROP, X, n_samples=40)
+        samples = np.concatenate(stacks)  # pulled back in place
+        assert len(samples) == 40
+        assert np.max(game.individual.violation(samples)) <= 1e-12
+        # Within the excess, every sample meets the coupling, so the
+        # certified lower bound holds for them.
+        assert gap >= vi_gap_bound(game, WARDROP, X, res.lam) \
+            - np.sum(res.lam) * excess
 
 
 class TestViGapChunks:
@@ -615,8 +663,150 @@ class TestViGapChunks:
         assert len(calls) == 1
         calls.clear()
         verify_equilibrium(game, WARDROP, X, np.zeros(game.coupling.m),
-                           n_samples=20, compute_epsilon=False)
+                           compute_epsilon=False)
         assert len(calls) == 1
+
+
+def lp_vi_gap(game, F, X):
+    """Test oracle: the exact minimum of F^T (y - X) over the coupled
+    feasible set, by scipy's linprog."""
+    from scipy.optimize import linprog
+
+    M, n = game.M, game.n
+    family = game.individual
+    finite = np.isfinite(game.coupling.b)
+    A_ub, b_ub = game.coupling.matrix()[finite], game.coupling.b[finite]
+    A_eq = b_eq = None
+    if isinstance(family, FlowFamily):
+        A_eq, b_eq = np.kron(np.eye(M), family.B), family.b_ods.reshape(-1)
+        bounds = [(0.0, 1.0)] * (M * n)
+    else:
+        bounds = list(zip(family.lo.reshape(-1), family.hi.reshape(-1)))
+        budget = np.isfinite(family.theta)
+        A_ub = np.vstack([A_ub, -np.kron(np.eye(M), np.ones(n))[budget]])
+        b_ub = np.concatenate([b_ub, -family.theta[budget]])
+    c = F.reshape(-1)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun - c @ X.reshape(-1)
+
+
+TWO_ROUTES = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (0, 1, 2.0, 2.0),
+              (1, 0, 2.0, 2.0)]
+
+
+class TestViGapBound:
+    """The certificate: a lower bound on the VI gap from one linear
+    minimization over the individual sets."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "ev", "dense", "route"])
+    def test_never_above_the_exact_lp_minimum(self, kind):
+        rng = np.random.default_rng(4)
+        if kind == "route":
+            game = build_route_choice_game(two_way_grid_network(), M=3,
+                                           seed=0)
+            points = [game.cost.utility.ref] + list(
+                default_sampler(game)(rng, 3))
+        else:
+            game = {
+                "quadratic": lambda: build_quadratic_game(M=4, n=3, seed=1),
+                "ev": lambda: build_ev_game(generate_ev_params(M=6, seed=1)),
+                "dense": lambda: dataclasses.replace(
+                    build_quadratic_game(M=3, n=2, seed=0),
+                    coupling=CouplingConstraint.dense(
+                        rng.uniform(0.0, 1.0, (2, 6)), [0.6, 0.8], 3, 2)),
+            }[kind]()
+            res = extragradient(game, WARDROP, SolverConfig(tol=1e-6))
+            points = [res.x.as_matrix()] + list(default_sampler(game)(rng, 3))
+        for flavor in (NASH, WARDROP):
+            for X in points:
+                F = build_operator(game, flavor).evaluate_blocks(X)
+                exact = lp_vi_gap(game, F, X)
+                for lam in (np.zeros(game.coupling.m),
+                            rng.uniform(0.0, 2.0, game.coupling.m)):
+                    assert vi_gap_bound(game, flavor, X, lam) \
+                        <= exact + 1e-9
+
+    @pytest.mark.parametrize("kind", ["ev", "quadratic", "route"])
+    def test_shrinks_in_proportion_to_tol(self, kind):
+        if kind == "ev":
+            game = build_ev_game(generate_ev_params(M=20, seed=3))
+            flavor = NASH
+        elif kind == "quadratic":
+            game, flavor = build_quadratic_game(M=10, n=5, seed=2), WARDROP
+        else:
+            net = build_network([0, 1], TWO_ROUTES, f=0.15, h=2.0)
+            game = build_route_choice_game(net, od_pairs=[(0, 1)] * 5,
+                                           seed=0)
+            flavor = WARDROP
+        cert = []
+        for tol in (1e-4, 1e-6):
+            res = extragradient(game, flavor, SolverConfig(tol=tol))
+            assert res.converged
+            cert.append(abs(vi_gap_bound(game, flavor, res.x, res.lam)))
+            assert cert[-1] <= 20.0 * tol
+        assert cert[1] <= 0.05 * cert[0]
+
+    def test_clearly_negative_off_equilibrium(self):
+        game = build_ev_game(generate_ev_params(M=150, seed=161))
+        X = game.projector(np.zeros((game.M, game.n)))
+        cert = vi_gap_bound(game, WARDROP, X, np.zeros(game.coupling.m))
+        assert cert == pytest.approx(-4.2, abs=0.01)
+
+    def test_zero_at_a_kkt_pair(self):
+        # x = 1 at the cap K = 1 with lam = 1 balances the gradient x - 2.
+        game = single_agent_game(K=1.0)
+        assert vi_gap_bound(game, NASH, np.array([1.0]), np.ones(1)) == 0.0
+        assert vi_gap_bound(game, NASH, np.array([0.5]), np.zeros(1)) < 0.0
+
+    def test_verification_draws_no_samples(self, monkeypatch):
+        game = build_ev_game(generate_ev_params(M=6, seed=1))
+        res = extragradient(game, NASH, SolverConfig(tol=1e-6))
+        calls = []
+        monkeypatch.setattr(analysis, "vi_gap_sampled",
+                            lambda *a, **k: calls.append(a))
+        report = verify_equilibrium(game, NASH, res.x, res.lam,
+                                    compute_epsilon=False)
+        assert calls == []
+        assert report.vi_gap_bound == vi_gap_bound(game, NASH, res.x,
+                                                   res.lam)
+
+    def test_unbounded_sets_raise(self):
+        game = single_agent_game(hi=np.inf)
+        with pytest.raises(InfeasibleSetError,
+                           match=r"^unbounded individual sets$"):
+            vi_gap_bound(game, NASH, np.array([0.5]), np.zeros(1))
+
+
+class TestFlowMinimizer:
+    """A flow family's linear minimizer is one shortest path per agent."""
+
+    def test_returns_shortest_path_edges_ties_included(self):
+        # Unit edges make many equal-cost paths; integer weights keep ties.
+        # An agent with o == d has a zero b_od and routes nothing.
+        net = street_grid_network(3, 3)
+        V = net.n_nodes
+        pairs = [(o, d) for o in range(V) for d in range(V)]
+        b_ods = np.zeros((len(pairs), V))
+        for i, (o, d) in enumerate(pairs):
+            if o != d:
+                b_ods[i, o], b_ods[i, d] = -1.0, 1.0
+        proj = ProfileProjector(FlowFamily(net.B, b_ods))
+        rng = np.random.default_rng(0)
+        for W in (np.tile(net.t_free, (len(pairs), 1)),
+                  rng.integers(1, 4, (len(pairs), net.n_edges)) * 1.0):
+            want = np.stack([shortest_path(net, o, d, weights=w)
+                             for (o, d), w in zip(pairs, W)])
+            assert np.array_equal(proj.minimize_linear(W), want)
+
+    def test_negative_cost_raises(self):
+        net = street_grid_network(2, 2)
+        game = build_route_choice_game(net, M=2, seed=0)
+        W = np.ones((2, net.n_edges))
+        W[1, 0] = -1e-3
+        with pytest.raises(InfeasibleSetError, match="nonnegative"):
+            game.projector.minimize_linear(W)
 
 
 class TestBounds:
@@ -737,12 +927,11 @@ class TestVerifyEquilibrium:
     def test_report_row_keys(self):
         game = build_quadratic_game(M=3, n=2, seed=4)
         res = extragradient(game, NASH, SolverConfig(tol=1e-7))
-        report = verify_equilibrium(game, NASH, res.x.entries, res.lam,
-                                    n_samples=100)
+        report = verify_equilibrium(game, NASH, res.x.entries, res.lam)
         assert isinstance(report, VerificationReport)
         row = report.as_row()
         for key in ("kkt_stationarity", "complementarity_gap",
-                    "vi_gap_sampled", "feasible", "epsilon_nash",
+                    "vi_gap_bound", "feasible", "epsilon_nash",
                     "bound_eps_generic", "bound_strategy_bound",
                     "bound_sigma_bound"):
             assert key in row
@@ -764,6 +953,5 @@ class TestVerifyEquilibrium:
                            match=r"^x_bar is not feasible within 1e-06$"):
             verify_equilibrium(game, NASH, np.array([2.5]), np.zeros(1))
         assert calls == []
-        verify_equilibrium(game, NASH, np.array([1.0]), np.ones(1),
-                           n_samples=10)
+        verify_equilibrium(game, NASH, np.array([1.0]), np.ones(1))
         assert len(calls) == 1

@@ -684,8 +684,7 @@ class TestTrafficBounds:
                                        gamma_range=(0.5, 3.5), seed=0)
         res = two_level_wardrop(game, SolverConfig(tol=1e-6))
         assert res.converged
-        row = verify_equilibrium(game, WARDROP, res.x, res.lam,
-                                 n_samples=20).as_row()
+        row = verify_equilibrium(game, WARDROP, res.x, res.lam).as_row()
         eps = 4 / (5 * 0.15)
         sigma = float(np.sqrt(4) / (2.0 * 0.15 * 0.5 * np.sqrt(5)))
         assert row["bound_eps_traffic"] == eps

@@ -532,7 +532,7 @@ game = build_route_choice_game(net, M=3, seed=0)
 verify_equilibrium(game, WARDROP, game.cost.utility.ref,
                    np.zeros(game.coupling.m),
                    constants=ConstantsEstimate(R=1.0, L_p=1.0, alpha=0.0),
-                   n_samples=2, compute_epsilon=False)
+                   compute_epsilon=False)
 print("after route choice", "scipy.optimize" in sys.modules)
 """
 
