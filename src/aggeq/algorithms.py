@@ -140,6 +140,8 @@ def best_response(game: AggregativeGame, i: int, z, lam,
     """Agent i's optimal response to (z, lam): row i of all agents'
     responses, ``_batch_best_response`` from the projected origin, so its
     cost is O(M)."""
+    if not 0 <= i < game.M:
+        raise IndexError(f"agent index {i} out of range [0, {game.M})")
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DimensionError, InfeasibleSetError
 from .game import (AggregativeGame, FeasibilityReport, aggregate_matrix,
                    feasibility_report)
-from .operators import (NASH, SAMPLE_CHUNK_ENTRIES, build_operator,
-                        coupling_constants, default_sampler,
-                        monotonicity_analysis)
+from .operators import (NASH, build_operator, coupling_constants,
+                        default_sampler, monotonicity_analysis)
 from .projection import (dykstra, project_halfspace, project_individual,
                          projected_gradient)
 
@@ -295,8 +294,7 @@ def _bvls_multipliers(game: AggregativeGame, X, G) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def ev_dual_uniqueness(x_bar, ev_params, lambda_bar,
-                       tol: float = ACTIVE_TOL) -> dict:
+def ev_dual_uniqueness(x_bar, ev_params, tol: float = ACTIVE_TOL) -> dict:
     """Uniqueness certificate for the coupling multipliers of a charging
     equilibrium: some agent strictly interior at every tight slot and at
     one slack slot pins the multipliers down.
@@ -368,8 +366,7 @@ def outer_sum_eigenvalue_check(M: int, n_random: int = 10_000,
 
 def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
                    n_samples: int = 1000, seed: int = 0,
-                   feas_tol: float = 1e-6,
-                   feasibility: Optional[FeasibilityReport] = None) -> float:
+                   feas_tol: float = 1e-6) -> float:
     """min over sampled feasible x of F(x_bar)^T (x - x_bar).
 
     Nonnegative (within tolerance) at a solution.  Samples are drawn from
@@ -377,35 +374,27 @@ def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
     x_bar along the segment, which stays in the individual sets by
     convexity.  The pull-back reads x_bar's slack b - A x_bar clipped at 0,
     so on a row that x_bar exceeds within feas_tol the step is 0 (the
-    sample becomes x_bar), never negative.  The
-    samples are drawn, projected and pulled back in chunks of about
-    SAMPLE_CHUNK_ENTRIES entries, with the bytes of one sample at a time.
-    ``feasibility`` is x_bar's ``feasibility_report`` at feas_tol when the
-    caller has it; otherwise it is computed here.
+    sample becomes x_bar), never negative.
     """
     X_bar = game.profile(x_bar).as_matrix()
-    rep = (feasibility if feasibility is not None
-           else feasibility_report(game, X_bar, tol=feas_tol))
+    rep = feasibility_report(game, X_bar, tol=feas_tol)
     if not rep.feasible:
         raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
     rng = np.random.default_rng(seed)
     base = np.maximum(rep.coupling_residual, 0.0)  # b - A x_bar
-    chunk = max(1, SAMPLE_CHUNK_ENTRIES // X_bar.size)
     gap = np.inf
-    for start in range(0, n_samples, chunk):
-        X = sampler(rng, min(chunk, n_samples - start))
+    for _ in range(n_samples):
+        X = sampler(rng)
         resid = game.coupling.residual(X)
-        pull = np.min(resid, axis=1, initial=0.0) < 0.0
-        if np.any(pull):
-            d_resid = base - resid[pull]  # A d per row
+        if np.min(resid, initial=0.0) < 0.0:
+            d_resid = base - resid  # A d
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(d_resid > 1e-15, base / d_resid, np.inf)
-            theta = np.minimum(1.0, np.min(ratios, axis=1, initial=1.0))
-            X[pull] = X_bar + theta[:, None, None] * (X[pull] - X_bar)
-        for d in (X - X_bar).reshape(len(X), -1):
-            gap = min(gap, float(F @ d))
+            theta = min(1.0, np.min(ratios, initial=1.0))
+            X[:] = X_bar + theta * (X - X_bar)  # the sample, pulled back
+        gap = min(gap, float(F @ (X - X_bar).reshape(-1)))
     return float(gap)
 
 

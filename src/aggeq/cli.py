@@ -143,10 +143,9 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
             if len(vals) != 4:
                 raise ConfigError("bbox needs xmin,xmax,ymin,ymax")
             bbox = tuple(vals)
-        net = load_network(sec["nodes_file"], sec["edges_file"], bbox=bbox,
-                           f=float(sec.get("f_e", 4e-3)),
-                           h=float(sec.get("h", 7200.0)),
-                           K=float(sec.get("k", 1.0)))
+        net = _read(load_network, sec["nodes_file"], sec["edges_file"],
+                    bbox=bbox, f=float(sec.get("f_e", 4e-3)),
+                    h=float(sec.get("h", 7200.0)), K=float(sec.get("k", 1.0)))
         gamma_range = (float(sec.get("gamma_min", 0.5)),
                        float(sec.get("gamma_max", 3.5)))
         return build_route_choice_game(net, M=M, gamma_range=gamma_range,
@@ -155,7 +154,7 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
         sec = cfg.sections.get("custom", {})
         if "file" not in sec:
             raise ConfigError("custom-file runs need [custom] file=...")
-        data = np.load(sec["file"])
+        data = _read(np.load, sec["file"])
         for key in ("Q", "C", "c", "lo", "hi"):
             if key not in data:
                 raise ConfigError(f"custom file misses array {key!r}")
@@ -353,17 +352,23 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 1 if failures else 0
 
 
+def _read(load, *args, **kwargs):
+    """load(*args, **kwargs), where an input file that cannot be opened
+    raises ConfigError naming it."""
+    try:
+        return load(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(
+            f"{exc.filename}: cannot read: {exc.strerror}") from exc
+
+
 def _read_indexed(path, index_cols, value_col) -> list:
     """(line, index tuple, value) per data row of a CSV with nonnegative
     integer index columns and one float column.  Unreadable files, missing
     columns and bad or negative entries raise ConfigError naming the file
     and line."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     rows = []
-    with fh:
+    with _read(open, path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader, index_cols + (value_col,), path)
         for lineno, row in enumerate(reader, start=2):

@@ -360,14 +360,8 @@ class CouplingConstraint:
         return self.A @ X.reshape(-1)
 
     def residual(self, X: np.ndarray) -> np.ndarray:
-        """Slack b - A x; nonnegative iff the constraint holds.  A (k, M, n)
-        stack of strategy matrices gets (k, m) slacks, each row with the
-        bytes of its matrix's own call; the cap form takes them in one
-        reduction."""
-        if X.ndim == 3:
-            if self.A is None:
-                return self.b - np.add.reduce(X, axis=1) / self.M
-            return np.stack([self.residual(Xk) for Xk in X])
+        """Slack b - A x for an (M, n) strategy matrix; nonnegative iff the
+        constraint holds."""
         return self.b - self.apply(X)
 
     def adjoint_blocks(self, lam: np.ndarray) -> np.ndarray:

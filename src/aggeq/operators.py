@@ -158,11 +158,9 @@ def operator_gap(game: AggregativeGame, x) -> tuple:
 def default_sampler(game: AggregativeGame) -> Callable:
     """Feasible-point sampler over the product of individual sets.
 
-    Draws a uniform point in each agent's bounding box and projects it onto
-    the agent's set.  Given the same Generator state the draw is
-    deterministic.  ``sample(rng, count)`` returns a (count, M, n) stack,
-    drawn in one generator call and projected as one (count M, n) stack,
-    with the bytes of count successive ``sample(rng)`` calls.
+    ``sample(rng)`` draws a uniform point in each agent's bounding box and
+    projects it onto the agent's set, an (M, n) profile.  Given the same
+    Generator state the draw is deterministic.
 
     A draw is the one array expression lo + (hi - lo) * rng.random(shape),
     which numpy's ``rng.uniform(lo, hi)`` evaluates element by element in
@@ -175,12 +173,8 @@ def default_sampler(game: AggregativeGame) -> Callable:
     if not np.all(np.isfinite(span)):
         raise InfeasibleSetError("unbounded individual sets")
 
-    def sample(rng: np.random.Generator,
-               count: Optional[int] = None) -> np.ndarray:
-        if count is None:
-            return proj(lo + span * rng.random(lo.shape))
-        Y = lo + span * rng.random((count,) + lo.shape)
-        return proj(Y.reshape(-1, lo.shape[1])).reshape(Y.shape)
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        return proj(lo + span * rng.random(lo.shape))
 
     return sample
 

@@ -1,7 +1,7 @@
 """Exact Euclidean projections onto the constraint geometries used by the
 solvers: boxes with an optional budget, flow polytopes, halfspaces, and
 intersections handled by Dykstra's alternating scheme.  Also
-``ProfileProjector``, which projects a whole profile onto a game's set
+``ProfileProjector``, which projects one (M, n) profile onto a game's set
 family and minimizes linear costs over it exactly (a greedy fill for boxes
 with budgets, one shortest path per agent for flow sets), and
 ``projected_gradient``,
@@ -68,15 +68,15 @@ def project_box_budget_batch(Y, lo, hi, theta) -> np.ndarray:
 
 
 def _box_budget_rows(Y, lo, hi, theta=None, hint=None) -> np.ndarray:
-    """The body of project_box_budget_batch, for float Y of shape (M, n)
-    or (k, M, n), (M, n) bounds and (M,) budgets that passed
-    check_box_budget; the clamp alone when theta is None.  ``hint``, a
-    ``_partition_cache`` for an (M, n) Y, holds each row's partition
-    (inside, at_hi) in the last call that passed it; rows where it fails
-    the margin check below run the breakpoint sort, whose partitions
-    refresh it in place.  Without a hint, every row that needs the budget
-    is sorted.  A row's bytes depend only on its partition, and a kept
-    partition is the one the sort would choose."""
+    """The body of project_box_budget_batch, for float (M, n) Y, (M, n)
+    bounds and (M,) budgets that passed check_box_budget; the clamp alone
+    when theta is None.  ``hint``, a ``_partition_cache`` of the bounds,
+    holds each row's partition (inside, at_hi) in the last call that
+    passed it; rows where it fails the margin check below run the
+    breakpoint sort, whose partitions refresh it in place.  Without a
+    hint, every row that needs the budget is sorted.  A row's bytes
+    depend only on its partition, and a kept partition is the one the
+    sort would choose."""
     X = np.minimum(np.maximum(Y, lo), hi)
     if theta is None:
         return X
@@ -85,17 +85,13 @@ def _box_budget_rows(Y, lo, hi, theta=None, hint=None) -> np.ndarray:
     need[need] = short[need] > sum_rounding_bound(X[need])
     if not np.any(need):
         return X
-    if need.ndim > 1:
-        agents = np.nonzero(need)[-1]
-    elif np.all(need):
-        need = agents = slice(None)  # every row of one profile: views
-    else:
-        agents = need
-    y, l, h, t = Y[need], lo[agents], hi[agents], theta[agents]
+    if np.all(need):
+        need = slice(None)  # every row: views
+    y, l, h, t = Y[need], lo[need], hi[need], theta[need]
     if hint is None:
         inside, at_hi = _sort_partition(y, l, h, t)
     else:
-        inside, at_hi = hint[0][agents], hint[1][agents]
+        inside, at_hi = hint[0][need], hint[1][need]
     mu, count = _multiplier(y, l, h, t, inside, at_hi)
     z = y + mu[:, None]
     if hint is not None:
@@ -113,7 +109,7 @@ def _box_budget_rows(Y, lo, hi, theta=None, hint=None) -> np.ndarray:
         ok = (np.abs(above) > margin) & ((above > 0.0) == (inside | at_hi))
         ok &= np.abs(below) > margin
         ok &= (below < 0.0) == (at_hi & ~inside)
-        ok |= hint[2][agents] & ~inside
+        ok |= hint[2][need] & ~inside
         bad = ~ok.all(axis=1) | (mu == np.inf)
         if np.any(bad):
             sub = [a[bad] for a in (y, l, h, t)]
@@ -121,7 +117,7 @@ def _box_budget_rows(Y, lo, hi, theta=None, hint=None) -> np.ndarray:
             mu_b, count[bad] = _multiplier(*sub, *part)
             z[bad] = sub[0] + mu_b[:, None]
             inside[bad], at_hi[bad] = part
-            hint[0][agents], hint[1][agents] = inside, at_hi
+            hint[0][need], hint[1][need] = inside, at_hi
     X[need] = _finish(z, l, h, t, inside, count)
     return X
 
@@ -383,21 +379,19 @@ def project_individual(cs: Union[Box, FlowPolytope], y) -> np.ndarray:
 
 class ProfileProjector:
     """Projection of an (M, n) strategy matrix onto the product of the
-    agents' sets, one set family.  A box family takes one batched pass (the
-    clamp alone when no budget is finite), a flow family one
-    ``project_individual`` call per row.  A (k M, n) stack of k profiles,
-    row r belonging to agent r mod M, is projected in the same call, each
-    row to the bytes it gets alone.
+    agents' sets, one set family; any other shape raises DimensionError.
+    A box family takes one batched pass (the clamp alone when no budget is
+    finite), a flow family one ``project_individual`` call per row.
 
-    On a bounded box family with budgets, a one-profile call passes
-    ``_box_budget_rows`` the partitions (``_inside``, ``_at_hi``) of the
-    last such call as its hint."""
+    On a bounded box family with budgets, each call passes
+    ``_box_budget_rows`` its hint ``_hint``, a ``_partition_cache`` that
+    holds the partitions of the last call."""
 
     def __init__(self, family: SetFamily):
         self.family = family
-        self._M = len(family)
+        self._shape = (len(family), family.n)
         self._box = isinstance(family, BoxFamily)
-        self._inside = None
+        self._hint = None
         self._graph = None  # a flow family's _flow_graph, on first use
         if self._box:
             lo, hi, theta = family.lo, family.hi, family.theta
@@ -406,28 +400,19 @@ class ProfileProjector:
             # The clamp's bounds, plus the budgets when some are finite.
             budgets = bool(np.any(theta > -np.inf))
             self._bounds = (lo, hi, theta) if budgets else (lo, hi)
-            cache = _partition_cache(lo, hi) if budgets else None
-            if cache is not None:
-                self._inside, self._at_hi, self._pinned, self._scale = cache
+            if budgets:
+                self._hint = _partition_cache(lo, hi)
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
-        M = self._M
-        reps = len(Y) // M
-        if reps < 1 or reps * M != len(Y):
-            raise DimensionError(f"a profile stack has a positive multiple"
-                                 f" of {M} rows, not {len(Y)}")
+        if np.shape(Y) != self._shape:
+            raise DimensionError(f"a profile has shape {self._shape},"
+                                 f" not {np.shape(Y)}")
         if not self._box:
-            return np.stack([project_individual(self.family[r % M], y)
-                             for r, y in enumerate(Y)])
+            return np.stack([project_individual(cs, y)
+                             for cs, y in zip(self.family, Y)])
         # The family is validated: no checks per call.
-        Y = np.ascontiguousarray(Y, dtype=float)
-        if reps == 1:
-            hint = None if self._inside is None else (
-                self._inside, self._at_hi, self._pinned, self._scale)
-            return _box_budget_rows(Y, *self._bounds, hint=hint)
-        # A stack is projected as a (k, M, n) view against the (M, n) bounds.
-        return _box_budget_rows(Y.reshape(reps, M, -1),
-                                *self._bounds).reshape(Y.shape)
+        return _box_budget_rows(np.ascontiguousarray(Y, dtype=float),
+                                *self._bounds, hint=self._hint)
 
     def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
         """Every agent's stationarity residual -P_T(-G[i]), T the tangent
@@ -474,8 +459,8 @@ class ProfileProjector:
         """Projector onto the same sets with every upper bound lowered to
         cap_hi (never below lo), or None for a flow family.  The lowered
         bounds are checked once, here: InfeasibleSetError when a cap pushes
-        some budget above sum(hi).  Like a one-profile call, each call
-        starts from the partitions of the closure's last one."""
+        some budget above sum(hi).  Like a projector call, each call starts
+        from the partitions of the closure's last one."""
         if not self._box:
             return None
         lo, hi, *theta = self._bounds

@@ -140,7 +140,7 @@ def test_criterion_5_ev_coupling():
     cap_ok = bool(np.all(sigma <= 0.55 + 1e-4))
     active = res.lam > 1e-6
     compl_ok = bool(np.all(sigma[active] >= 0.55 - 1e-3))
-    unique = ev_dual_uniqueness(res.x.as_matrix(), params, res.lam)
+    unique = ev_dual_uniqueness(res.x.as_matrix(), params)
     ok = (res.converged and cap_ok and compl_ok and unique["unique"]
           and unique["witness_agent"] is not None and elapsed < 120.0)
     _report(5, ok,

@@ -378,6 +378,14 @@ class TestBestResponse:
         with pytest.raises(DimensionError):
             best_response(game, 0, z=[0.0], lam=[-0.1])
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_rejects_an_agent_index_out_of_range(self, i):
+        # -1 would otherwise be agent M - 1's response.
+        game = build_quadratic_game(M=3, n=2, seed=0)
+        with pytest.raises(IndexError, match=rf"agent index {i} out of"
+                           r" range \[0, 3\)"):
+            best_response(game, i, z=np.zeros(2), lam=np.zeros(2))
+
 
 def grid_route_choice_game(M=6, seed=0):
     """Route choice through the real builder on a 2 x 3 street grid of

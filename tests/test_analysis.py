@@ -23,7 +23,7 @@ from aggeq.apps.traffic import (build_network, build_route_choice_game,
                                 shortest_path)
 from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
                         FlowFamily, FlowPolytope, QuadraticCost,
-                        aggregate_matrix, feasibility_report)
+                        aggregate_matrix)
 from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
 from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
@@ -174,10 +174,9 @@ def bvls_kkt_oracle(game, flavor, X, lam, tol=analysis.ACTIVE_TOL):
 
 
 def vi_gap_loop_oracle(game, flavor, x_bar, n_samples, seed):
-    """Test oracle: vi_gap_sampled's loop before it worked in chunks, one
-    sample drawn, projected and pulled back at a time, with x_bar's slack
-    clipped at 0.  Returns the gap and the number of samples pulled
-    back."""
+    """Test oracle: the sampled VI gap written out on its own, one sample
+    drawn, projected and pulled back at a time, with x_bar's slack clipped
+    at 0.  Returns the gap and the number of samples pulled back."""
     X_bar = game.profile(x_bar).as_matrix()
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
@@ -596,14 +595,14 @@ class TestViGap:
         def recording(game):
             sample = default_sampler(game)
 
-            def draw(rng, count=None):
-                stacks.append(sample(rng, count))
+            def draw(rng):
+                stacks.append(sample(rng))
                 return stacks[-1]
             return draw
 
         monkeypatch.setattr(analysis, "default_sampler", recording)
         gap = vi_gap_sampled(game, WARDROP, X, n_samples=40)
-        samples = np.concatenate(stacks)  # pulled back in place
+        samples = np.stack(stacks)  # pulled back in place
         assert len(samples) == 40
         assert np.max(game.individual.violation(samples)) <= 1e-12
         # Within the excess, every sample meets the coupling, so the
@@ -613,8 +612,8 @@ class TestViGap:
 
 
 class TestViGapChunks:
-    """Drawn, projected and pulled back per chunk, the sampled VI gap keeps
-    the bytes of the one-sample-at-a-time loop."""
+    """The sampled VI gap keeps the bytes of the one-sample-at-a-time loop
+    of the test oracle."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -631,24 +630,21 @@ class TestViGapChunks:
         }
 
     @pytest.mark.parametrize("kind", ["ev", "quadratic", "route"])
-    @pytest.mark.parametrize("chunk_samples", [None, 1, 4])
-    def test_bytes_match_per_sample_loop(self, cases, monkeypatch, kind,
-                                         chunk_samples):
+    @pytest.mark.parametrize("count", [None, 1, 4])
+    def test_bytes_match_per_sample_loop(self, cases, kind, count):
+        # count None is the case's own sample count, under which some
+        # samples are pulled back; 1 and 4 compare the first draws alone.
         game, flavor, X, n_samples = cases[kind]
-        if chunk_samples is not None:
-            # n_samples is not a multiple of the chunk.
-            monkeypatch.setattr(analysis, "SAMPLE_CHUNK_ENTRIES",
-                                chunk_samples * X.size + X.size // 2)
+        n_samples = n_samples if count is None else count
         want, pulled = vi_gap_loop_oracle(game, flavor, X, n_samples, seed=5)
         got = vi_gap_sampled(game, flavor, X, n_samples=n_samples, seed=5)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert 0 < pulled
+        assert count is not None or 0 < pulled
 
     def test_given_feasibility_report_is_used(self, monkeypatch):
         game = build_quadratic_game(M=4, n=3, seed=1)
         X = extragradient(game, WARDROP,
                           SolverConfig(tol=1e-8)).x.as_matrix()
-        rep = feasibility_report(game, X)
         calls = []
         real = analysis.feasibility_report
 
@@ -657,11 +653,6 @@ class TestViGapChunks:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "feasibility_report", counting)
-        assert vi_gap_sampled(game, WARDROP, X, n_samples=20,
-                              feasibility=rep) \
-            == vi_gap_sampled(game, WARDROP, X, n_samples=20)
-        assert len(calls) == 1
-        calls.clear()
         verify_equilibrium(game, WARDROP, X, np.zeros(game.coupling.m),
                            compute_epsilon=False)
         assert len(calls) == 1
@@ -706,8 +697,8 @@ class TestViGapBound:
         if kind == "route":
             game = build_route_choice_game(two_way_grid_network(), M=3,
                                            seed=0)
-            points = [game.cost.utility.ref] + list(
-                default_sampler(game)(rng, 3))
+            sample = default_sampler(game)
+            points = [game.cost.utility.ref] + [sample(rng) for _ in range(3)]
         else:
             game = {
                 "quadratic": lambda: build_quadratic_game(M=4, n=3, seed=1),
@@ -718,7 +709,8 @@ class TestViGapBound:
                         rng.uniform(0.0, 1.0, (2, 6)), [0.6, 0.8], 3, 2)),
             }[kind]()
             res = extragradient(game, WARDROP, SolverConfig(tol=1e-6))
-            points = [res.x.as_matrix()] + list(default_sampler(game)(rng, 3))
+            sample = default_sampler(game)
+            points = [res.x.as_matrix()] + [sample(rng) for _ in range(3)]
         for flavor in (NASH, WARDROP):
             for X in points:
                 F = build_operator(game, flavor).evaluate_blocks(X)
@@ -901,7 +893,7 @@ class TestEvDualUniqueness:
     def test_no_tight_slots_unique(self):
         params = self._params(np.ones((3, 4)), np.full(4, 0.9))
         X = np.full((3, 4), 0.2)
-        out = ev_dual_uniqueness(X, params, np.zeros(4))
+        out = ev_dual_uniqueness(X, params)
         assert out["unique"] and out["witness_agent"] is None
         assert out["tight_slots"].size == 0
 
@@ -909,7 +901,7 @@ class TestEvDualUniqueness:
         params = self._params(np.ones((3, 4)), np.full(4, 0.5))
         X = np.full((3, 4), 0.2)
         X[:, 0] = 0.5  # slot 0 tight, everyone interior there
-        out = ev_dual_uniqueness(X, params, np.zeros(4))
+        out = ev_dual_uniqueness(X, params)
         assert out["unique"]
         assert out["witness_agent"] == 0
         assert list(out["tight_slots"]) == [0]
@@ -918,7 +910,7 @@ class TestEvDualUniqueness:
         params = self._params(np.ones((2, 3)), np.full(3, 0.5))
         X = np.zeros((2, 3))
         X[0, 0], X[1, 0] = 1.0, 0.0  # tight slot 0, both at their limits
-        out = ev_dual_uniqueness(X, params, np.zeros(3))
+        out = ev_dual_uniqueness(X, params)
         assert not out["unique"]
         assert out["witness_agent"] is None
 

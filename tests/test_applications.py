@@ -73,7 +73,7 @@ class TestBuilderProjectionPaths:
             "custom-file": lambda: custom_file_game(tmp_path),
         }[kind]()
         res = extragradient(game, WARDROP, SolverConfig(max_iter=5))
-        Y = np.random.default_rng(3).normal(size=(3 * game.M, game.n))
+        Y = np.random.default_rng(3).normal(size=(game.M, game.n))
         X = game.projector(Y)
         assert res.primal_updates == 5 and X.shape == Y.shape
         assert per_agent_calls == []
@@ -108,8 +108,8 @@ class TestBuilderProjectionPaths:
         cached = projection.ProfileProjector.__call__
 
         def cleared(self, Y):
-            self._inside[:] = False
-            self._at_hi[:] = False
+            self._hint[0][:] = False
+            self._hint[1][:] = False
             return cached(self, Y)
 
         monkeypatch.setattr(projection.ProfileProjector, "__call__", cleared)
@@ -125,10 +125,8 @@ class TestBuilderProjectionPaths:
         net = build_network([0, 1], TWO_ROUTE_EDGES, f=0.15, h=2.0)
         game = build_route_choice_game(net, M=3, seed=0)
         rng = np.random.default_rng(4)
-        for reps in (1, 2):
-            per_agent_calls.clear()
-            game.projector(rng.normal(size=(reps * game.M, game.n)))
-            assert per_agent_calls == [game.n] * (reps * game.M)
+        game.projector(rng.normal(size=(game.M, game.n)))
+        assert per_agent_calls == [game.n] * game.M
 
 
 # ---------------------------------------------------------------------------

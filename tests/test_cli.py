@@ -221,6 +221,30 @@ kind = quadratic
         assert main(["run", "--seed", "1", "--kind", "quadratic",
                      "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("kind, missing", [
+        ("custom-file", "game.npz"),
+        ("traffic", "nodes.csv"),
+        ("traffic", "edges.csv"),
+    ])
+    def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                  kind, missing):
+        (tmp_path / "nodes.csv").write_text("id,x,y\n0,0,0\n1,1,0\n",
+                                            encoding="utf-8")
+        path = tmp_path / "nowhere" / missing
+        files = {"nodes_file": tmp_path / "nodes.csv", "edges_file": path}
+        if missing == "nodes.csv":
+            files["nodes_file"] = path
+        section = ("[custom]\nfile = " + str(path) if kind == "custom-file"
+                   else "[traffic]\n" + "".join(
+                       f"{key} = {value}\n" for key, value in files.items()))
+        cfg = write_config(tmp_path, f"[experiment]\nkind = {kind}\n"
+                           f"seed = 0\n\n{section}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {path}: cannot read: No such file or directory\n"
+        assert not out.exists()
+
 
 class TestSolverRegistry:
     """What the perfbench timers rely on: every solve goes through the

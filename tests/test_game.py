@@ -196,20 +196,6 @@ class TestCouplingConstraint:
                            dense.adjoint_blocks(lam), atol=1e-12)
         assert cap.norm() == pytest.approx(dense.norm(), abs=1e-12)
 
-    def test_residual_of_a_stack_has_each_matrix_bytes(self):
-        rng = np.random.default_rng(7)
-        M, n = 6, 4
-        K = rng.uniform(0.2, 1.0, size=n)
-        cap = CouplingConstraint.per_component_cap(K, M)
-        dense = CouplingConstraint.dense(
-            rng.normal(size=(3, M * n)), rng.normal(size=3), M, n)
-        stack = rng.normal(size=(5, M, n))
-        for coupling in (cap, dense):
-            want = np.stack([coupling.residual(X) for X in stack])
-            got = coupling.residual(stack)
-            assert got.shape == (5, coupling.m)
-            assert got.tobytes() == want.tobytes()
-
     def test_cap_adjoint_is_a_read_only_view(self):
         rng = np.random.default_rng(6)
         M, n = 5, 3

@@ -503,14 +503,10 @@ class TestDefaultSampler:
         lo, hi = game.individual.bounds()
         sample = default_sampler(game)
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        for count in (None, 4, None, 1):
-            got = sample(rng, count)
-            if count is None:
-                want = proj(ref.uniform(lo, hi))
-            else:
-                Y = ref.uniform(lo, hi, size=(count,) + lo.shape)
-                want = proj(Y.reshape(-1, game.n)).reshape(Y.shape)
-            assert got.shape == want.shape
+        for _ in range(4):
+            got = sample(rng)
+            want = proj(ref.uniform(lo, hi))
+            assert got.shape == want.shape == (game.M, game.n)
             assert got.tobytes() == want.tobytes()
 
     def test_unbounded_set_is_refused(self):

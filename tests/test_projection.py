@@ -419,30 +419,6 @@ class TestFlowProjection:
             single = project_individual(fp, Y[i])
             assert np.max(np.abs(X[i] - single)) <= 1e-6
 
-    def test_profile_stack_projects_each_profile_alone(self):
-        # A (k M, n) stack gets, row for row, the bytes of k profile calls.
-        rng = np.random.default_rng(16)
-        M, n, k = 5, 4, 3
-        lo = rng.uniform(-1.0, 0.0, size=(M, n))
-        hi = lo + rng.uniform(0.0, 2.0, size=(M, n))
-        hi[0, 1] = lo[0, 1]
-        theta = lo.sum(axis=1) + rng.uniform(0.2, 0.8, size=M) \
-            * (hi - lo).sum(axis=1)
-        mixed = np.where(np.arange(M) < 2, -np.inf, theta)
-        B = grid_incidence(2, 2)
-        b_od = np.zeros(B.shape[0])
-        b_od[0], b_od[-1] = -1.0, 1.0
-        for family in (BoxFamily(lo, hi), BoxFamily(lo, hi, theta),
-                       FlowFamily(B, np.tile(b_od, (M, 1))),
-                       BoxFamily(lo, hi, mixed)):
-            proj = ProfileProjector(family)
-            Y = rng.uniform(-3.0, 3.0, size=(k * M, family.n))
-            want = np.concatenate([proj(Y[j * M:(j + 1) * M])
-                                   for j in range(k)])
-            got = proj(Y)
-            assert got.shape == Y.shape
-            assert got.tobytes() == want.tobytes()
-
     def test_profile_projector_modes(self):
         # One box body: a family without finite budgets is clamped, and a
         # row with theta = -inf beside budget rows gets the same clamp.
@@ -484,16 +460,11 @@ class TestValidateOnce:
         game, lo, hi, theta = ev
         proj = ProfileProjector(game.individual)
         rng = np.random.default_rng(21)
-        for reps in (1, 4):
-            Y = rng.uniform(-0.5, 1.5, size=(reps * game.M, game.n)) \
-                * hi.max()
-            got = proj(Y)
-            assert not checks
-            want = project_box_budget_batch(Y, np.tile(lo, (reps, 1)),
-                                            np.tile(hi, (reps, 1)),
-                                            np.tile(theta, reps))
-            assert got.tobytes() == want.tobytes()
-            checks.clear()
+        Y = rng.uniform(-0.5, 1.5, size=(game.M, game.n)) * hi.max()
+        got = proj(Y)
+        assert not checks
+        want = project_box_budget_batch(Y, lo, hi, theta)
+        assert got.tobytes() == want.tobytes()
 
     def test_capped_projector_checks_once_when_built(self, ev, checks):
         game, lo, hi, theta = ev
@@ -560,18 +531,26 @@ class TestCappedWarmStart:
 
 
 class TestProfileRowCount:
-    """A profile stack has a positive multiple of M rows, for either kind
-    of family."""
+    """A projector takes one (M, n) profile: any other shape raises, for
+    the box, box-budget and flow families."""
 
-    @pytest.mark.parametrize("rows", [0, 5])
-    def test_other_row_counts_raise(self, rows):
+    @staticmethod
+    def assert_refused(shape):
         B = np.array([[-1.0, -1.0], [1.0, 1.0]])
         for family in (BoxFamily.common(np.zeros(2), np.ones(2), 3),
                        BoxFamily(np.zeros((3, 2)), np.ones((3, 2)),
                                  np.ones(3)),
                        FlowFamily(B, np.tile([-1.0, 1.0], (3, 1)))):
-            with pytest.raises(DimensionError, match="multiple of 3"):
-                ProfileProjector(family)(np.zeros((rows, 2)))
+            with pytest.raises(DimensionError, match=r"shape \(3, 2\)"):
+                ProfileProjector(family)(np.zeros(shape))
+
+    @pytest.mark.parametrize("rows", [0, 5, 6])  # 6 = 2 M, two profiles
+    def test_other_row_counts_raise(self, rows):
+        self.assert_refused((rows, 2))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_other_widths_raise(self, width):
+        self.assert_refused((3, width))
 
 
 def near_breakpoints(rng, Y, lo, hi, theta):
@@ -623,12 +602,12 @@ class TestWarmPartition:
                 elif kind == 1:  # a small move: most partitions hold
                     Y = Y + rng.normal(scale=1e-3, size=Y.shape)
                 elif kind == 2:
-                    proj._inside = rng.random((M, n)) < 0.4
-                    proj._at_hi = rng.random((M, n)) < 0.4
+                    proj._hint[0][:] = rng.random((M, n)) < 0.4
+                    proj._hint[1][:] = rng.random((M, n)) < 0.4
                 elif kind == 3:
                     other(rng.uniform(-3.0, 3.0, size=(M, n)))
-                    proj._inside = other._inside.copy()
-                    proj._at_hi = other._at_hi.copy()
+                    proj._hint[0][:] = other._hint[0]
+                    proj._hint[1][:] = other._hint[1]
                 elif kind == 4:
                     Y = near_breakpoints(rng, Y, lo, hi, theta)
                 else:  # ties among the breakpoints
@@ -649,10 +628,10 @@ class TestWarmPartition:
         lo, hi = np.zeros((2, 3)), np.ones((2, 3))
         proj = ProfileProjector(BoxFamily(lo, hi, [1.0, 1.0]))
         proj(np.full((2, 3), 0.1))
-        kept = proj._inside.copy(), proj._at_hi.copy()
+        kept = proj._hint[0].copy(), proj._hint[1].copy()
         Y = np.array([[0.1, 0.1, 0.1], [0.5, 0.5, 0.5]])
         got = proj(Y)
         assert got.tobytes() == project_box_budget_batch(
             Y, lo, hi, [1.0, 1.0]).tobytes()
-        assert np.array_equal(proj._inside[1], kept[0][1])
-        assert np.array_equal(proj._at_hi[1], kept[1][1])
+        assert np.array_equal(proj._hint[0][1], kept[0][1])
+        assert np.array_equal(proj._hint[1][1], kept[1][1])
