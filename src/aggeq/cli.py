@@ -20,6 +20,7 @@ import csv
 import os
 import sys
 import tempfile
+import zipfile
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -125,13 +126,16 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
     if cfg.kind == "quadratic":
         sec = cfg.sections.get("quadratic", {})
         return build_quadratic_game(
-            M, n=int(sec.get("n", 24)), q=float(sec.get("q", 0.1)),
-            K=float(sec.get("k", 0.3)), rng=substream(seed, "agents"))
+            M, n=_option(sec, "quadratic", "n", 24, int),
+            q=_option(sec, "quadratic", "q", 0.1),
+            K=_option(sec, "quadratic", "k", 0.3),
+            rng=substream(seed, "agents"))
     if cfg.kind == "ev":
         sec = cfg.sections.get("ev", {})
         params = generate_ev_params(
-            M, n=int(sec.get("n", 24)), kappa=float(sec.get("kappa", 12.0)),
-            K=float(sec.get("k", 0.55)), rng=substream(seed, "agents"))
+            M, n=_option(sec, "ev", "n", 24, int),
+            kappa=_option(sec, "ev", "kappa", 12.0),
+            K=_option(sec, "ev", "k", 0.55), rng=substream(seed, "agents"))
         return build_ev_game(params)
     if cfg.kind == "traffic":
         sec = cfg.sections.get("traffic", {})
@@ -139,22 +143,23 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
             raise ConfigError("traffic runs need nodes_file and edges_file")
         bbox = None
         if "bbox" in sec:
-            vals = [float(v) for v in sec["bbox"].split(",")]
-            if len(vals) != 4:
+            bbox = _option(sec, "traffic", "bbox", None, lambda v: tuple(
+                float(x) for x in v.split(",")))
+            if len(bbox) != 4:
                 raise ConfigError("bbox needs xmin,xmax,ymin,ymax")
-            bbox = tuple(vals)
         net = _read(load_network, sec["nodes_file"], sec["edges_file"],
-                    bbox=bbox, f=float(sec.get("f_e", 4e-3)),
-                    h=float(sec.get("h", 7200.0)), K=float(sec.get("k", 1.0)))
-        gamma_range = (float(sec.get("gamma_min", 0.5)),
-                       float(sec.get("gamma_max", 3.5)))
+                    bbox=bbox, f=_option(sec, "traffic", "f_e", 4e-3),
+                    h=_option(sec, "traffic", "h", 7200.0),
+                    K=_option(sec, "traffic", "k", 1.0))
+        gamma_range = (_option(sec, "traffic", "gamma_min", 0.5),
+                       _option(sec, "traffic", "gamma_max", 3.5))
         return build_route_choice_game(net, M=M, gamma_range=gamma_range,
                                        rng=substream(seed, "od-pairs"))
     if cfg.kind == "custom-file":
         sec = cfg.sections.get("custom", {})
         if "file" not in sec:
             raise ConfigError("custom-file runs need [custom] file=...")
-        data = _read(np.load, sec["file"])
+        data = _read(_load_npz, sec["file"])
         for key in ("Q", "C", "c", "lo", "hi"):
             if key not in data:
                 raise ConfigError(f"custom file misses array {key!r}")
@@ -350,6 +355,33 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                "dual_updates_mean", "dual_updates_std", "converged",
                "n_rep"], rows)
     return 1 if failures else 0
+
+
+def _option(sec, section, key, default, parse=float):
+    """parse(sec[key]), or parse(default) when the key is absent; a value
+    that parse rejects raises ConfigError naming the section key."""
+    raw = sec.get(key, default)
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
+
+
+def _load_npz(path) -> dict:
+    """Every array of the .npz archive at path, read in full.  A file that
+    is not such an archive raises ConfigError naming it; one that cannot
+    be opened raises OSError."""
+    # np.load leaves a path it opened open when the zip is bad, so the
+    # file is opened, and closed, here.
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)
+            if not hasattr(data, "files"):
+                raise ValueError("it holds one .npy array")
+            return {key: data[key] for key in data.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(
+                f"{path}: not an .npz archive: {exc}") from exc
 
 
 def _read(load, *args, **kwargs):

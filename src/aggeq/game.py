@@ -487,6 +487,10 @@ class QuadraticTracking:
 # average or an (M, n) matrix of per-agent averages z_i; row i of
 # value_all(X, z) is J^i(X[i], z_i), of grad_own_all(X, z) its gradient in
 # X[i] and of grad_agg_all(X, z) its gradient in z_i.  They also give:
+# * mapping_all(X, z, M, nash, charge=None): the game mapping's rows, each
+#   agent's own gradient, plus its gradient in z_i divided by M when nash,
+#   plus charge, an (n,) row or (M, n) blocks; the solvers' hot path, so
+#   each model sums it in as few array passes as its form allows;
 # * own_lipschitz(): a Lipschitz constant of grad_own_all in X, every agent;
 # * aggregate_lipschitz(hi): L_p, the Lipschitz constant of the
 #   price/aggregate coupling;
@@ -514,10 +518,10 @@ class QuadraticCost:
     """J^i = 1/2 x^T Q x + (C z + c^i)^T x with common Q, C.
 
     When Q or C is exactly a multiple s I of the identity, as
-    ``build_quadratic_game`` makes both, the batched gradients multiply by
-    the scalar s in place of the dense product.  The product's off-diagonal
-    terms are exact zeros, so both give the same bits.  ``Q`` and ``C`` stay
-    the matrices for everything else.
+    ``build_quadratic_game`` makes both, the batched gradients and the
+    mapping multiply by the scalar s in place of the dense product.  The
+    product's off-diagonal terms are exact zeros, so both give the same
+    bits.  ``Q`` and ``C`` stay the matrices for everything else.
     """
 
     Q: np.ndarray
@@ -559,6 +563,24 @@ class QuadraticCost:
 
     def grad_agg_all(self, X, z):
         return X @ self.C if self.c_scale is None else X * self.c_scale
+
+    def mapping_all(self, X, z, M, nash, charge=None):
+        """X P + c + (C z + charge): the affine mapping with one coefficient
+        P on X, Q^T + C/M (Nash) or Q^T (Wardrop), a scalar where Q and C
+        allow, and the z term and charge summed before their one add.  An
+        (n,) z and row charge make that an (n,) sum and a row broadcast."""
+        if self.q_scale is not None and (self.c_scale is not None
+                                         or not nash):
+            p = self.q_scale + self.c_scale / M if nash else self.q_scale
+            out = X * p
+        else:
+            out = X @ (self.Q.T + self.C / M if nash else self.Q.T)
+        out += self.c
+        shift = z @ self.C.T if self.c_scale is None else z * self.c_scale
+        if charge is not None:
+            shift = shift + charge
+        out += shift
+        return out
 
     def own_lipschitz(self) -> float:
         return float(np.linalg.norm(self.Q, 2))
@@ -619,6 +641,18 @@ class PriceTimesUsage:
 
     def grad_agg_all(self, X, z):
         return X * self.price.diag(z)
+
+    def mapping_all(self, X, z, M, nash, charge=None):
+        """Own gradient plus price, then the aggregate term over M when
+        nash, then charge, each summed in place."""
+        out = self.grad_own_all(X, z)
+        if nash:
+            agg = self.grad_agg_all(X, z)
+            agg /= M
+            out += agg
+        if charge is not None:
+            out += charge
+        return out
 
     def own_lipschitz(self) -> float:
         return self.utility.lipschitz()

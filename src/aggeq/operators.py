@@ -3,9 +3,9 @@
 The Nash mapping stacks the full cost gradients, including the chain-rule
 term through the population average; the Wardrop mapping freezes the average.
 Also provides constants estimation (strong monotonicity, Lipschitz).  The
-solvers add the coupling term A^T lambda themselves.  The Jacobian structure
-behind the constants comes from the cost model, so nothing here dispatches
-on its type.
+solvers pass the coupling term A^T lambda in as the mapping's charge.  The
+Jacobian structure behind the constants comes from the cost model, so
+nothing here dispatches on its type.
 """
 
 from __future__ import annotations
@@ -41,20 +41,20 @@ class GameOperator:
         self.game = game
         self.flavor = flavor
 
-    def evaluate_blocks(self, X: np.ndarray,
-                        z: Optional[np.ndarray] = None) -> np.ndarray:
-        """F(X) as an (M, n) matrix; z is X's aggregate (None computes it)
-        or an (M, n) matrix of per-agent averages, as ``epsilon_nash``
-        passes its deviations' averages."""
+    def evaluate_blocks(self, X: np.ndarray, z: Optional[np.ndarray] = None,
+                        charge: Optional[np.ndarray] = None) -> np.ndarray:
+        """F(X) + charge as a fresh (M, n) matrix, the cost model's
+        ``mapping_all`` with the game's M.  z is X's aggregate (None
+        computes it) or an (M, n) matrix of per-agent averages, as
+        ``epsilon_nash`` passes its deviations' averages; charge, summed in
+        with the mapping's own terms, is the solvers' dual charge A^T lam:
+        the (n,) row lam / M under a per-component cap, else (M, n)
+        blocks."""
         X = np.asarray(X, dtype=float)
         if z is None:
             z = aggregate_matrix(X)
-        out = self.game.cost.grad_own_all(X, z)
-        if self.flavor == NASH:
-            agg = self.game.cost.grad_agg_all(X, z)
-            agg /= self.game.M
-            out += agg
-        return out
+        return self.game.cost.mapping_all(X, z, self.game.M,
+                                          self.flavor == NASH, charge)
 
     def evaluate(self, x) -> np.ndarray:
         X = self.game.profile(x).as_matrix()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,25 +58,30 @@ def greedy_loop_oracle(q, lo, hi, theta):
     return x
 
 
-def reference_mapping(game, flavor, X):
-    """Test oracle: F(X) summed into fresh arrays, with the aggregate
-    computed from X, as GameOperator.evaluate_blocks did before it took the
-    aggregate from its caller and summed in place."""
+def reference_mapping(game, flavor, X, charge):
+    """Test oracle: F(X) + charge summed into fresh arrays, with the
+    aggregate computed from X.  A quadratic game's mapping is the affine
+    form X P + c + (C z + charge), P = Q^T + C/M (Nash) or Q^T (Wardrop),
+    in its dense products, which the scalar path matches bit for bit;
+    any other cost model sums own + agg / M (Nash), then charge.  charge
+    is A^T lam: the (n,) row lam / M under a per-component cap, else
+    (M, n) blocks."""
     cost = game.cost
     z = np.add.reduce(X, axis=0) / game.M
     if isinstance(cost, QuadraticCost):
-        out = X @ cost.Q.T + (cost.C @ z)[None, :] + cost.c
-        agg = X @ cost.C
-    else:
-        out = cost.grad_own_all(X, z)
-        agg = cost.grad_agg_all(X, z)
-    return out + agg / game.M if flavor == NASH else out
+        P = cost.Q.T + cost.C / game.M if flavor == NASH else cost.Q.T
+        return X @ P + cost.c + (cost.C @ z + charge)
+    out = cost.grad_own_all(X, z)
+    if flavor == NASH:
+        out = out + cost.grad_agg_all(X, z) / game.M
+    return out + charge
 
 
 def reference_adjoint(coupling, lam):
-    """Test oracle: A^T lam as a full (M, n) copy."""
+    """Test oracle: A^T lam as the row lam / M under a per-component cap,
+    else as a full (M, n) copy."""
     if coupling.A is None:
-        return np.tile(lam / coupling.M, (coupling.M, 1))
+        return lam / coupling.M
     return (coupling.A.T @ lam).reshape(coupling.M, coupling.n)
 
 
@@ -103,8 +109,8 @@ def apa_reference_loop(game, flavor, config, rep):
     primal = dual = 0
     trace = []
     for k in range(1, config.max_iter + 1):
-        F = (reference_mapping(game, flavor, X)
-             + reference_adjoint(game.coupling, lam))
+        F = reference_mapping(game, flavor, X,
+                              reference_adjoint(game.coupling, lam))
         X_new = proj(X - tau * F)
         ax_new = game.coupling.apply(X_new)
         lam_new = np.maximum(
@@ -136,13 +142,13 @@ def extragradient_reference_loop(game, flavor, config, rep):
     primal = dual = 0
     trace = []
     for k in range(1, config.max_iter + 1):
-        Fx = (reference_mapping(game, flavor, X)
-              + reference_adjoint(game.coupling, lam))
+        Fx = reference_mapping(game, flavor, X,
+                               reference_adjoint(game.coupling, lam))
         Fl = game.coupling.residual(X)
         X_half = proj(X - tau * Fx)
         lam_half = np.maximum(0.0, lam - tau * Fl)
-        Fx_h = (reference_mapping(game, flavor, X_half)
-                + reference_adjoint(game.coupling, lam_half))
+        Fx_h = reference_mapping(game, flavor, X_half,
+                                 reference_adjoint(game.coupling, lam_half))
         Fl_h = game.coupling.residual(X_half)
         X_new = proj(X - tau * Fx_h)
         lam_new = np.maximum(0.0, lam - tau * Fl_h)
@@ -211,10 +217,20 @@ def dense_coupling_game():
         coupling=CouplingConstraint.dense(A, [0.15, 0.2], 12, 3))
 
 
+def ev_dense_game():
+    """The "ev" reference game with its cap written as a dense A, so the
+    EV mapping takes the dual charge as (M, n) blocks."""
+    game = build_ev_game(generate_ev_params(20, seed=5))
+    cap = game.coupling
+    return replace(game, coupling=CouplingConstraint.dense(
+        cap.matrix(), cap.b, game.M, game.n))
+
+
 REFERENCE_GAMES = {
     "quadratic": lambda: build_quadratic_game(20, n=6, seed=2),
     "ev": lambda: build_ev_game(generate_ev_params(20, seed=5)),
     "dense": dense_coupling_game,
+    "ev-dense": ev_dense_game,
 }
 
 
@@ -229,6 +245,7 @@ class TestReferenceLoops:
         ("quadratic", WARDROP, "two-level"),
         ("ev", NASH, "apa"), ("ev", WARDROP, "extragradient"),
         ("dense", NASH, "apa"), ("dense", WARDROP, "extragradient"),
+        ("ev-dense", NASH, "apa"), ("ev-dense", WARDROP, "extragradient"),
     ])
     def test_bit_identical_to_reference(self, kind, flavor, solver):
         game = REFERENCE_GAMES[kind]()

@@ -245,6 +245,48 @@ kind = quadratic
             f"config error: {path}: cannot read: No such file or directory\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, section, key", [
+        ("quadratic", "[quadratic]\nn = abc\n", "[quadratic] n = abc"),
+        ("ev", "[ev]\nkappa = x\n", "[ev] kappa = x"),
+        ("traffic", "[traffic]\nnodes_file = nodes.csv\n"
+         "edges_file = edges.csv\nf_e = fast\n", "[traffic] f_e = fast"),
+        ("traffic", "[traffic]\nnodes_file = nodes.csv\n"
+         "edges_file = edges.csv\nbbox = 0,1,0,y\n",
+         "[traffic] bbox = 0,1,0,y"),
+    ], ids=["quadratic-n", "ev-kappa", "traffic-f_e", "traffic-bbox"])
+    def test_non_numeric_section_value_exits_2_naming_it(
+            self, tmp_path, capsys, kind, section, key):
+        cfg = write_config(tmp_path, f"[experiment]\nkind = {kind}\n"
+                           f"seed = 0\n\n{section}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["text", "empty", "truncated-zip",
+                                         "npy"])
+    def test_custom_file_not_an_npz_archive_exits_2_naming_it(
+            self, tmp_path, capsys, content):
+        path = tmp_path / "game.npz"
+        if content == "text":
+            path.write_text("Q = 1\n", encoding="utf-8")
+        elif content == "empty":
+            path.write_bytes(b"")
+        elif content == "truncated-zip":
+            np.savez(path, Q=np.eye(2), C=np.eye(2), c=np.zeros((2, 2)),
+                     lo=np.zeros(2), hi=np.ones(2))
+            path.write_bytes(path.read_bytes()[:200])
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.eye(2))
+        cfg = write_config(tmp_path, "[experiment]\nkind = custom-file\n"
+                           f"seed = 0\n\n[custom]\nfile = {path}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: not an .npz archive: ")
+        assert not out.exists()
+
 
 class TestSolverRegistry:
     """What the perfbench timers rely on: every solve goes through the

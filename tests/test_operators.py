@@ -120,7 +120,9 @@ def scalar_structure_game(case, M=7, n=5):
 
 class TestScalarQuadratic:
     """A Q or C that is exactly sI multiplies by s; the dense product it
-    replaces adds only exact zeros, so the bits are the same."""
+    replaces adds only exact zeros, so the bits are the same.  The dense
+    formula is the mapping's affine form X P + c + C z, with one
+    coefficient P = Q^T + C/M (Nash) or Q^T (Wardrop) on X."""
 
     @pytest.mark.parametrize("case, q_scalar, c_scalar", [
         ("builder", True, True), ("zero-C", True, True),
@@ -133,11 +135,79 @@ class TestScalarQuadratic:
             (q_scalar, c_scalar)
         X = np.random.default_rng(5).uniform(-0.5, 1.5, size=(game.M, game.n))
         z = aggregate_matrix(X)
-        wardrop = X @ cost.Q.T + cost.C @ z + cost.c
-        nash = wardrop + (X @ cost.C) / game.M
+        wardrop = X @ cost.Q.T + cost.c + cost.C @ z
+        nash = X @ (cost.Q.T + cost.C / game.M) + cost.c + cost.C @ z
         for flavor, expected in ((WARDROP, wardrop), (NASH, nash)):
             got = build_operator(game, flavor).evaluate_blocks(X)
             assert np.array_equal(got, expected), flavor
+
+
+def dual_charge(shape, M, n):
+    """A dual charge A^T lam of either shape the solvers pass: the (n,) row
+    lam / M of a per-component cap, or the (M, n) blocks of a dense A."""
+    rng = np.random.default_rng(7)
+    return rng.uniform(0.0, 2.0, size=n if shape == "row" else (M, n))
+
+
+class TestMappingCharge:
+    """``evaluate_blocks(X, z, charge)`` against the quadratic mapping's
+    formula before the Nash term was folded into one coefficient,
+    X Q^T + C z + c [+ X C / M] + charge.  The folded sum rounds
+    differently, so the check takes a tolerance fixed from the dtype:
+    64 eps max(1, max |F_old|)."""
+
+    @staticmethod
+    def unfolded(game, flavor, X, charge):
+        cost = game.cost
+        old = X @ cost.Q.T + cost.C @ aggregate_matrix(X) + cost.c
+        if flavor == NASH:
+            old = old + (X @ cost.C) / game.M
+        return old + charge
+
+    @staticmethod
+    def assert_close(got, old):
+        tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(old))))
+        assert float(np.max(np.abs(got - old))) <= tol
+
+    @pytest.mark.parametrize("shape", ["row", "blocks"])
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    @pytest.mark.parametrize("case", ["builder", "zero-C", "general",
+                                      "tiny-off-diagonal"])
+    def test_quadratic_matches_the_unfolded_formula(self, case, flavor,
+                                                    shape):
+        game = scalar_structure_game(case)
+        X = np.random.default_rng(5).uniform(-0.5, 1.5, size=(game.M, game.n))
+        charge = dual_charge(shape, game.M, game.n)
+        got = build_operator(game, flavor).evaluate_blocks(
+            X, aggregate_matrix(X), charge)
+        self.assert_close(got, self.unfolded(game, flavor, X, charge))
+
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    def test_one_offset_row_takes_m_from_the_game(self, flavor):
+        """An offset c given as one row broadcasts over the M agents; the
+        folded coefficient C / M still divides by the game's M."""
+        M, n = 6, 3
+        base = quadratic_game(M=M, n=n)
+        cost = QuadraticCost(Q=0.5 * np.eye(n), C=np.eye(n),
+                             c=np.array([[-1.0, 0.2, 0.4]]))
+        game = AggregativeGame(M=M, n=n, cost=cost,
+                               individual=base.individual,
+                               coupling=base.coupling)
+        X = np.random.default_rng(8).uniform(size=(M, n))
+        got = build_operator(game, flavor).evaluate_blocks(X)
+        self.assert_close(got, self.unfolded(game, flavor, X, 0.0))
+
+    @pytest.mark.parametrize("shape", ["row", "blocks"])
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    def test_price_times_usage_adds_the_charge_last(self, flavor, shape):
+        game = build_ev_game(generate_ev_params(9, seed=2))
+        rng = np.random.default_rng(9)
+        X = default_sampler(game)(rng)
+        z = aggregate_matrix(X)
+        charge = dual_charge(shape, game.M, game.n)
+        op = build_operator(game, flavor)
+        assert op.evaluate_blocks(X, z, charge).tobytes() \
+            == (op.evaluate_blocks(X, z) + charge).tobytes()
 
 
 class TestJacobians:

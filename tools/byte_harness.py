@@ -17,6 +17,17 @@ keeps every output byte is then
     python3 tools/byte_harness.py /tmp/h-old --src OLD/src > old.txt
     diff old.txt new.txt
 
+and, to see by how much the moved files moved,
+
+    python3 tools/byte_harness.py --compare /tmp/h-old /tmp/h-new
+
+which prints, for each file under out/ whose bytes differ between the two
+runs, the largest absolute change over its float cells and whether any
+other cell moved: a header, an index, k, an update count, an exit code or
+a line of standard error.  A CSV cell is a float cell when it parses as a
+float but not as an integer; each line of a file other than a CSV, such
+as ``status.txt``, is one cell.
+
 The invocations:
   * ``run`` at seed 3, M=12, of the four algorithms on the quadratic and
     the EV kind (8);
@@ -35,7 +46,9 @@ BLAS runs single-threaded in every invocation.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -157,12 +170,92 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def output_files(run_dir):
+    """{path relative to run_dir: path} of every file a harness run wrote
+    under run_dir/out."""
+    return {os.path.relpath(os.path.join(dirpath, fname), run_dir):
+            os.path.join(dirpath, fname)
+            for dirpath, _, filenames in os.walk(os.path.join(run_dir, "out"))
+            for fname in filenames}
+
+
+def cells(path):
+    """A CSV file's rows of cells, or any other file's lines as one-cell
+    rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        if path.endswith(".csv"):
+            return list(csv.reader(fh))
+        return [[line] for line in fh.read().splitlines()]
+
+
+def is_float_cell(cell):
+    """True when cell parses as a float but not as an integer."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    try:
+        int(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def cell_changes(old, new):
+    """(largest absolute change over float cells, whether any other cell
+    moved) between the files old and new; a change in the number of rows
+    or of cells in a row counts as another cell moving."""
+    a, b = cells(old), cells(new)
+    largest, other = 0.0, len(a) != len(b)
+    for row_a, row_b in zip(a, b):
+        other |= len(row_a) != len(row_b)
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            change = (abs(float(x) - float(y))
+                      if is_float_cell(x) and is_float_cell(y) else math.nan)
+            if math.isfinite(change):
+                largest = max(largest, change)
+            else:
+                other = True
+    return largest, other
+
+
+def compare(old_dir, new_dir):
+    """The --compare report, one line per moved file, then a count."""
+    old, new = output_files(old_dir), output_files(new_dir)
+    lines, with_other = [], 0
+    for path in sorted(set(old) | set(new)):
+        if path not in new or path not in old:
+            where = old_dir if path in old else new_dir
+            lines.append(f"{path}  only in {where}")
+            with_other += 1
+            continue
+        if sha256(old[path]) == sha256(new[path]):
+            continue
+        largest, other = cell_changes(old[path], new[path])
+        with_other += other
+        lines.append(f"{path}  max |change| {largest!r}"
+                     f"  other cells moved: {'yes' if other else 'no'}")
+    lines.append(f"{len(lines)} files moved, {with_other} with a change"
+                 " outside their float cells")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out_dir")
+    parser.add_argument("out_dir", nargs="?")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the aggeq package")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                        help="report how the outputs of two harness runs"
+                        " differ, and run nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
+    if args.out_dir is None:
+        parser.error("OUT_DIR is required unless --compare is given")
     if os.path.isdir(args.out_dir) and os.listdir(args.out_dir):
         parser.error(f"{args.out_dir} is not empty")
     os.makedirs(os.path.join(args.out_dir, "inputs"), exist_ok=True)
@@ -178,10 +271,7 @@ def main(argv=None):
         with open(os.path.join(case_dir, "status.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(f"exit {proc.returncode}\n{portable(proc.stderr)}")
-    paths = sorted(os.path.join(dirpath, fname)
-                   for dirpath, _, filenames in os.walk("out")
-                   for fname in filenames)
-    for path in paths:
+    for path in sorted(output_files(".")):
         print(f"{sha256(path)}  {path}")
     return 0
 
