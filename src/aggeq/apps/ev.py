@@ -89,7 +89,8 @@ def sqrt_price(d, kappa, coeff: float = DEFAULT_PRICE_COEFF) -> DiagonalPrice:
     """Price p_t(z) = coeff * sqrt((d_t + z) / kappa_t), componentwise.
 
     Strictly increasing and concave in the fleet average z; the callables
-    broadcast, so matrix-valued z evaluates row-wise.
+    broadcast, so matrix-valued z evaluates row-wise.  |p'| and |p''| fall
+    as z grows, so the price declares ``slopes_fall``.
     """
     d = np.asarray(d, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
@@ -103,7 +104,7 @@ def sqrt_price(d, kappa, coeff: float = DEFAULT_PRICE_COEFF) -> DiagonalPrice:
     def ddf(z):
         return -0.25 * coeff * kappa / (kappa * (d + z)) ** 1.5
 
-    return DiagonalPrice(f, df, ddf)
+    return DiagonalPrice(f, df, ddf, slopes_fall=True)
 
 
 def generate_ev_params(M: int, seed: int = 0, n: int = 24,
@@ -117,9 +118,9 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
     connected availability window whose left endpoint is uniform over the
     first half of the horizon and right endpoint uniform over the second
     half (the horizon starts at noon, so every session spans part of the
-    night); inside the window the per-slot cap is constant, uniform on
-    [1, 5].  Draws are resampled until the window can hold the
-    requirement.
+    night); with n = 1 the window is the one slot.  Inside the window
+    the per-slot cap is constant, uniform on [1, 5].  Draws are resampled
+    until the window can hold the requirement.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -131,7 +132,7 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
     for i in range(M):
         for _ in range(1000):
             left = int(rng.integers(0, half))
-            right = int(rng.integers(half, n))
+            right = int(rng.integers(min(half, n - 1), n))
             cap = float(rng.uniform(1.0, 5.0))
             if cap * (right - left + 1) >= theta[i]:
                 xtilde[i, :] = 0.0

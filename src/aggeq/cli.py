@@ -126,15 +126,15 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
     if cfg.kind == "quadratic":
         sec = cfg.sections.get("quadratic", {})
         return build_quadratic_game(
-            M, n=_option(sec, "quadratic", "n", 24, int),
+            M, n=_option(sec, "quadratic", "n", 24, _count),
             q=_option(sec, "quadratic", "q", 0.1),
             K=_option(sec, "quadratic", "k", 0.3),
             rng=substream(seed, "agents"))
     if cfg.kind == "ev":
         sec = cfg.sections.get("ev", {})
         params = generate_ev_params(
-            M, n=_option(sec, "ev", "n", 24, int),
-            kappa=_option(sec, "ev", "kappa", 12.0),
+            M, n=_option(sec, "ev", "n", 24, _count),
+            kappa=_option(sec, "ev", "kappa", 12.0, _positive),
             K=_option(sec, "ev", "k", 0.55), rng=substream(seed, "agents"))
         return build_ev_game(params)
     if cfg.kind == "traffic":
@@ -365,6 +365,22 @@ def _option(sec, section, key, default, parse=float):
         return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
+
+
+def _count(raw) -> int:
+    """A dimension n: an integer >= 1."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError("needs an integer >= 1")
+    return value
+
+
+def _positive(raw) -> float:
+    """A finite number > 0."""
+    value = float(raw)
+    if not 0.0 < value < np.inf:
+        raise ValueError("needs a finite number > 0")
+    return value
 
 
 def _load_npz(path) -> dict:

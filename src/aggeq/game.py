@@ -388,12 +388,15 @@ class DiagonalPrice:
     """Componentwise price p_t(z_t) with analytic first and second derivatives.
 
     ``f``, ``df``, ``ddf`` map an n-vector z to the n-vector of per-component
-    values/derivatives.
+    values/derivatives.  ``slopes_fall`` declares that |p'_t| and |p''_t|
+    do not increase on z >= 0, so that their maxima over [0, b] are at
+    z = 0.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     ddf: Callable[[np.ndarray], np.ndarray]
+    slopes_fall: bool = False
 
     def value(self, z):
         return np.asarray(self.f(z), dtype=float)
@@ -493,12 +496,14 @@ class QuadraticTracking:
 #   each model sums it in as few array passes as its form allows;
 # * own_lipschitz(): a Lipschitz constant of grad_own_all in X, every agent;
 # * aggregate_lipschitz(hi): L_p, the Lipschitz constant of the
-#   price/aggregate coupling;
+#   price/aggregate coupling (PriceTimesUsage scans p' on a grid, or reads
+#   it at z = 0 when the price declares that its slopes fall);
 # * closed_form_response(z, charge, proj): all agents' minimizers of
 #   J^i(x, z) + charge[i]^T x over their sets, or None without a closed form;
 # * deviation_lipschitz(M, hi): a Lipschitz constant of the gradient of
 #   x -> J^i(x, (x + S_i) / M), S_i the other agents' sum: the Nash
-#   mapping's row i at the averages (X + S) / M;
+#   mapping's row i at the averages (X + S) / M (p' and p'' found as for
+#   aggregate_lipschitz);
 # * the structure of the game mapping's Jacobian, Nash when nash is true and
 #   Wardrop otherwise, where each model answers None for the structure it
 #   lacks: constant_jacobian(M, nash) and exact_constants(M, nash) (the
@@ -657,11 +662,20 @@ class PriceTimesUsage:
     def own_lipschitz(self) -> float:
         return self.utility.lipschitz()
 
+    def _slope_maxima(self, grid, terms) -> list:
+        """The maxima of terms(Z) over the rows z 1^T of Z, z a point of
+        grid(), a grid of [0, b] whose first point is 0.  A price whose
+        slopes fall is read at z = 0 alone, where the true maxima are; with
+        monotone rounding they are also the grid's, bit for bit."""
+        if self.price.slopes_fall:
+            return [float(np.max(t)) for t in terms(np.zeros(self.n))]
+        return grid_extremes(grid(), self.n, terms)
+
     def aggregate_lipschitz(self, hi) -> float:
         """max |p'| over a 1e-4 grid of [0, max(hi)]."""
-        grid = np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4)
-        return grid_extremes(grid, self.n,
-                             lambda Z: (np.abs(self.price.diag(Z)),))[0]
+        return self._slope_maxima(
+            lambda: np.arange(0.0, float(np.max(hi)) + 1e-4, 1e-4),
+            lambda Z: (np.abs(self.price.diag(Z)),))[0]
 
     def closed_form_response(self, z, charge, proj):
         return self.utility.response(self.price.value(z) + charge, proj)
@@ -670,9 +684,10 @@ class PriceTimesUsage:
         """Own curvature plus the chain-rule terms, with |p'| and |p''|
         maximized over a 2049-point grid of [0, max(hi)].  The grid is
         coarser than aggregate_lipschitz's: it sets only epsilon_nash's
-        step, and the 1e-4 grid would add milliseconds to every call."""
-        dmax, ddmax = grid_extremes(
-            np.linspace(0.0, float(np.max(hi)), 2049), self.n,
+        step, and the 1e-4 grid would add milliseconds to every call of a
+        price whose slopes do not fall."""
+        dmax, ddmax = self._slope_maxima(
+            lambda: np.linspace(0.0, float(np.max(hi)), 2049),
             lambda Z: (np.abs(self.price.diag(Z)),
                        np.abs(self.price.diag2(Z))))
         xmax = float(np.max(np.abs(hi)))

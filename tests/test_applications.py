@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aggeq import algorithms, projection
+from aggeq import algorithms, game as game_module, projection
 from aggeq.algorithms import (SolverConfig, best_response, extragradient,
                               two_level_wardrop)
 from aggeq.apps.ev import (EvParams, _check_population, build_ev_game,
@@ -19,7 +19,7 @@ from aggeq.apps.traffic import (_edge_price, build_network,
 from aggeq.analysis import ConstantsEstimate, verify_equilibrium
 from aggeq.errors import ConfigError, DimensionError, InfeasibleSetError
 from aggeq.cli import ExperimentConfig, build_game
-from aggeq.game import DiagonalPrice, feasibility_report
+from aggeq.game import DiagonalPrice, feasibility_report, grid_extremes
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis)
 from aggeq.synthetic import build_quadratic_game
@@ -281,6 +281,67 @@ class TestEvBuilder:
         Z = np.broadcast_to(grid[:, None], (grid.size, game.n))
         want = float(np.max(np.abs(game.cost.price.diag(Z))))
         assert game.cost.aggregate_lipschitz(hi) == want
+
+    @pytest.mark.parametrize("seed, n, kappa", [
+        (0, 24, 12.0), (3, 6, 3.0), (7, 12, 0.5), (11, 48, 40.0)])
+    def test_slope_maxima_are_the_grids_maxima(self, seed, n, kappa):
+        # The sqrt price's slopes fall, so both constants are read at z = 0;
+        # they are the maxima over the grids that reading replaces.
+        M = 20
+        game = build_ev_game(generate_ev_params(M, seed=seed, n=n,
+                                                kappa=kappa))
+        price = game.cost.price
+        assert price.slopes_fall
+        hi = game.bounding_box()[1]
+        top = float(np.max(hi))
+        dmax, = grid_extremes(np.arange(0.0, top + 1e-4, 1e-4), n,
+                              lambda Z: (np.abs(price.diag(Z)),))
+        assert game.cost.aggregate_lipschitz(hi) == dmax
+        dmax, ddmax = grid_extremes(
+            np.linspace(0.0, top, 2049), n,
+            lambda Z: (np.abs(price.diag(Z)), np.abs(price.diag2(Z))))
+        assert game.cost.deviation_lipschitz(M, hi) \
+            == 0.0 + 2.0 * dmax / M + ddmax * top / M**2
+
+    def test_one_slot_population_has_one_slot_windows(self):
+        params = generate_ev_params(M=8, seed=0, n=1, K=2.0)
+        assert params.xtilde.shape == (8, 1)
+        assert np.all(params.xtilde >= 1.0)
+        assert np.all(params.xtilde[:, 0] >= params.theta)
+        build_ev_game(params)
+
+
+@pytest.fixture
+def grid_extremes_calls(monkeypatch):
+    """Calls of grid_extremes through the name the cost models call it by."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return grid_extremes(*args, **kwargs)
+
+    monkeypatch.setattr(game_module, "grid_extremes", counting)
+    return calls
+
+
+class TestSlopeScans:
+    def test_ev_verification_scans_no_grid(self, grid_extremes_calls):
+        game = build_ev_game(generate_ev_params(5, seed=0, n=6))
+        res = extragradient(game, NASH, SolverConfig(tol=1e-6))
+        assert res.converged
+        verify_equilibrium(game, NASH, res.x, res.lam)
+        assert grid_extremes_calls == []
+
+    def test_route_choice_verification_keeps_its_grids(
+            self, grid_extremes_calls):
+        net = build_network([0, 1], TWO_ROUTE_EDGES, f=0.15, h=2.0)
+        game = build_route_choice_game(net, od_pairs=[(0, 1)] * 3, M=3,
+                                       seed=0)
+        assert not game.cost.price.slopes_fall
+        res = two_level_wardrop(game, SolverConfig(tol=1e-6))
+        assert res.converged
+        verify_equilibrium(game, WARDROP, res.x, res.lam)
+        assert len(grid_extremes_calls) >= 1
 
 
 class TestEvCondition:

@@ -263,6 +263,28 @@ kind = quadratic
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, section, key", [
+        ("quadratic", "[quadratic]\nn = 0\n", "[quadratic] n = 0"),
+        ("ev", "[ev]\nn = 0\n", "[ev] n = 0"),
+        ("ev", "[ev]\nkappa = -3\n", "[ev] kappa = -3"),
+    ], ids=["quadratic-n", "ev-n", "ev-kappa"])
+    def test_out_of_range_section_value_exits_2_naming_it(
+            self, tmp_path, capsys, kind, section, key):
+        cfg = write_config(tmp_path, f"[experiment]\nkind = {kind}\n"
+                           f"seed = 0\n\n{section}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    def test_one_slot_ev_game_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "[experiment]\nkind = ev\nseed = 0\n"
+                           "m = 5\nalgorithm = extragradient\n\n"
+                           "[ev]\nn = 1\nk = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert len(read_rows(out / "equilibrium.csv")) == 5
+
     @pytest.mark.parametrize("content", ["text", "empty", "truncated-zip",
                                          "npy"])
     def test_custom_file_not_an_npz_archive_exits_2_naming_it(
