@@ -12,10 +12,10 @@ from .analysis import (ConstantsEstimate, VerificationReport,
                        vi_gap_bound, vi_gap_sampled, wardrop_epsilon_bound)
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      DimensionError, InfeasibleSetError)
-from .game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
-                   DiagonalPrice, FlowFamily, FlowPolytope, PriceTimesUsage,
-                   QuadraticCost, QuadraticTracking, StrategyProfile,
-                   ZeroUtility, cost_value, feasibility_report)
+from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                   DiagonalPrice, FlowFamily, PriceTimesUsage, QuadraticCost,
+                   QuadraticTracking, StrategyProfile, ZeroUtility,
+                   cost_value, feasibility_report)
 from .operators import (NASH, WARDROP, GameOperator, MonotonicityReport,
                         build_operator, monotonicity_analysis, operator_gap,
                         quadratic_monotonicity_conditions)

@@ -143,9 +143,9 @@ def _deviation_projector(game: AggregativeGame, X_bar: np.ndarray,
         V = game.projector.minimize_linear(blocks)
         floor[:, j] = np.einsum("ij,ij->i", blocks, V)
     projectors = []
-    for i, cs in enumerate(game.individual):
+    for i in range(M):
         Ai = A[:, i * n:(i + 1) * n]
-        projs = [lambda v, cs=cs: project_individual(cs, v)]
+        projs = [lambda v, i=i: project_individual(game.individual, i, v)]
         for a_row, beta in zip(Ai, np.maximum(slack + Ai @ X_bar[i],
                                               floor[i])):
             if np.any(a_row):  # else agent i cannot move the row
@@ -268,8 +268,8 @@ def _bvls_multipliers(game: AggregativeGame, X, G) -> tuple:
     stationarity = 0.0
     min_mu = np.inf
     degenerate = False
-    for i, cs in enumerate(game.individual):
-        ineq, eq = cs.active_rows(X[i], ACTIVE_TOL)
+    for i in range(game.M):
+        ineq, eq = game.individual.active_rows(i, X[i], ACTIVE_TOL)
         Gamma = np.vstack([ineq, eq])
         if not len(Gamma):
             stationarity = max(stationarity,
@@ -294,10 +294,11 @@ def _bvls_multipliers(game: AggregativeGame, X, G) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def ev_dual_uniqueness(x_bar, ev_params, tol: float = ACTIVE_TOL) -> dict:
+def ev_dual_uniqueness(x_bar, ev_params) -> dict:
     """Uniqueness certificate for the coupling multipliers of a charging
     equilibrium: some agent strictly interior at every tight slot and at
-    one slack slot pins the multipliers down.
+    one slack slot pins the multipliers down.  Tight and interior are read
+    within ACTIVE_TOL.
 
     ``ev_params`` needs attributes xtilde (M, n) and K (n,).
     """
@@ -306,11 +307,11 @@ def ev_dual_uniqueness(x_bar, ev_params, tol: float = ACTIVE_TOL) -> dict:
         X = X.reshape(ev_params.xtilde.shape)
     sigma = aggregate_matrix(X)
     K = np.asarray(ev_params.K, dtype=float)
-    tight = sigma >= K - tol
+    tight = sigma >= K - ACTIVE_TOL
     if not np.any(tight):
         return {"unique": True, "witness_agent": None,
                 "tight_slots": np.zeros(0, dtype=int)}
-    interior = (X > tol) & (X < ev_params.xtilde - tol)
+    interior = (X > ACTIVE_TOL) & (X < ev_params.xtilde - ACTIVE_TOL)
     ok_tight = np.all(interior[:, tight], axis=1)
     ok_slack = (np.any(interior[:, ~tight], axis=1)
                 if np.any(~tight) else np.zeros(X.shape[0], dtype=bool))
@@ -337,7 +338,6 @@ def _outer_sum_min_eig(y: np.ndarray) -> float:
 
 
 def outer_sum_eigenvalue_check(M: int, n_random: int = 10_000,
-                               include_vertices: bool = True,
                                seed: int = 0) -> dict:
     """Verify that the symmetrized outer-product term y 1^T + 1 y^T stays
     above -M/4 in its smallest eigenvalue for y in the unit box.
@@ -349,7 +349,7 @@ def outer_sum_eigenvalue_check(M: int, n_random: int = 10_000,
         raise DimensionError("M must be at least 1")
     rng = np.random.default_rng(seed)
     min_found = np.inf
-    if include_vertices and M <= 12:
+    if M <= 12:
         for bits in itertools.product((0.0, 1.0), repeat=M):
             min_found = min(min_found, _outer_sum_min_eig(np.array(bits)))
     for _ in range(n_random):
@@ -365,21 +365,21 @@ def outer_sum_eigenvalue_check(M: int, n_random: int = 10_000,
 
 
 def vi_gap_sampled(game: AggregativeGame, flavor: str, x_bar,
-                   n_samples: int = 1000, seed: int = 0,
-                   feas_tol: float = 1e-6) -> float:
+                   n_samples: int = 1000, seed: int = 0) -> float:
     """min over sampled feasible x of F(x_bar)^T (x - x_bar).
 
     Nonnegative (within tolerance) at a solution.  Samples are drawn from
     the individual sets; draws violating the coupling are pulled toward
     x_bar along the segment, which stays in the individual sets by
-    convexity.  The pull-back reads x_bar's slack b - A x_bar clipped at 0,
-    so on a row that x_bar exceeds within feas_tol the step is 0 (the
-    sample becomes x_bar), never negative.
+    convexity.  x_bar must be feasible within 1e-6.  The pull-back reads
+    x_bar's slack b - A x_bar clipped at 0, so on a row that x_bar exceeds
+    within that tolerance the step is 0 (the sample becomes x_bar), never
+    negative.
     """
     X_bar = game.profile(x_bar).as_matrix()
-    rep = feasibility_report(game, X_bar, tol=feas_tol)
+    rep = feasibility_report(game, X_bar)
     if not rep.feasible:
-        raise InfeasibleSetError(f"x_bar is not feasible within {feas_tol}")
+        raise InfeasibleSetError("x_bar is not feasible within 1e-06")
     F = build_operator(game, flavor).evaluate_blocks(X_bar).reshape(-1)
     sampler = default_sampler(game)
     rng = np.random.default_rng(seed)

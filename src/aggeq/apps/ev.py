@@ -110,7 +110,6 @@ def sqrt_price(d, kappa, coeff: float = DEFAULT_PRICE_COEFF) -> DiagonalPrice:
 def generate_ev_params(M: int, seed: int = 0, n: int = 24,
                        kappa: float = DEFAULT_KAPPA,
                        K: float = DEFAULT_CAP,
-                       d: np.ndarray = None,
                        rng: np.random.Generator = None) -> EvParams:
     """Randomized heterogeneous population at the default market data.
 
@@ -124,8 +123,7 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    if d is None:
-        d = default_demand()[:n] if n <= 24 else np.resize(default_demand(), n)
+    d = default_demand()[:n] if n <= 24 else np.resize(default_demand(), n)
     theta = rng.uniform(0.5, 1.5, size=M)
     xtilde = np.zeros((M, n))
     half = max(1, n // 2)
@@ -140,7 +138,7 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
                 break
         else:
             raise InfeasibleSetError("could not draw a feasible window")
-    return EvParams(n=n, M=M, theta=theta, xtilde=xtilde, d=np.asarray(d),
+    return EvParams(n=n, M=M, theta=theta, xtilde=xtilde, d=d,
                     kappa=np.full(n, float(kappa)), K=np.full(n, float(K)))
 
 

@@ -43,6 +43,18 @@ KINDS = ("ev", "traffic", "quadratic", "custom-file")
 
 _SUBSTREAMS = {"agents": 0, "od-pairs": 1, "sampling": 2, "offsets": 3}
 
+# Every key a config section may hold: the ones _parse_config and
+# build_game read.  Any other key is a config error.
+CONFIG_KEYS = {
+    "experiment": ("kind", "seed", "m", "m_list", "algorithm", "tau", "tol",
+                   "max_iter", "inner_tol", "output_dir", "n_rep"),
+    "quadratic": ("n", "q", "k"),
+    "ev": ("n", "kappa", "k"),
+    "traffic": ("nodes_file", "edges_file", "bbox", "f_e", "h", "k",
+                "gamma_min", "gamma_max"),
+    "custom": ("file",),
+}
+
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Independent generator for one named consumer of the master seed."""
@@ -77,6 +89,10 @@ def _parse_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     if path is not None:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
+    for name in parser.sections():
+        for key in parser[name]:
+            if key not in CONFIG_KEYS.get(name, ()):
+                raise ConfigError(f"[{name}] {key}: no such key")
     exp = parser["experiment"] if parser.has_section("experiment") else {}
 
     def pick(key, default=None):

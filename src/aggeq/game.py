@@ -108,10 +108,8 @@ def ordered_fill(room, need, key) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # A game holds one family of sets, a BoxFamily or a FlowFamily, with
-# bounds() and violation(X) for all agents at once.  family[i], a Box or a
-# FlowPolytope viewing its arrays, gives violation(x) and active_rows(x,
-# tol): the (inequality, equality) gradient rows, as (k, n) arrays, of the
-# constraints active at x within tol.
+# bounds() and violation(X) for all agents at once; agent i's set is row i
+# of the family's arrays.
 
 
 def check_box_budget(lo, hi, theta) -> None:
@@ -152,15 +150,6 @@ def _flow_violation(X, B, b_od):
     return np.maximum(_box_violation(X, 0.0, 1.0, -np.inf), cons)
 
 
-def _active_box_rows(n, at_lo, at_hi) -> np.ndarray:
-    """-e_t where at_lo[t] and +e_t where at_hi[t], per component the lo
-    row before the hi row."""
-    t, hi_row = np.nonzero(np.stack([at_lo, at_hi], axis=1))
-    rows = np.zeros((t.size, n))
-    rows[np.arange(t.size), t] = np.where(hi_row, 1.0, -1.0)
-    return rows
-
-
 def _freeze(obj, **arrays):
     """Set the fields of the frozen dataclass obj to the arrays, made
     read-only."""
@@ -169,71 +158,10 @@ def _freeze(obj, **arrays):
     obj.__dict__.update(arrays)
 
 
-def _view(cls, **values):
-    """An instance of the frozen dataclass cls holding values, made without
-    its checks: agent i's set, viewing a family that passed them."""
-    view = object.__new__(cls)
-    view.__dict__.update(values)
-    return view
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box {x : lo <= x <= hi} with the minimum total
-    sum(x) >= theta; theta = -inf for a box without a budget."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    theta: float = -np.inf
-
-    def __post_init__(self):
-        # Checked, copied and frozen as the one row of a family.
-        one = BoxFamily([_vec(self.lo, "lo")], [_vec(self.hi, "hi")],
-                        [self.theta])
-        self.__dict__.update(one[0].__dict__)
-
-    def violation(self, x) -> float:
-        return float(_box_violation(np.asarray(x, dtype=float), self.lo,
-                                    self.hi, self.theta))
-
-    def active_rows(self, x, tol):
-        """A pinned component (lo == hi) is one equality row e_t; the other
-        components give their active bound rows, then the budget row."""
-        pinned = self.lo == self.hi
-        ineq = _active_box_rows(x.size, (x <= self.lo + tol) & ~pinned,
-                                (x >= self.hi - tol) & ~pinned)
-        if float(np.sum(x)) <= self.theta + tol:
-            ineq = np.vstack([ineq, -np.ones(x.size)])
-        return ineq, np.eye(x.size)[pinned]
-
-
-@dataclass(frozen=True)
-class FlowPolytope:
-    """Unit-box flows satisfying conservation B x = b_od.
-
-    B is a node-edge incidence matrix (+1 head, -1 tail); b_od marks the
-    origin (-1) and destination (+1) of the agent.
-    """
-
-    B: np.ndarray
-    b_od: np.ndarray
-
-    def __post_init__(self):
-        # Checked, copied and frozen as the one row of a family.
-        one = FlowFamily(self.B, [_vec(self.b_od, "b_od")])
-        self.__dict__.update(one[0].__dict__)
-
-    def violation(self, x) -> float:
-        return float(_flow_violation(np.asarray(x, dtype=float), self.B,
-                                     self.b_od))
-
-    def active_rows(self, x, tol):
-        return _active_box_rows(x.size, x <= tol, x >= 1.0 - tol), self.B
-
-
 @dataclass(frozen=True)
 class BoxFamily:
-    """Every agent's Box: (M, n) bounds lo and hi, and (M,) budgets theta,
+    """Every agent's box {x : lo[i] <= x <= hi[i]} with the minimum total
+    sum(x) >= theta[i]: (M, n) bounds lo and hi, and (M,) budgets theta,
     -inf for an agent without a budget (theta None: no agent has one)."""
 
     lo: np.ndarray
@@ -265,10 +193,6 @@ class BoxFamily:
     def __len__(self):
         return len(self.lo)
 
-    def __getitem__(self, i) -> Box:
-        return _view(Box, lo=self.lo[i], hi=self.hi[i],
-                     theta=float(self.theta[i]))
-
     def bounds(self):
         return self.lo, self.hi
 
@@ -278,8 +202,10 @@ class BoxFamily:
 
 @dataclass(frozen=True)
 class FlowFamily:
-    """Every agent's FlowPolytope: one read-only incidence matrix B and
-    (M, V) origin-destination rows b_ods."""
+    """Every agent's unit-box flows satisfying conservation B x = b_ods[i]:
+    one read-only node-edge incidence matrix B (+1 head, -1 tail) and
+    (M, V) origin-destination rows b_ods, -1 at the agent's origin and +1
+    at its destination."""
 
     B: np.ndarray
     b_ods: np.ndarray
@@ -296,14 +222,21 @@ class FlowFamily:
     def __len__(self):
         return len(self.b_ods)
 
-    def __getitem__(self, i) -> FlowPolytope:
-        return _view(FlowPolytope, B=self.B, b_od=self.b_ods[i])
-
     def bounds(self):
         return np.zeros((len(self), self.n)), np.ones((len(self), self.n))
 
     def violation(self, X) -> np.ndarray:
         return _flow_violation(X, self.B, self.b_ods)
+
+    def active_rows(self, i, x, tol):
+        """The (inequality, equality) gradient rows, as (k, n) arrays, of
+        agent i's constraints active at its strategy x within tol: -e_t
+        where x_t <= tol and +e_t where x_t >= 1 - tol, per component the
+        lower row first, then the rows of B, which every agent shares."""
+        t, hi_row = np.nonzero(np.stack([x <= tol, x >= 1.0 - tol], axis=1))
+        ineq = np.zeros((t.size, self.n))
+        ineq[np.arange(t.size), t] = np.where(hi_row, 1.0, -1.0)
+        return ineq, self.B
 
 
 SetFamily = Union[BoxFamily, FlowFamily]

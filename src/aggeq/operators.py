@@ -298,13 +298,16 @@ def monotonicity_analysis(op: GameOperator, n_samples: int = 50,
                               samples=n_samples)
 
 
-def quadratic_monotonicity_conditions(Q, C, tol: float = 1e-10) -> dict:
+def quadratic_monotonicity_conditions(Q, C) -> dict:
     """Sufficient conditions for joint Nash/Wardrop strong monotonicity of
     a quadratic game at every population size.
 
     Condition 1: Q positive definite and C symmetric positive definite.
     Condition 2: Q positive definite and Q - C^T Q^{-1} C positive definite.
+    Positive definite means a smallest eigenvalue above 1e-10, and C
+    symmetric within that tolerance.
     """
+    tol = 1e-10
     Q = np.asarray(Q, dtype=float)
     C = np.asarray(C, dtype=float)
     if not np.allclose(Q, Q.T, atol=1e-12):

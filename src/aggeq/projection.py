@@ -18,12 +18,12 @@ the breakpoint sort.  ``ProfileProjector`` passes one, and each of its
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, InfeasibleSetError
-from .game import (Box, BoxFamily, FlowPolytope, SetFamily, check_box_budget,
+from .game import (BoxFamily, FlowFamily, SetFamily, check_box_budget,
                    ordered_fill, sum_rounding_bound)
 
 DYKSTRA_TOL = 1e-10
@@ -291,13 +291,14 @@ def project_flow_polytope(y, B, b_od) -> np.ndarray:
     return _polish_flow(np.clip(u, 0.0, 1.0), u, y, B, b_od)
 
 
-def _polish_flow(x, u, y, B, b_od, margin=1e-7):
-    """Equality-constrained least-squares refit on the inactive components.
+def _polish_flow(x, u, y, B, b_od):
+    """Equality-constrained least-squares refit on the components whose
+    unclipped value u clears the unit box by 1e-7.
 
     Falls back to the unpolished point when the refit leaves the box, which
     only happens under active-set misidentification at degenerate points.
     """
-    free = (u > margin) & (u < 1.0 - margin)
+    free = (u > 1e-7) & (u < 1.0 - 1e-7)
     if not np.any(free):
         if np.max(np.abs(B @ x - b_od), initial=0.0) <= 1e-9:
             return x
@@ -325,12 +326,13 @@ def project_halfspace(y, a, beta) -> np.ndarray:
     return y - (gap / float(a @ a)) * a
 
 
-def dykstra(y, projectors: Sequence[Callable], tol: float = DYKSTRA_TOL,
+def dykstra(y, projectors: Sequence[Callable],
             max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
     ``projectors`` are exact projections onto the individual sets.  Stops
-    when successive sweeps move the iterate by at most ``tol`` in inf-norm.
+    when successive sweeps move the iterate by at most ``DYKSTRA_TOL`` in
+    inf-norm.
     """
     x = np.asarray(y, dtype=float).copy()
     corrections = [np.zeros_like(x) for _ in projectors]
@@ -348,7 +350,7 @@ def dykstra(y, projectors: Sequence[Callable], tol: float = DYKSTRA_TOL,
             x = z
         gap = max(float(np.max(np.abs(x - x_prev), initial=0.0)),
                   corr_change)
-        if gap <= tol:
+        if gap <= DYKSTRA_TOL:
             return x
     raise ConvergenceError(
         f"dykstra did not converge in {max_iter} sweeps (gap {gap:.3e})",
@@ -370,11 +372,12 @@ def projected_gradient(grad: Callable, proj: Callable, X: np.ndarray,
     raise ConvergenceError(f"{what} did not converge", last=X)
 
 
-def project_individual(cs: Union[Box, FlowPolytope], y) -> np.ndarray:
-    """Projection onto one agent's set."""
-    if isinstance(cs, FlowPolytope):
-        return project_flow_polytope(y, cs.B, cs.b_od)
-    return project_box_budget(y, cs.lo, cs.hi, cs.theta)
+def project_individual(family: SetFamily, i: int, y) -> np.ndarray:
+    """Projection of y onto agent i's set of the family."""
+    if isinstance(family, FlowFamily):
+        return project_flow_polytope(y, family.B, family.b_ods[i])
+    return project_box_budget(y, family.lo[i], family.hi[i],
+                              family.theta[i])
 
 
 class ProfileProjector:
@@ -408,8 +411,8 @@ class ProfileProjector:
             raise DimensionError(f"a profile has shape {self._shape},"
                                  f" not {np.shape(Y)}")
         if not self._box:
-            return np.stack([project_individual(cs, y)
-                             for cs, y in zip(self.family, Y)])
+            return np.stack([project_individual(self.family, i, y)
+                             for i, y in enumerate(Y)])
         # The family is validated: no checks per call.
         return _box_budget_rows(np.ascontiguousarray(Y, dtype=float),
                                 *self._bounds, hint=self._hint)

@@ -6,12 +6,12 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InfeasibleSetError
 from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
                    QuadraticCost)
 
 
 def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
-                         c_low: float = -1.0, c_high: float = 0.0,
                          K: float = 0.3, seed: int = 0,
                          rng: Optional[np.random.Generator] = None
                          ) -> AggregativeGame:
@@ -19,11 +19,15 @@ def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
 
     Own curvature q I and identity aggregate coupling; per-component cap K
     on the average keeps the multipliers active for moderate K.  Offsets
-    c_i are uniform on [c_low, c_high].
+    c_i are uniform on [-1, 0].  Raises InfeasibleSetError when K < 0:
+    the boxes start at 0, so no profile meets the cap.
     """
+    if K < 0:
+        raise InfeasibleSetError(f"cap K = {K} < 0: the coupled set of"
+                                 " profiles in [0, 1]^n is empty")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    c = rng.uniform(c_low, c_high, size=(M, n))
+    c = rng.uniform(-1.0, 0.0, size=(M, n))
     cost = QuadraticCost(Q=q * np.eye(n), C=np.eye(n), c=c)
     individual = BoxFamily.common(np.zeros(n), np.ones(n), M)
     coupling = CouplingConstraint.per_component_cap(np.full(n, K), M)

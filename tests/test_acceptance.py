@@ -18,8 +18,8 @@ from aggeq.analysis import (epsilon_nash, equilibrium_bounds,
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import (build_network, build_route_choice_game,
                                 load_network, traffic_bounds)
-from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
-                        FlowPolytope, QuadraticCost, aggregate_matrix)
+from aggeq.game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                        FlowFamily, QuadraticCost, aggregate_matrix)
 from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
                              monotonicity_analysis, operator_gap)
 from aggeq.projection import (dykstra, project_box_budget, project_halfspace,
@@ -223,7 +223,7 @@ def test_criterion_8_eigenvalue_suite():
 def test_criterion_9_projection_suite():
     rng = np.random.default_rng(0)
     two_node_B = np.array([[-1.0, -1.0], [1.0, 1.0]])
-    flow = FlowPolytope(two_node_B, np.array([-1.0, 1.0]))
+    flow = FlowFamily(two_node_B, [[-1.0, 1.0]])
     worst = {"idem": 0.0, "nonexp": 0.0, "var": -np.inf}
     count = 0
     while count < 1000:
@@ -231,15 +231,15 @@ def test_criterion_9_projection_suite():
         lo = rng.uniform(-1.0, 0.0, size=n)
         hi = lo + rng.uniform(0.5, 2.0, size=n)
         theta = float(lo.sum() + rng.uniform(0.2, 0.8) * (hi - lo).sum())
-        box = Box(lo, hi)
-        bb = Box(lo, hi, theta)
+        box = BoxFamily(lo[None], hi[None])
+        bb = BoxFamily(lo[None], hi[None], [theta])
         for cs, dim in ((box, n), (bb, n), (flow, 2)):
             y1 = rng.uniform(-3.0, 3.0, size=dim)
             y2 = rng.uniform(-3.0, 3.0, size=dim)
-            p1 = project_individual(cs, y1)
-            p2 = project_individual(cs, y2)
+            p1 = project_individual(cs, 0, y1)
+            p2 = project_individual(cs, 0, y2)
             worst["idem"] = max(worst["idem"], float(np.max(np.abs(
-                project_individual(cs, p1) - p1))))
+                project_individual(cs, 0, p1) - p1))))
             worst["nonexp"] = max(worst["nonexp"], float(
                 np.linalg.norm(p1 - p2) - np.linalg.norm(y1 - y2)))
             if cs is flow:
@@ -248,7 +248,8 @@ def test_criterion_9_projection_suite():
             elif cs is box:
                 x = rng.uniform(lo, hi)
             else:
-                x = project_individual(bb, rng.uniform(lo - 1.0, hi + 1.0))
+                x = project_individual(bb, 0,
+                                       rng.uniform(lo - 1.0, hi + 1.0))
             worst["var"] = max(worst["var"], float((y1 - p1) @ (x - p1)))
             count += 1
     budget_worst = 0.0

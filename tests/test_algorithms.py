@@ -347,14 +347,14 @@ class TestBestResponse:
         cost = PriceTimesUsage(utility=ZeroUtility(), price=price, n=n)
         family = BoxFamily(np.zeros((1, n)),
                            rng.uniform(0.5, 1.0, size=(1, n)), [2.0])
-        cs = family[0]
         game = AggregativeGame(
             M=1, n=n, cost=cost, individual=family,
             coupling=CouplingConstraint.per_component_cap(np.ones(n), 1))
         lam = rng.uniform(0.0, 0.3, size=n)
         out = best_response(game, 0, z=np.zeros(n), lam=lam)
         q = costs + game.coupling.adjoint_blocks(lam)[0]
-        oracle = greedy_loop_oracle(q, cs.lo, cs.hi, cs.theta)
+        oracle = greedy_loop_oracle(q, family.lo[0], family.hi[0],
+                                    family.theta[0])
         assert np.max(np.abs(out - oracle)) <= 1e-12
 
     def test_closed_form_matches_projected_gradient(self):
@@ -448,14 +448,16 @@ class TestBestResponseThroughBuilders:
                             no_projected_gradient)
         batch = _batch_best_response(game, proj, X0, z, lam, 1e-6)
         q = game.cost.price.value(z) + game.coupling.adjoint_blocks(lam)
-        for i, cs in enumerate(game.individual):
+        family = game.individual
+        for i in range(game.M):
             assert np.array_equal(best_response(game, i, z, lam), batch[i])
             if kind == "ev":
-                oracle = greedy_loop_oracle(q[i], cs.lo, cs.hi, cs.theta)
+                oracle = greedy_loop_oracle(q[i], family.lo[i], family.hi[i],
+                                            family.theta[i])
             else:
                 util = game.cost.utility
                 oracle = project_individual(
-                    cs, util.ref[i] - q[i] / util.gamma[i])
+                    family, i, util.ref[i] - q[i] / util.gamma[i])
             assert np.max(np.abs(batch[i] - oracle)) <= 1e-12
 
     def test_quadratic_rows_within_inner_tol(self):
@@ -574,9 +576,7 @@ class TestSolverBehavior:
         res = SOLVERS[name].solve(game, SolverConfig(tol=1e-5))
         assert res.converged
         assert np.min(res.lam) >= 0.0
-        X = res.x.as_matrix()
-        for i in range(game.M):
-            assert game.individual[i].violation(X[i]) <= 1e-8
+        assert np.all(game.individual.violation(res.x.as_matrix()) <= 1e-8)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_complementarity_at_convergence(self, name):

@@ -21,9 +21,8 @@ from aggeq.errors import DimensionError, InfeasibleSetError
 from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import (build_network, build_route_choice_game,
                                 shortest_path)
-from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
-                        FlowFamily, FlowPolytope, QuadraticCost,
-                        aggregate_matrix)
+from aggeq.game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                        FlowFamily, QuadraticCost, aggregate_matrix)
 from aggeq.operators import NASH, WARDROP, build_operator, default_sampler
 from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
@@ -72,15 +71,15 @@ class TestOuterSumEigenvalue:
             outer_sum_eigenvalue_check(0)
 
 
-def active_rows_loop_oracle(cs, x, tol):
-    """Test oracle: the per-component loop that found the active rows
-    before the constraint sets owned ``active_rows``, with a pinned
+def active_rows_loop_oracle(family, i, x, tol):
+    """Test oracle: the per-component loop that found agent i's active rows
+    at x before the constraint sets owned ``active_rows``, with a pinned
     component (lo == hi) as one equality row."""
     n = x.size
     ineq = []
     eq = []
-    if isinstance(cs, Box):
-        lo, hi = cs.lo, cs.hi
+    if isinstance(family, BoxFamily):
+        lo, hi = family.lo[i], family.hi[i]
         for t in range(n):
             if lo[t] == hi[t]:
                 eq.append(np.eye(n)[t])
@@ -93,9 +92,9 @@ def active_rows_loop_oracle(cs, x, tol):
                 row = np.zeros(n)
                 row[t] = 1.0
                 ineq.append(row)
-        if float(np.sum(x)) <= cs.theta + tol:
+        if float(np.sum(x)) <= family.theta[i] + tol:
             ineq.append(-np.ones(n))
-    elif isinstance(cs, FlowPolytope):
+    else:
         for t in range(n):
             if x[t] <= tol:
                 row = np.zeros(n)
@@ -105,8 +104,9 @@ def active_rows_loop_oracle(cs, x, tol):
                 row = np.zeros(n)
                 row[t] = 1.0
                 ineq.append(row)
-        eq.extend(np.asarray(cs.B, dtype=float))
-    return ineq, eq
+        eq.extend(np.asarray(family.B, dtype=float))
+    return (np.array(ineq, dtype=float).reshape(-1, n),
+            np.array(eq, dtype=float).reshape(-1, n))
 
 
 def deviation_loop_oracle(game, X, S):
@@ -155,8 +155,8 @@ def bvls_kkt_oracle(game, flavor, X, lam, tol=analysis.ACTIVE_TOL):
     stat = np.empty(game.M)
     mu = np.full(game.M, np.nan)
     degenerate = np.zeros(game.M, dtype=bool)
-    for i, cs in enumerate(game.individual):
-        ineq, eq = cs.active_rows(X[i], tol)
+    for i in range(game.M):
+        ineq, eq = active_rows_loop_oracle(game.individual, i, X[i], tol)
         Gamma = np.vstack([ineq, eq])
         if not len(Gamma):
             stat[i] = np.max(np.abs(G[i]))
@@ -200,45 +200,27 @@ def vi_gap_loop_oracle(game, flavor, x_bar, n_samples, seed):
 
 
 class TestActiveRows:
-    """Each set's active_rows matches the loop oracle row for row, with
-    +0.0 off the active entries."""
+    """A flow family's active_rows matches the loop oracle row for row,
+    with +0.0 off the active entries."""
 
-    def assert_matches_oracle(self, cs, x, tol=1e-6):
-        ineq, eq = cs.active_rows(x, tol)
-        o_ineq, o_eq = active_rows_loop_oracle(cs, x, tol)
-        for got, want in ((ineq, o_ineq), (eq, o_eq)):
-            want = np.array(want, dtype=float).reshape(-1, x.size)
+    def assert_matches_oracle(self, family, i, x, tol=1e-6):
+        ineq, eq = family.active_rows(i, x, tol)
+        for got, want in zip((ineq, eq),
+                             active_rows_loop_oracle(family, i, x, tol)):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         return ineq, eq
 
-    def test_box_at_lo_and_hi(self):
-        cs = Box([0.0, 0.0, 0.5, 0.0, 1.0], [1.0, 2.0, 0.5, 1.0, 3.0])
-        x = np.array([0.0, 2.0, 0.5, 1.0 - 1e-8, 2.0])
-        ineq, eq = self.assert_matches_oracle(cs, x)
-        # Component 2 is pinned (lo = hi): one equality row, no bound rows.
-        t, col = np.nonzero(ineq)
-        assert list(col) == [0, 1, 3]
-        assert list(ineq[t, col]) == [-1.0, 1.0, 1.0]
-        assert np.array_equal(eq, np.eye(5)[[2]])
-
-    def test_box_budget_on_the_budget(self):
-        cs = Box(np.zeros(4), np.ones(4), 1.5)
-        for x in (np.array([0.0, 1.0, 0.5, 0.0]),   # on the budget
-                  np.array([0.0, 1.0, 1.0, 0.3]),   # budget slack
-                  np.array([0.2, 0.4, 0.5, 0.4])):  # only the budget
-            self.assert_matches_oracle(cs, x)
-
     def test_flow_polytope(self):
         net = two_way_grid_network()
         game = build_route_choice_game(net, M=3, seed=0)
+        family = game.individual
         X = game.cost.utility.ref
-        for cs, x in zip(game.individual, X):
-            _, eq = self.assert_matches_oracle(cs, x)
-            assert eq.shape == cs.B.shape
-        self.assert_matches_oracle(game.individual[0], np.full(X.shape[1],
-                                                               0.5))
+        for i, x in enumerate(X):
+            _, eq = self.assert_matches_oracle(family, i, x)
+            assert eq.shape == family.B.shape
+        self.assert_matches_oracle(family, 0, np.full(X.shape[1], 0.5))
 
 
 class TestDeviationValueGrad:

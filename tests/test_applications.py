@@ -52,9 +52,9 @@ def per_agent_calls(monkeypatch):
     calls = []
     real = projection.project_individual
 
-    def counting(cs, y):
+    def counting(family, i, y):
         calls.append(len(y))
-        return real(cs, y)
+        return real(family, i, y)
 
     monkeypatch.setattr(projection, "project_individual", counting)
     return calls

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import subprocess
@@ -15,6 +16,8 @@ from aggeq.game import AggregativeGame
 from aggeq.operators import WARDROP, monotonicity_analysis
 
 RUN_FILES = ("equilibrium.csv", "duals.csv", "trace.csv", "report.csv")
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
 def write_config(tmp_path, body, name="config.ini"):
@@ -275,6 +278,39 @@ kind = quadratic
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("experiment", "max-iter"), ("experiment", "tolerance"),
+        ("ev", "kapa"), ("evv", "kappa")])
+    def test_misspelt_key_exits_2_naming_it(self, tmp_path, capsys,
+                                            section, key):
+        body = {"experiment": "kind = ev\nseed = 0\nm = 5\n", section: ""}
+        body[section] += f"{key} = -5\n"
+        cfg = write_config(tmp_path, "".join(
+            f"[{name}]\n{text}\n" for name, text in body.items()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: [{section}] {key}: no such key\n"
+        assert not out.exists()
+
+    def test_readme_config_block_holds_every_key(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = cli._parse_config(write_config(tmp_path, block), {})
+        assert (cfg.kind, cfg.inner_tol, cfg.output_dir) == ("ev", 1e-6, ".")
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        assert {name: sorted(parser[name]) for name in parser.sections()} \
+            == {name: sorted(keys) for name, keys in cli.CONFIG_KEYS.items()}
+
+    def test_negative_quadratic_cap_fails_at_build(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUADRATIC_CONFIG.replace(
+            "m = 6", "m = 4").replace("n = 4", "n = 3\nk = -1"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("failure: cap K = -1.0 < 0")
         assert not out.exists()
 
     def test_one_slot_ev_game_runs(self, tmp_path):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from aggeq.errors import DimensionError, InfeasibleSetError
-from aggeq.game import (AggregativeGame, Box, BoxFamily, CouplingConstraint,
-                        DiagonalPrice, FlowFamily, FlowPolytope,
-                        PriceTimesUsage,
+from aggeq.game import (AggregativeGame, BoxFamily, CouplingConstraint,
+                        DiagonalPrice, FlowFamily, PriceTimesUsage,
                         QuadraticCost, QuadraticTracking, StrategyProfile,
                         ZeroUtility, aggregate_matrix, cost_value,
                         feasibility_report)
@@ -222,11 +221,11 @@ class TestCouplingConstraint:
 class TestIndividualSets:
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(InfeasibleSetError):
-            Box([1.0], [0.0])
+            BoxFamily([[1.0]], [[0.0]])
 
     def test_box_budget_requires_attainable_theta(self):
         with pytest.raises(InfeasibleSetError):
-            Box([0.0, 0.0], [1.0, 1.0], 3.0)
+            BoxFamily([[0.0, 0.0]], [[1.0, 1.0]], [3.0])
         with pytest.raises(InfeasibleSetError):
             BoxFamily(np.zeros((2, 2)), np.ones((2, 2)), [1.0, 3.0])
         with pytest.raises(InfeasibleSetError):
@@ -235,37 +234,35 @@ class TestIndividualSets:
     def test_flow_polytope_bod_validation(self):
         B = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(InfeasibleSetError):
-            FlowPolytope(B, [0.5, -0.5])
+            FlowFamily(B, [[0.5, -0.5]])
         with pytest.raises(InfeasibleSetError):
-            FlowPolytope(B, [1.0, 1.0])
+            FlowFamily(B, [[1.0, 1.0]])
 
     def test_flow_polytope_rejects_unreachable_destination(self):
         # Edges 0 -> 1 and 2 -> 3: the origin and the destination lie in
         # different components, so no flow conserves at every node.
         B = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
         with pytest.raises(InfeasibleSetError, match="inconsistent"):
-            FlowPolytope(B, [-1.0, 0.0, 0.0, 1.0])
-        FlowPolytope(B, [-1.0, 1.0, 0.0, 0.0])
+            FlowFamily(B, [[-1.0, 0.0, 0.0, 1.0]])
+        FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0]])
         # A family checks each distinct row once, and every row it holds.
         with pytest.raises(InfeasibleSetError, match="inconsistent"):
             FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
         family = FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0]] * 3)
         assert len(family) == 3 and not family.B.flags.writeable
-        assert family[2].B is family.B
 
     def test_violation_values(self):
-        box = Box([0.0], [1.0])
-        assert box.violation([1.1]) == pytest.approx(0.1)
-        assert box.violation([0.5]) == 0.0
-        bb = Box([0.0, 0.0], [1.0, 1.0], 1.5)
-        assert bb.violation([0.5, 0.5]) == pytest.approx(0.5)
-        # A family's violations are its views', one row per agent.
+        box = BoxFamily([[0.0]], [[1.0]])
+        assert box.violation(np.array([[1.1]]))[0] == pytest.approx(0.1)
+        assert box.violation(np.array([[0.5]]))[0] == 0.0
+        bb = BoxFamily([[0.0, 0.0]], [[1.0, 1.0]], [1.5])
+        assert bb.violation(np.array([[0.5, 0.5]]))[0] == pytest.approx(0.5)
+        # One row per agent: agent 0 has no budget, agent 1 misses its own.
         family = BoxFamily([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
                            [-np.inf, 1.5])
         X = np.array([[1.2, 0.5], [0.5, 0.5]])
-        assert np.array_equal(family.violation(X),
-                              [family[i].violation(X[i]) for i in range(2)])
-        assert family[0].theta == -np.inf and family[1].theta == 1.5
+        assert family.violation(X) == pytest.approx([0.2, 0.5])
+        assert family.theta[0] == -np.inf and family.theta[1] == 1.5
 
 
 class TestFeasibilityReport:

@@ -6,7 +6,7 @@ from aggeq.apps.ev import build_ev_game, generate_ev_params
 from aggeq.apps.traffic import build_network
 from aggeq.errors import (ConvergenceError, DimensionError,
                           InfeasibleSetError)
-from aggeq.game import Box, BoxFamily, FlowFamily, FlowPolytope
+from aggeq.game import BoxFamily, FlowFamily
 from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
                               project_box_budget, project_box_budget_batch,
                               project_flow_polytope, project_halfspace,
@@ -195,7 +195,7 @@ class TestBreakpointSearch:
         # A budget clearly above sum(hi) is still rejected.
         over = theta + 1e-9 * np.abs(hi).sum(axis=1)
         with pytest.raises(InfeasibleSetError):
-            Box(lo[0], hi[0], over[0])
+            BoxFamily(lo[:1], hi[:1], over[:1])
         with pytest.raises(InfeasibleSetError):
             project_box_budget_batch(Y, lo, hi, np.where(
                 np.arange(m) == 5, over, theta))
@@ -251,51 +251,52 @@ class TestDykstra:
 
 class TestDispatch:
     def test_box_dispatch(self):
-        cs = Box(np.zeros(2), np.ones(2))
+        cs = BoxFamily(np.zeros((1, 2)), np.ones((1, 2)))
         y = np.array([1.5, -0.2])
-        assert (project_individual(cs, y).tobytes()
-                == np.clip(y, cs.lo, cs.hi).tobytes())
+        assert (project_individual(cs, 0, y).tobytes()
+                == np.clip(y, cs.lo[0], cs.hi[0]).tobytes())
 
     def test_box_budget_dispatch(self):
-        cs = Box(np.zeros(2), np.ones(2), 1.0)
+        cs = BoxFamily(np.zeros((1, 2)), np.ones((1, 2)), [1.0])
         y = np.array([0.2, 0.2])
-        assert np.allclose(project_individual(cs, y),
-                           project_box_budget(y, cs.lo, cs.hi, cs.theta))
+        assert np.allclose(project_individual(cs, 0, y),
+                           project_box_budget(y, cs.lo[0], cs.hi[0],
+                                              cs.theta[0]))
 
     def test_flow_polytope_parallel_edges(self):
-        cs = FlowPolytope(TWO_NODE_B, [-1.0, 1.0])
-        out = project_individual(cs, [0.8, 0.8])
+        cs = FlowFamily(TWO_NODE_B, [[-1.0, 1.0]])
+        out = project_individual(cs, 0, [0.8, 0.8])
         assert np.allclose(out, [0.5, 0.5], atol=1e-8)
 
     def test_flow_polytope_far_point_feasible(self):
-        cs = FlowPolytope(TWO_NODE_B, [-1.0, 1.0])
-        out = project_individual(cs, [-300.0, -400.0])
-        assert cs.violation(out) <= 1e-8
+        cs = FlowFamily(TWO_NODE_B, [[-1.0, 1.0]])
+        out = project_individual(cs, 0, [-300.0, -400.0])
+        assert cs.violation(out[None])[0] <= 1e-8
 
 
 def _random_projector_cases(rng, n=4):
     """(projector, feasible sampler) pairs over random set data."""
     lo = rng.uniform(-1.0, 0.0, size=n)
     hi = lo + rng.uniform(0.5, 2.0, size=n)
-    box = Box(lo, hi)
+    box = BoxFamily(lo[None], hi[None])
     theta = float(lo.sum() + rng.uniform(0.2, 0.8) * (hi - lo).sum())
-    bb = Box(lo, hi, theta)
-    fp = FlowPolytope(TWO_NODE_B, np.array([-1.0, 1.0]))
+    bb = BoxFamily(lo[None], hi[None], [theta])
+    fp = FlowFamily(TWO_NODE_B, [[-1.0, 1.0]])
 
     def sample_box(r):
         return r.uniform(lo, hi)
 
     def sample_bb(r):
-        return project_individual(bb, r.uniform(lo - 1, hi + 1))
+        return project_individual(bb, 0, r.uniform(lo - 1, hi + 1))
 
     def sample_fp(r):
         t = r.uniform()
         return np.array([t, 1.0 - t])
 
     return [
-        (lambda y: project_individual(box, y), sample_box, n),
-        (lambda y: project_individual(bb, y), sample_bb, n),
-        (lambda y: project_individual(fp, y), sample_fp, 2),
+        (lambda y: project_individual(box, 0, y), sample_box, n),
+        (lambda y: project_individual(bb, 0, y), sample_bb, n),
+        (lambda y: project_individual(fp, 0, y), sample_fp, 2),
     ]
 
 
@@ -407,16 +408,13 @@ class TestFlowProjection:
             [1.0, -1.0, 1.0, -1.0],
         ])
         family = FlowFamily(B, np.tile([-1.0, 1.0], (6, 1)))
-        fp = family[0]
         proj = ProfileProjector(family)
         rng = np.random.default_rng(14)
         Y = rng.uniform(-50.0, 50.0, size=(6, 4))
         X = proj(Y)
-        assert np.array_equal(family.violation(X),
-                              [fp.violation(x) for x in X])
+        assert np.all(family.violation(X) <= 1e-8)
         for i in range(6):
-            assert fp.violation(X[i]) <= 1e-8
-            single = project_individual(fp, Y[i])
+            single = project_individual(family, i, Y[i])
             assert np.max(np.abs(X[i] - single)) <= 1e-6
 
     def test_profile_projector_modes(self):
