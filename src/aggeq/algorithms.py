@@ -55,14 +55,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise DimensionError("tau must be positive when given")
-        if self.tol <= 0:
-            raise DimensionError("tol must be positive")
+        given = ("tol", "inner_tol") + ("tau",) * (self.tau is not None)
+        for name in given:  # a nan fails the comparison, as inf does
+            if not 0 < getattr(self, name) < np.inf:
+                raise DimensionError(f"{name} must be finite and positive")
         if self.max_iter < 1:
             raise DimensionError("max_iter must be at least 1")
-        if self.inner_tol <= 0:
-            raise DimensionError("inner_tol must be positive")
 
 
 @dataclass
@@ -136,7 +134,7 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
 
 
 def best_response(game: AggregativeGame, i: int, z, lam,
-                  inner_tol: float = 1e-6) -> np.ndarray:
+                  inner_tol: float = SolverConfig.inner_tol) -> np.ndarray:
     """Agent i's optimal response to (z, lam): row i of all agents'
     responses, ``_batch_best_response`` from the projected origin, so its
     cost is O(M)."""

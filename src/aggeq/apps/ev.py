@@ -109,8 +109,7 @@ def sqrt_price(d, kappa, coeff: float = DEFAULT_PRICE_COEFF) -> DiagonalPrice:
 
 def generate_ev_params(M: int, seed: int = 0, n: int = 24,
                        kappa: float = DEFAULT_KAPPA,
-                       K: float = DEFAULT_CAP,
-                       rng: np.random.Generator = None) -> EvParams:
+                       K: float = DEFAULT_CAP) -> EvParams:
     """Randomized heterogeneous population at the default market data.
 
     Requirements are uniform on [0.5, 1.5].  Each agent charges inside a
@@ -121,8 +120,7 @@ def generate_ev_params(M: int, seed: int = 0, n: int = 24,
     the per-slot cap is constant, uniform on [1, 5].  Draws are resampled
     until the window can hold the requirement.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     d = default_demand()[:n] if n <= 24 else np.resize(default_demand(), n)
     theta = rng.uniform(0.5, 1.5, size=M)
     xtilde = np.zeros((M, n))

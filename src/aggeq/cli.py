@@ -35,25 +35,16 @@ from .apps.traffic import (_require_columns, build_route_choice_game,
 from .errors import (AggeqError, ConfigError, ConvergenceError,
                      InfeasibleSetError)
 from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
-                   QuadraticCost, aggregate_matrix, feasibility_report)
+                   QuadraticCost, aggregate_matrix, feasibility_report,
+                   sum_rounding_bound)
 from .operators import WARDROP, build_operator, monotonicity_analysis
 from .synthetic import build_quadratic_game
 
 KINDS = ("ev", "traffic", "quadratic", "custom-file")
 
-_SUBSTREAMS = {"agents": 0, "od-pairs": 1, "sampling": 2, "offsets": 3}
-
-# Every key a config section may hold: the ones _parse_config and
-# build_game read.  Any other key is a config error.
-CONFIG_KEYS = {
-    "experiment": ("kind", "seed", "m", "m_list", "algorithm", "tau", "tol",
-                   "max_iter", "inner_tol", "output_dir", "n_rep"),
-    "quadratic": ("n", "q", "k"),
-    "ev": ("n", "kappa", "k"),
-    "traffic": ("nodes_file", "edges_file", "bbox", "f_e", "h", "k",
-                "gamma_min", "gamma_max"),
-    "custom": ("file",),
-}
+# The builders draw agents from SeedSequence(seed).spawn(1)[0], which is
+# the "agents" substream.
+_SUBSTREAMS = {"agents": 0, "od-pairs": 1}
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -63,117 +54,133 @@ def substream(seed: int, name: str) -> np.random.Generator:
                                                         spawn_key=(idx,)))
 
 
-@dataclass
-class ExperimentConfig:
+def _checked(cast, ok, need):
+    """Parser of cast(raw), refused with "needs {need}" unless ok."""
+    def parse(raw):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(f"needs {need}")
+        return value
+    return parse
+
+
+def _one_of(names):
+    return _checked(str, names.__contains__, f"one of {', '.join(names)}")
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_real = _checked(float, np.isfinite, "a finite number")
+_cap = _checked(float, lambda v: not np.isnan(v), "a number, inf for no cap")
+_positive = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
+
+# Every key each config section may hold: its parser, which raises
+# ValueError on a value out of range, and its default (None: none; those
+# of [experiment] are ExperimentConfig's fields).
+CONFIG_KEYS = {
+    "experiment": {
+        "kind": (_one_of(KINDS), None),
+        "seed": (_checked(int, lambda v: v >= 0, "an integer >= 0"), None),
+        "m": (_count, None),
+        "m_list": (_checked(lambda raw: tuple(map(_count, raw.split(","))),
+                            lambda v: all(np.diff(v) > 0),
+                            "strictly increasing values"), None),
+        "algorithm": (_one_of(tuple(SOLVERS)), None),
+        "tau": (lambda raw: None if raw.lower() == "auto" else _positive(raw),
+                None),
+        "tol": (_positive, None), "max_iter": (_count, None),
+        "inner_tol": (_positive, None), "output_dir": (str, None),
+        "n_rep": (_count, None)},
+    "quadratic": {"n": (_count, 24), "q": (_real, 0.1), "k": (_cap, 0.3)},
+    "ev": {"n": (_count, 24), "kappa": (_positive, 12.0), "k": (_cap, 0.55)},
+    "traffic": {
+        "nodes_file": (str, None), "edges_file": (str, None),
+        "bbox": (_checked(lambda raw: tuple(map(_real, raw.split(","))),
+                          lambda v: len(v) == 4, "xmin,xmax,ymin,ymax"),
+                 None),
+        "f_e": (_positive, 4e-3), "h": (_positive, 7200.0),
+        "k": (_cap, 1.0), "gamma_min": (_positive, 0.5),
+        "gamma_max": (_positive, 3.5)},
+    "custom": {"file": (str, None)},
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SolverConfig):
+    """The [experiment] keys, the solver's settings among them, and the
+    parsed values of the other sections."""
     kind: str
-    seed: int
-    M: int = 100
+    m: int = 100
     m_list: tuple = ()
     algorithm: str = "apa-nash"
-    tau: Optional[float] = None
-    tol: float = 1e-4
-    max_iter: int = 100_000
-    inner_tol: float = 1e-6
     output_dir: str = "."
     n_rep: int = 1
     sections: dict = field(default_factory=dict)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tau=self.tau, tol=self.tol,
-                            max_iter=self.max_iter,
-                            inner_tol=self.inner_tol, seed=self.seed)
+
+def _parse(section, key, raw):
+    """raw parsed by the table's parser for [section] key; a key not in
+    the table, or a value its parser refuses, raises ConfigError."""
+    if key not in CONFIG_KEYS.get(section, {}):
+        raise ConfigError(f"[{section}] {key}: no such key")
+    try:
+        return CONFIG_KEYS[section][key][0](raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
+
+
+def _section(sections, name) -> dict:
+    """[name]'s parsed values over the table's defaults."""
+    return {**{key: default for key, (_, default)
+               in CONFIG_KEYS.get(name, {}).items()},
+            **sections.get(name, {})}
 
 
 def _parse_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
+    """The config file at path, every section of it, and the flag values
+    in overrides, each value parsed by the table before any solve."""
     parser = configparser.ConfigParser()
     if path is not None:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
-    for name in parser.sections():
-        for key in parser[name]:
-            if key not in CONFIG_KEYS.get(name, ()):
-                raise ConfigError(f"[{name}] {key}: no such key")
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-
-    def pick(key, default=None):
-        if overrides.get(key) is not None:
-            return overrides[key]
-        return exp.get(key, default)
-
-    kind = pick("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    seed = pick("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config key or --seed)")
-    algorithm = pick("algorithm", "apa-nash")
-    if algorithm not in SOLVERS:
-        raise ConfigError(f"algorithm must be one of {tuple(SOLVERS)}")
-    tau_raw = pick("tau", "auto")
-    tau = None if str(tau_raw).lower() == "auto" else float(tau_raw)
-    M = int(pick("m", 100))
-    m_list = ()
-    if "m_list" in exp:
-        m_list = tuple(int(v) for v in exp["m_list"].split(","))
-        if any(b <= a for a, b in zip(m_list, m_list[1:])):
-            raise ConfigError("m_list must be strictly increasing")
-    if min((M,) + m_list) < 1:
-        raise ConfigError("population sizes m and m_list must be at least 1")
-    n_rep = int(pick("n_rep", 1))
-    if n_rep < 1:
-        raise ConfigError("n_rep must be at least 1")
-    sections = {name: dict(parser[name]) for name in parser.sections()
-                if name != "experiment"}
-    cfg = ExperimentConfig(
-        kind=kind, seed=int(seed), M=M, m_list=m_list,
-        algorithm=algorithm, tau=tau, tol=float(pick("tol", 1e-4)),
-        max_iter=int(pick("max_iter", 100_000)),
-        inner_tol=float(pick("inner_tol", 1e-6)),
-        output_dir=str(pick("output_dir", ".")),
-        n_rep=n_rep, sections=sections)
-    cfg.solver_config()  # raises DimensionError on a bad solver setting
-    return cfg
+    sections = {name: {key: _parse(name, key, raw)
+                       for key, raw in parser[name].items()}
+                for name in parser.sections()}
+    exp = sections.pop("experiment", {})
+    exp.update({key: _parse("experiment", key, raw)
+                for key, raw in overrides.items() if raw is not None})
+    for key in ("kind", "seed"):
+        if key not in exp:
+            raise ConfigError(f"[experiment] {key}: required (config key"
+                              f" or --{key})")
+    traffic = _section(sections, "traffic")
+    if traffic["gamma_max"] < traffic["gamma_min"]:
+        raise ConfigError(f"[traffic] gamma_max = {traffic['gamma_max']:g}:"
+                          f" needs a number >= gamma_min ="
+                          f" {traffic['gamma_min']:g}")
+    return ExperimentConfig(**exp, sections=sections)
 
 
 def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
                seed: Optional[int] = None) -> AggregativeGame:
-    M = cfg.M if M is None else M
+    M = cfg.m if M is None else M
     seed = cfg.seed if seed is None else seed
+    sec = _section(cfg.sections, cfg.kind.removesuffix("-file"))
     if cfg.kind == "quadratic":
-        sec = cfg.sections.get("quadratic", {})
-        return build_quadratic_game(
-            M, n=_option(sec, "quadratic", "n", 24, _count),
-            q=_option(sec, "quadratic", "q", 0.1),
-            K=_option(sec, "quadratic", "k", 0.3),
-            rng=substream(seed, "agents"))
+        return build_quadratic_game(M, n=sec["n"], q=sec["q"], K=sec["k"],
+                                    seed=seed)
     if cfg.kind == "ev":
-        sec = cfg.sections.get("ev", {})
-        params = generate_ev_params(
-            M, n=_option(sec, "ev", "n", 24, _count),
-            kappa=_option(sec, "ev", "kappa", 12.0, _positive),
-            K=_option(sec, "ev", "k", 0.55), rng=substream(seed, "agents"))
-        return build_ev_game(params)
+        return build_ev_game(generate_ev_params(
+            M, seed=seed, n=sec["n"], kappa=sec["kappa"], K=sec["k"]))
     if cfg.kind == "traffic":
-        sec = cfg.sections.get("traffic", {})
-        if "nodes_file" not in sec or "edges_file" not in sec:
+        if sec["nodes_file"] is None or sec["edges_file"] is None:
             raise ConfigError("traffic runs need nodes_file and edges_file")
-        bbox = None
-        if "bbox" in sec:
-            bbox = _option(sec, "traffic", "bbox", None, lambda v: tuple(
-                float(x) for x in v.split(",")))
-            if len(bbox) != 4:
-                raise ConfigError("bbox needs xmin,xmax,ymin,ymax")
         net = _read(load_network, sec["nodes_file"], sec["edges_file"],
-                    bbox=bbox, f=_option(sec, "traffic", "f_e", 4e-3),
-                    h=_option(sec, "traffic", "h", 7200.0),
-                    K=_option(sec, "traffic", "k", 1.0))
-        gamma_range = (_option(sec, "traffic", "gamma_min", 0.5),
-                       _option(sec, "traffic", "gamma_max", 3.5))
-        return build_route_choice_game(net, M=M, gamma_range=gamma_range,
-                                       rng=substream(seed, "od-pairs"))
+                    bbox=sec["bbox"], f=sec["f_e"], h=sec["h"], K=sec["k"])
+        return build_route_choice_game(
+            net, M=M, gamma_range=(sec["gamma_min"], sec["gamma_max"]),
+            rng=substream(seed, "od-pairs"))
     if cfg.kind == "custom-file":
-        sec = cfg.sections.get("custom", {})
-        if "file" not in sec:
+        if sec["file"] is None:
             raise ConfigError("custom-file runs need [custom] file=...")
         data = _read(_load_npz, sec["file"])
         for key in ("Q", "C", "c", "lo", "hi"):
@@ -186,12 +193,29 @@ def build_game(cfg: ExperimentConfig, M: Optional[int] = None,
         if "A" in data and "b" in data:
             coupling = CouplingConstraint.dense(data["A"], data["b"],
                                                 M_file, n)
+            _check_dense_coupling(coupling, individual)
         else:
             coupling = CouplingConstraint.per_component_cap(
                 np.full(n, np.inf), M_file)
         return AggregativeGame(M=M_file, n=n, cost=cost,
                                individual=individual, coupling=coupling)
     raise ConfigError(f"unknown kind {cfg.kind!r}")
+
+
+def _check_dense_coupling(coupling, boxes) -> None:
+    """Raise InfeasibleSetError when some row's minimum of A x over the
+    boxes, sum_t min(a_t lo_t, a_t hi_t) without the zero a_t (an infinite
+    bound then gives no nan), exceeds b beyond its rounding bound."""
+    A = coupling.A
+    low = np.minimum(*(np.multiply(A, bound.reshape(-1), where=A != 0,
+                                   out=np.zeros_like(A))
+                       for bound in boxes.bounds()))
+    excess = low.sum(axis=1) - coupling.b
+    if np.any(excess > sum_rounding_bound(low)):
+        j = int(np.argmax(excess))
+        raise InfeasibleSetError(
+            f"coupling row {j}: A x exceeds b = {coupling.b[j]!r} by at"
+            f" least {excess[j]!r} on every profile in the boxes")
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
@@ -257,7 +281,7 @@ def _verify_and_report(cfg, game, flavor, X, lam, columns):
 def cmd_run(cfg: ExperimentConfig) -> int:
     game = build_game(cfg)
     try:
-        result = SOLVERS[cfg.algorithm].solve(game, cfg.solver_config())
+        result = SOLVERS[cfg.algorithm].solve(game, cfg)
     except ConvergenceError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
@@ -280,24 +304,23 @@ def _wardrop_constants(game, seed):
     return monotonicity_analysis(build_operator(game, WARDROP), seed=seed)
 
 
-def _wardrop_solver_for(game, solver_cfg):
+def _wardrop_solver_for(game, cfg):
     """Wardrop solutions need strong monotonicity for the projection
     scheme; fall back to extragradient when the constant is zero."""
-    rep = _wardrop_constants(game, solver_cfg.seed)
+    rep = _wardrop_constants(game, cfg.seed)
     name = "apa-wardrop" if rep.safe_alpha() > 0 else "extragradient"
-    return SOLVERS[name].solve(game, solver_cfg, constants=rep)
+    return SOLVERS[name].solve(game, cfg, constants=rep)
 
 
 def cmd_sweep_m(cfg: ExperimentConfig) -> int:
-    m_values = cfg.m_list or (cfg.M,)
+    m_values = cfg.m_list or (cfg.m,)
     rows = []
     failures = 0
-    solver_cfg = cfg.solver_config()
     for M in m_values:
         game = build_game(cfg, M=M)
         try:
-            res_n = SOLVERS["apa-nash"].solve(game, solver_cfg)
-            res_w = _wardrop_solver_for(game, solver_cfg)
+            res_n = SOLVERS["apa-nash"].solve(game, cfg)
+            res_w = _wardrop_solver_for(game, cfg)
         except (ConvergenceError, AggeqError) as exc:
             print(f"M={M}: {exc}", file=sys.stderr)
             rows.append([M, 0, 0] + [""] * 5 + [_fmt(1.0 / np.sqrt(M))])
@@ -330,7 +353,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     needs strong monotonicity is skipped, with one stderr line and an
     empty row but no failure, on a game whose safe constant is not
     positive."""
-    solver_cfg = cfg.solver_config()
     wardrop = {algo: solver for algo, solver in SOLVERS.items()
                if solver.flavor == WARDROP}
     counts = {algo: ([], [], []) for algo in wardrop}  # primal, dual, ok
@@ -350,7 +372,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 continue
             primal, dual, ok = counts[algo]
             try:
-                res = solver.solve(game, replace(solver_cfg, seed=seed),
+                res = solver.solve(game, replace(cfg, seed=seed),
                                    constants=constants)
             except ConvergenceError as exc:
                 print(f"{algo} rep {rep}: {exc}", file=sys.stderr)
@@ -363,7 +385,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for algo, (primal, dual, ok) in counts.items():
         stats = [repr(float(stat(v))) for v in (primal, dual)
                  for stat in (np.mean, np.std)] if primal else [""] * 4
-        rows.append([cfg.M, algo, *stats, int(bool(primal) and all(ok)),
+        rows.append([cfg.m, algo, *stats, int(bool(primal) and all(ok)),
                      cfg.n_rep])
         failures += not all(ok)
     write_csv(os.path.join(cfg.output_dir, "iterations.csv"),
@@ -371,32 +393,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                "dual_updates_mean", "dual_updates_std", "converged",
                "n_rep"], rows)
     return 1 if failures else 0
-
-
-def _option(sec, section, key, default, parse=float):
-    """parse(sec[key]), or parse(default) when the key is absent; a value
-    that parse rejects raises ConfigError naming the section key."""
-    raw = sec.get(key, default)
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
-
-
-def _count(raw) -> int:
-    """A dimension n: an integer >= 1."""
-    value = int(raw)
-    if value < 1:
-        raise ValueError("needs an integer >= 1")
-    return value
-
-
-def _positive(raw) -> float:
-    """A finite number > 0."""
-    value = float(raw)
-    if not 0.0 < value < np.inf:
-        raise ValueError("needs a finite number > 0")
-    return value
 
 
 def _load_npz(path) -> dict:
@@ -503,11 +499,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p):
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--algorithm", default=None, choices=tuple(SOLVERS))
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--tol", default=None)
+    p.add_argument("--max-iter", default=None)
     p.add_argument("--kind", default=None, choices=KINDS)
 
 
@@ -518,7 +514,7 @@ def main(argv=None) -> int:
                  "output_dir": args.out, "kind": args.kind}
     try:
         cfg = _parse_config(args.config, overrides)
-    except (ConfigError, KeyError, ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

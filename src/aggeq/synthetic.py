@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import InfeasibleSetError
@@ -12,9 +10,7 @@ from .game import (AggregativeGame, BoxFamily, CouplingConstraint,
 
 
 def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
-                         K: float = 0.3, seed: int = 0,
-                         rng: Optional[np.random.Generator] = None
-                         ) -> AggregativeGame:
+                         K: float = 0.3, seed: int = 0) -> AggregativeGame:
     """Benchmark with cost 0.5 q |x|^2 + (z + c_i)^T x on unit boxes.
 
     Own curvature q I and identity aggregate coupling; per-component cap K
@@ -25,8 +21,7 @@ def build_quadratic_game(M: int, n: int = 24, q: float = 0.1,
     if K < 0:
         raise InfeasibleSetError(f"cap K = {K} < 0: the coupled set of"
                                  " profiles in [0, 1]^n is empty")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     c = rng.uniform(-1.0, 0.0, size=(M, n))
     cost = QuadraticCost(Q=q * np.eye(n), C=np.eye(n), c=c)
     individual = BoxFamily.common(np.zeros(n), np.ones(n), M)

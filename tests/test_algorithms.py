@@ -621,6 +621,12 @@ class TestSolverBehavior:
         with pytest.raises(DimensionError):
             SolverConfig(inner_tol=0.0)
 
+    @pytest.mark.parametrize("name", ["tau", "tol", "inner_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_refuses_non_finite_settings(self, name, value):
+        with pytest.raises(DimensionError, match=f"^{name} must be finite"):
+            SolverConfig(**{name: value})
+
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_tight_coupling_reads_positive_zero_violation(self, name):
         """The one violation formula, max(A x - b, 0), gives +0.0 on an

@@ -39,6 +39,12 @@ n = 4
 """
 
 
+def readme_block():
+    """The config block of README.md, as printed."""
+    with open(README, encoding="utf-8") as fh:
+        return fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -133,6 +139,34 @@ class TestRun:
         assert (row["feasible"], row["converged"], row["algorithm"],
                 row["M"]) == ("1", "1", "extragradient", "4")
         assert row["verification_error"] == "unbounded individual sets"
+
+    def test_dense_coupling_no_profile_meets_fails_at_build(self, tmp_path,
+                                                             capsys):
+        M, n = 3, 2
+        path = tmp_path / "game.npz"
+        np.savez(path, Q=np.eye(n), C=0.5 * np.eye(n), c=np.zeros((M, n)),
+                 lo=np.zeros(n), hi=np.ones(n), A=np.ones((1, M * n)),
+                 b=np.array([-1.0]))
+        cfg = write_config(tmp_path, "[experiment]\nkind = custom-file\n"
+                           f"seed = 0\n\n[custom]\nfile = {path}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("failure: coupling row 0")
+        assert not out.exists()
+
+    def test_dense_coupling_unbounded_below_builds(self, tmp_path):
+        # A row minimum of -inf proves nothing; a zero coefficient meets the
+        # infinite bounds without a nan (a RuntimeWarning here).
+        M, n = 3, 2
+        A = np.ones((1, M * n))
+        A[0, 0] = 0.0
+        path = tmp_path / "game.npz"
+        np.savez(path, Q=np.eye(n), C=0.5 * np.eye(n), c=np.zeros((M, n)),
+                 lo=np.full(n, -np.inf), hi=np.full(n, np.inf), A=A,
+                 b=np.array([-1.0]))
+        game = cli.build_game(cli.ExperimentConfig(
+            kind="custom-file", seed=0, sections={"custom": {"file": path}}))
+        assert game.coupling.m == 1
 
     def test_infeasible_result_writes_failure_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, INFEASIBLE_CONFIG)
@@ -280,6 +314,37 @@ kind = quadratic
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys, section, flags, refused", [
+        ({"m": "abc"}, "", [], "[experiment] m = abc"),
+        ({"max_iter": "1.5"}, "", [], "[experiment] max_iter = 1.5"),
+        ({"seed": "-1"}, "", [], "[experiment] seed = -1"),
+        ({}, "", ["--seed", "-1"], "[experiment] seed = -1"),
+        ({"m_list": "4,x"}, "", [], "[experiment] m_list = 4,x"),
+        ({"tol": "inf"}, "", [], "[experiment] tol = inf"),
+        ({"tol": "nan"}, "", [], "[experiment] tol = nan"),
+        ({"tau": "nan"}, "", [], "[experiment] tau = nan"),
+        ({}, "f_e = 0\n", [], "[traffic] f_e = 0"),
+        ({}, "h = 0\n", [], "[traffic] h = 0"),
+        ({}, "gamma_min = -1\n", [], "[traffic] gamma_min = -1"),
+        ({}, "gamma_min = 3\ngamma_max = 1\n", [],
+         "[traffic] gamma_max = 1"),
+        ({}, "k = nan\n", [], "[traffic] k = nan"),
+    ], ids=["m", "max_iter", "seed", "seed-flag", "m_list", "tol-inf",
+            "tol-nan", "tau-nan", "f_e", "h", "gamma_min", "gamma-range",
+            "k-nan"])
+    def test_refused_value_exits_2_naming_its_key(
+            self, tmp_path, capsys, keys, section, flags, refused):
+        # The [traffic] section is parsed, and refused, in a quadratic run.
+        keys = {"kind": "quadratic", "seed": "7", "m": "4", **keys}
+        cfg = write_config(tmp_path, "[experiment]\n" + "".join(
+            f"{key} = {value}\n" for key, value in keys.items())
+            + "\n[quadratic]\nn = 2\n\n[traffic]\n" + section)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {refused}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [
         ("experiment", "max-iter"), ("experiment", "tolerance"),
         ("ev", "kapa"), ("evv", "kappa")])
@@ -296,14 +361,24 @@ kind = quadratic
         assert not out.exists()
 
     def test_readme_config_block_holds_every_key(self, tmp_path):
-        with open(README, encoding="utf-8") as fh:
-            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
-        cfg = cli._parse_config(write_config(tmp_path, block), {})
-        assert (cfg.kind, cfg.inner_tol, cfg.output_dir) == ("ev", 1e-6, ".")
+        cfg = cli._parse_config(write_config(tmp_path, readme_block()), {})
+        # Every other [experiment] value is ExperimentConfig's default.
+        assert cfg == cli.ExperimentConfig(
+            kind="ev", seed=42, m_list=(50, 100, 200, 400),
+            sections=cfg.sections)
+        for name, values in cfg.sections.items():
+            for key, value in values.items():
+                default = cli.CONFIG_KEYS[name][key][1]
+                assert default is None or value == default, (name, key)
         parser = configparser.ConfigParser()
-        parser.read_string(block)
+        parser.read_string(readme_block())
         assert {name: sorted(parser[name]) for name in parser.sections()} \
             == {name: sorted(keys) for name, keys in cli.CONFIG_KEYS.items()}
+
+    def test_readme_config_block_runs(self, tmp_path):
+        cfg = write_config(tmp_path, readme_block())
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_negative_quadratic_cap_fails_at_build(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUADRATIC_CONFIG.replace(
@@ -690,8 +765,13 @@ class TestSubstreams:
 
     def test_names_are_independent(self):
         a = substream(42, "agents").uniform(size=5)
-        c = substream(42, "sampling").uniform(size=5)
+        c = substream(42, "od-pairs").uniform(size=5)
         assert not np.array_equal(a, c)
+
+    def test_builders_draw_from_the_agents_stream(self):
+        game = aggeq.build_quadratic_game(4, n=3, seed=42)
+        assert np.array_equal(game.cost.c, substream(42, "agents").uniform(
+            -1.0, 0.0, size=(4, 3)))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
