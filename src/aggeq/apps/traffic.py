@@ -10,7 +10,7 @@ penalty for deviating from its preferred (free-flow shortest) route.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
 
@@ -18,7 +18,8 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionError, InfeasibleSetError
 from ..game import (AggregativeGame, CouplingConstraint, DiagonalPrice,
-                    FlowFamily, PriceTimesUsage, QuadraticTracking)
+                    FlowFamily, PriceTimesUsage, QuadraticTracking,
+                    incidence_graph, reachable)
 from ..projection import shortest_path_edges
 
 SPEED_KMH = {"main": 50.0, "secondary": 30.0}
@@ -31,6 +32,7 @@ class RoadNetwork:
     B is the node-edge incidence matrix (+1 at the head, -1 at the tail);
     f[e] the per-capita capacity in vehicles per second; h the peak
     duration in seconds; K[e] the per-edge caps on average flow.
+    ``out_edges`` is the ``incidence_graph`` of B, built once.
     """
 
     node_ids: tuple
@@ -39,6 +41,7 @@ class RoadNetwork:
     f: np.ndarray
     h: float
     K: np.ndarray
+    out_edges: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -47,20 +50,22 @@ class RoadNetwork:
         V, E = B.shape
         if len(self.node_ids) != V or len(self.edges) != E:
             raise DimensionError("incidence matrix shape mismatch")
-        if np.max(np.abs(B.sum(axis=0)), initial=0.0) > 1e-12:
-            raise DimensionError("incidence columns must sum to zero")
+        out_edges = incidence_graph(B)
         if np.any(f <= 0) or self.h <= 0:
             raise InfeasibleSetError("capacities and peak duration must be"
                                      " positive")
         if any(e[3] <= 0 for e in self.edges):
             raise InfeasibleSetError("free-flow times must be positive")
-        if not _strongly_connected(self.edges, V):
+        # Strongly connected: node 0 reaches every node, edges reversed too.
+        if any(len(reachable(adj, 0)) != V
+               for adj in (out_edges, incidence_graph(-B))):
             raise InfeasibleSetError("network must be strongly connected")
         B = B.copy()
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "K", K)
+        object.__setattr__(self, "out_edges", out_edges)
 
     @property
     def n_nodes(self) -> int:
@@ -73,28 +78,6 @@ class RoadNetwork:
     @property
     def t_free(self) -> np.ndarray:
         return np.array([e[3] for e in self.edges])
-
-
-def _strongly_connected(edges, V: int) -> bool:
-    if V == 0:
-        return False
-    fwd = [[] for _ in range(V)]
-    bwd = [[] for _ in range(V)]
-    for tail, head, *_ in edges:
-        fwd[tail].append(head)
-        bwd[head].append(tail)
-    for adj in (fwd, bwd):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != V:
-            return False
-    return True
 
 
 def build_network(node_ids: Sequence, directed_edges: Sequence,
@@ -181,11 +164,9 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
     """
     w = network.t_free if weights is None else np.asarray(weights,
                                                           dtype=float)
-    out_edges = [[] for _ in range(network.n_nodes)]
-    for e, (tail, head, *_r) in enumerate(network.edges):
-        out_edges[tail].append((e, head))
     x = np.zeros(network.n_edges)
-    x[list(shortest_path_edges(out_edges, w, origin, destination))] = 1.0
+    x[list(shortest_path_edges(network.out_edges, w, origin,
+                               destination))] = 1.0
     return x
 
 

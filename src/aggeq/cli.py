@@ -152,6 +152,10 @@ def _parse_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
         if key not in exp:
             raise ConfigError(f"[experiment] {key}: required (config key"
                               f" or --{key})")
+    for key in ("m", "m_list"):
+        if exp["kind"] == "custom-file" and key in exp:
+            raise ConfigError(f"[experiment] {key}: not for kind custom-file,"
+                              " whose M is its file's")
     traffic = _section(sections, "traffic")
     if traffic["gamma_max"] < traffic["gamma_min"]:
         raise ConfigError(f"[traffic] gamma_max = {traffic['gamma_max']:g}:"
@@ -318,6 +322,7 @@ def cmd_sweep_m(cfg: ExperimentConfig) -> int:
     failures = 0
     for M in m_values:
         game = build_game(cfg, M=M)
+        M = game.M  # a custom-file game's, whatever cfg.m says
         try:
             res_n = SOLVERS["apa-nash"].solve(game, cfg)
             res_w = _wardrop_solver_for(game, cfg)
@@ -385,7 +390,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for algo, (primal, dual, ok) in counts.items():
         stats = [repr(float(stat(v))) for v in (primal, dual)
                  for stat in (np.mean, np.std)] if primal else [""] * 4
-        rows.append([cfg.m, algo, *stats, int(bool(primal) and all(ok)),
+        rows.append([game.M, algo, *stats, int(bool(primal) and all(ok)),
                      cfg.n_rep])
         failures += not all(ok)
     write_csv(os.path.join(cfg.output_dir, "iterations.csv"),
@@ -465,10 +470,10 @@ def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
             f" M={M} agents and n={n} components, expected {M * n}; agent"
             f" {i}, component {t} is missing")
     game = build_game(cfg, M=M)
-    if game.n != n:
+    if (game.M, game.n) != (M, n):
         raise ConfigError(
-            f"equilibrium file has n={n} but the configured game has"
-            f" n={game.n}")
+            f"equilibrium file has M={M}, n={n} but the configured game has"
+            f" M={game.M}, n={game.n}")
     duals_file = os.path.join(os.path.dirname(equilibrium_file), "duals.csv")
     lam = np.zeros(game.coupling.m)
     if os.path.exists(duals_file):

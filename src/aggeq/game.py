@@ -121,19 +121,34 @@ def check_box_budget(lo, hi, theta) -> None:
         raise InfeasibleSetError("budget exceeds the box: theta > sum(hi)")
 
 
-def _check_flows(B, b_ods) -> None:
-    """Raise unless B x = b_od is consistent for every row b_od of b_ods,
-    with one least-squares check per distinct row."""
-    if B.ndim != 2 or b_ods.ndim != 2 or b_ods.shape[1] != B.shape[0]:
-        raise DimensionError("incidence matrix rows must match b_od length")
-    if not np.all(np.isin(b_ods, (-1.0, 0.0, 1.0))):
-        raise InfeasibleSetError("b_od entries must be in {-1, 0, 1}")
-    if np.any(np.abs(b_ods.sum(axis=1)) > 1e-12):
-        raise InfeasibleSetError("b_od must sum to zero")
-    rhs = np.unique(b_ods, axis=0).T
-    x0 = np.linalg.lstsq(B, rhs, rcond=None)[0]
-    if np.max(np.abs(B @ x0 - rhs), initial=0.0) > 1e-8:
-        raise InfeasibleSetError("system B x = b_od is inconsistent")
+def incidence_graph(B) -> list:
+    """The out-edge lists of the node-edge incidence matrix B: entry u holds
+    the (edge, head) pairs of the edges leaving node u, in ascending edge
+    order.  Raises DimensionError unless B has a row per node, at least
+    one, and each column one -1 (its tail), one +1 (its head), else 0."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or len(B) == 0 or not (
+            np.all(np.count_nonzero(B, axis=0) == 2)
+            and np.all(B.min(axis=0) == -1.0)
+            and np.all(B.max(axis=0) == 1.0)):
+        raise DimensionError("B must be a node-edge incidence matrix: one -1"
+                             " (tail) and one +1 (head) per column")
+    out_edges = [[] for _ in range(len(B))]
+    for e, (tail, head) in enumerate(zip(B.argmin(axis=0).tolist(),
+                                         B.argmax(axis=0).tolist())):
+        out_edges[tail].append((e, head))
+    return out_edges
+
+
+def reachable(out_edges, source: int) -> set:
+    """The nodes reachable from source along the out-edge lists."""
+    seen, stack = {source}, [source]
+    while stack:
+        for _, v in out_edges[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def _box_violation(X, lo, hi, theta):
@@ -204,16 +219,39 @@ class BoxFamily:
 class FlowFamily:
     """Every agent's unit-box flows satisfying conservation B x = b_ods[i]:
     one read-only node-edge incidence matrix B (+1 head, -1 tail) and
-    (M, V) origin-destination rows b_ods, -1 at the agent's origin and +1
-    at its destination."""
+    (M, V) rows b_ods, e_d - e_o for an agent from origin o to
+    destination d (zero for o = d).  Construction builds the graph once,
+    ``out_edges`` (the ``incidence_graph`` of B) and ``ods``, each agent's
+    (o, d).  It raises DimensionError on a B that ``incidence_graph``
+    refuses, and InfeasibleSetError on a row of another form or on a
+    destination its origin cannot reach."""
 
     B: np.ndarray
     b_ods: np.ndarray
+    out_edges: list = field(init=False, repr=False, compare=False)
+    ods: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B, b_ods = (np.array(a, dtype=float) for a in (self.B, self.b_ods))
-        _check_flows(B, b_ods)
+        out_edges = incidence_graph(B)
+        if b_ods.ndim != 2 or b_ods.shape[1] != len(B):
+            raise DimensionError("b_ods must be (M, V): one entry per node")
+        o, d = b_ods.argmin(axis=1), b_ods.argmax(axis=1)
+        unit = np.zeros_like(b_ods)
+        unit[np.arange(len(b_ods)), d] += 1.0
+        unit[np.arange(len(b_ods)), o] -= 1.0
+        if not np.array_equal(b_ods, unit):
+            raise InfeasibleSetError("each b_od must be e_d - e_o: one origin"
+                                     " -1, one destination +1, or zero")
+        ods = list(zip(o.tolist(), d.tolist()))
+        reach = {u: reachable(out_edges, u) for u in set(o.tolist())}
+        for u, v in ods:
+            if v not in reach[u]:
+                raise InfeasibleSetError(
+                    f"system B x = b_od is inconsistent: node {v} is"
+                    f" unreachable from node {u}")
         _freeze(self, B=B, b_ods=b_ods)
+        self.__dict__.update(out_edges=out_edges, ods=ods)
 
     @property
     def n(self):
@@ -695,12 +733,16 @@ class AggregativeGame:
         return ProfileProjector(self.individual)
 
     def profile(self, x) -> StrategyProfile:
+        """x, a profile, its matrix or its entries, as a profile of the
+        game; a profile or a matrix not (M, n) raises DimensionError."""
         if isinstance(x, StrategyProfile):
-            return x
+            x = x.as_matrix()
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return StrategyProfile.from_matrix(x)
-        return StrategyProfile(x, self.M, self.n)
+        if x.ndim == 2 and x.shape != (self.M, self.n):
+            raise DimensionError(f"a profile has shape ({self.M}, {self.n}),"
+                                 f" not {x.shape}")
+        return StrategyProfile(x.reshape(-1) if x.ndim == 2 else x, self.M,
+                               self.n)
 
     def bounding_box(self):
         """Tightest common box containing every individual set."""

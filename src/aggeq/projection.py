@@ -202,11 +202,11 @@ def shortest_path_edges(out_edges, weights, origin: int,
                         destination: int) -> tuple:
     """Edge indices, in path order, of the minimum-weight path from origin
     to destination: Dijkstra's search over out_edges[u], the (edge, head)
-    pairs leaving node u in ascending edge order, with nonnegative weights
-    indexed by edge.  Ties between equal-cost paths break toward the
-    lexicographically smallest edge-index sequence, so results are
-    deterministic.  Raises InfeasibleSetError when the destination is
-    unreachable."""
+    pairs leaving node u in ascending edge order (``incidence_graph``), with
+    nonnegative weights indexed by edge.  Ties between equal-cost paths
+    break toward the lexicographically smallest edge-index sequence, so
+    results are deterministic.  Raises InfeasibleSetError when the
+    destination is unreachable."""
     best = {origin: (0.0, ())}
     heap = [(0.0, (), origin)]
     while heap:
@@ -223,45 +223,6 @@ def shortest_path_edges(out_edges, weights, origin: int,
     if destination not in best:
         raise InfeasibleSetError("destination unreachable")
     return best[destination][1]
-
-
-def _flow_graph(family) -> tuple:
-    """The out-edge lists of a flow family's incidence matrix B and each
-    agent's (origin, destination), one node twice for a zero b_od, whose
-    path is empty.  Raises DimensionError unless every column of B has one
-    -1 (tail) and one +1 (head) and every b_od at most one origin."""
-    B, b_ods = family.B, family.b_ods
-    if not (np.all(np.count_nonzero(B, axis=0) == 2)
-            and np.all(B.min(axis=0) == -1.0)
-            and np.all(B.max(axis=0) == 1.0)):
-        raise DimensionError("a flow set's linear minimizer needs a"
-                             " node-edge incidence matrix")
-    if np.any(np.count_nonzero(b_ods < 0.0, axis=1) > 1):
-        raise DimensionError("a flow set's linear minimizer needs one"
-                             " origin per agent")
-    out_edges = [[] for _ in range(len(B))]
-    for e, (tail, head) in enumerate(zip(B.argmin(axis=0).tolist(),
-                                         B.argmax(axis=0).tolist())):
-        out_edges[tail].append((e, head))
-    return out_edges, list(zip(b_ods.argmin(axis=1).tolist(),
-                               b_ods.argmax(axis=1).tolist()))
-
-
-def _shortest_path_flows(Q_costs: np.ndarray, graph) -> np.ndarray:
-    """Exact minimizer of q^T x over {x in [0, 1]^E : B x = b_od} for every
-    row q of Q_costs: with nonnegative costs, the indicator of one shortest
-    path from the agent's origin to its destination (LeBlanc, Morlok &
-    Pierskalla 1975).  ``graph`` is ``_flow_graph`` of the family.  Raises
-    InfeasibleSetError on a negative or nan cost, where a shortest path is
-    not the minimizer."""
-    if not np.all(Q_costs >= 0.0):
-        raise InfeasibleSetError("a flow set's linear minimizer needs"
-                                 " nonnegative edge costs")
-    out_edges, ods = graph
-    X = np.zeros_like(Q_costs)
-    for x, q, od in zip(X, Q_costs, ods):
-        x[list(shortest_path_edges(out_edges, q.tolist(), *od))] = 1.0
-    return X
 
 
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
@@ -395,7 +356,6 @@ class ProfileProjector:
         self._shape = (len(family), family.n)
         self._box = isinstance(family, BoxFamily)
         self._hint = None
-        self._graph = None  # a flow family's _flow_graph, on first use
         if self._box:
             lo, hi, theta = family.lo, family.hi, family.theta
             self._bounded = bool(np.all(np.isfinite(lo))
@@ -446,14 +406,22 @@ class ProfileProjector:
 
     def minimize_linear(self, Q_costs: np.ndarray) -> np.ndarray:
         """Every agent's exact minimizer of Q_costs[i]^T x over its set: a
-        greedy fill for a box family, one shortest path per agent for a
-        flow family, whose costs must be nonnegative.  Raises
-        InfeasibleSetError on a box family with an infinite bound."""
+        greedy fill for a box family; for a flow family, the indicator of
+        one shortest path from the agent's origin to its destination over
+        the family's graph (LeBlanc, Morlok & Pierskalla 1975).  Raises
+        InfeasibleSetError on a box family with an infinite bound, and on
+        a negative or nan cost for a flow family, where a shortest path is
+        not the minimizer."""
         f = self.family
         if not self._box:
-            if self._graph is None:
-                self._graph = _flow_graph(f)
-            return _shortest_path_flows(Q_costs, self._graph)
+            if not np.all(Q_costs >= 0.0):
+                raise InfeasibleSetError("a flow set's linear minimizer needs"
+                                         " nonnegative edge costs")
+            X = np.zeros_like(Q_costs)
+            for x, q, od in zip(X, Q_costs, f.ods):
+                x[list(shortest_path_edges(f.out_edges, q.tolist(),
+                                           *od))] = 1.0
+            return X
         if not self._bounded:
             raise InfeasibleSetError("unbounded individual sets")
         return _greedy_linear_box_budget_batch(Q_costs, f.lo, f.hi, f.theta)

@@ -736,6 +736,60 @@ print("after route choice", "scipy.optimize" in sys.modules)
 """
 
 
+class TestCustomFileM:
+    """A custom-file game takes its M from the file: the config may not
+    set one, and every output names the file's."""
+
+    @pytest.fixture
+    def game_file(self, tmp_path):
+        M, n = 4, 3
+        path = tmp_path / "game.npz"
+        np.savez(path, Q=np.eye(n), C=0.5 * np.eye(n),
+                 c=-np.arange(1.0, M * n + 1).reshape(M, n) / M,
+                 lo=np.zeros(n), hi=np.ones(n))
+        return path
+
+    def config(self, tmp_path, game_file, extra=""):
+        return write_config(tmp_path, "[experiment]\nkind = custom-file\n"
+                            f"seed = 0\ntol = 1e-6\n{extra}\n[custom]\n"
+                            f"file = {game_file}\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep-m", "compare"])
+    @pytest.mark.parametrize("key, value", [("m", "4"), ("m_list", "2,8")])
+    def test_m_or_m_list_exits_2_naming_it(self, tmp_path, capsys,
+                                           game_file, command, key, value):
+        cfg = self.config(tmp_path, game_file, f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: [experiment] {key}: ")
+        assert not out.exists()
+
+    def test_sweep_and_compare_write_the_files_m(self, tmp_path, game_file):
+        cfg = self.config(tmp_path, game_file)
+        out = tmp_path / "out"
+        assert main(["sweep-m", "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_rows(out / "distances.csv")
+        assert (row["M"], row["inv_sqrt_m"]) == ("4", "0.5")
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert {row["M"] for row in read_rows(out / "iterations.csv")} \
+            == {"4"}
+
+    def test_verify_of_another_m_exits_2(self, tmp_path, capsys, game_file):
+        cfg = self.config(tmp_path, game_file)
+        eq = tmp_path / "equilibrium.csv"
+        eq.write_text("agent,component,value\n" + "".join(
+            f"{i},{t},0.25\n" for i in range(6) for t in range(3)),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["verify", str(eq), "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: equilibrium file has M=6, n=3 but the configured"
+            " game has M=4, n=3\n")
+        assert not (out / "report.csv").exists()
+
+
 class TestScipyOnDemand:
     def test_only_route_choice_loads_scipy_optimize(self, tmp_path):
         """Quadratic and EV runs never call BVLS or L-BFGS, so they do not

@@ -251,6 +251,31 @@ class TestIndividualSets:
         family = FlowFamily(B, [[-1.0, 1.0, 0.0, 0.0]] * 3)
         assert len(family) == 3 and not family.B.flags.writeable
 
+    def test_flow_family_refuses_a_reversed_edge(self):
+        # B x = b_od holds over the reals at x = -1, but the one edge runs
+        # from node 0 to node 1, so no flow leaves node 1.
+        with pytest.raises(InfeasibleSetError, match="inconsistent"):
+            FlowFamily([[-1.0], [1.0]], [[1.0, -1.0]])
+
+    def test_flow_family_refuses_two_origins(self):
+        # A 4-cycle: the row sums to zero and B x = b_od is consistent.
+        B = np.array([[-1.0, 0.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0],
+                      [0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        with pytest.raises(InfeasibleSetError, match="e_d - e_o"):
+            FlowFamily(B, [[-1.0, -1.0, 1.0, 1.0]])
+
+    def test_flow_family_refuses_a_non_incidence_matrix(self):
+        # x = 0.5 meets 2 x = 1, but an edge's column holds -1 and +1.
+        with pytest.raises(DimensionError, match="incidence"):
+            FlowFamily([[-2.0], [2.0]], [[-1.0, 1.0]])
+
+    def test_flow_family_graph(self):
+        # Edges 0 -> 1, 1 -> 0, 0 -> 1; a zero row routes node 0 to itself.
+        family = FlowFamily([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]],
+                            [[-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])
+        assert family.out_edges == [[(0, 1), (2, 1)], [(1, 0)]]
+        assert family.ods == [(0, 1), (1, 0), (0, 0)]
+
     def test_violation_values(self):
         box = BoxFamily([[0.0]], [[1.0]])
         assert box.violation(np.array([[1.1]]))[0] == pytest.approx(0.1)
@@ -286,6 +311,17 @@ class TestFeasibilityReport:
 
 
 class TestGameConstruction:
+    def test_profile_refuses_a_matrix_of_another_shape(self):
+        game = make_quadratic_game(M=4, n=2)
+        for shape in ((6, 2), (2, 4)):
+            for x in (np.zeros(shape), StrategyProfile.from_matrix(
+                    np.zeros(shape))):
+                with pytest.raises(DimensionError, match=r"shape \(4, 2\)"):
+                    game.profile(x)
+        X = np.arange(8.0).reshape(4, 2)
+        assert np.array_equal(game.profile(X).as_matrix(), X)
+        assert np.array_equal(game.profile(X.reshape(-1)).as_matrix(), X)
+
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(DimensionError):
             make_quadratic_game(M=0)
