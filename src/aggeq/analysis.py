@@ -196,97 +196,26 @@ def kkt_residual(game: AggregativeGame, flavor: str, x_bar,
     stationarity residual is that of the sign-constrained fit
     min |G + Gamma^T mu| (inequality entries of mu >= 0).  By Moreau's
     decomposition along the tangent cone T at x, whose polar cone the
-    active rows generate, that residual is -P_T(-G), and the normal part
-    -G - P_T(-G) is Gamma^T mu.  Box families take this route: one
-    batched projection for all agents
-    (``ProfileProjector.tangent_residual``), with the multipliers read off
-    the normal part.  Flow sets fit mu per agent by BVLS, an exact
-    active-set solver: their systems are small and dense, and their active
-    sets are often degenerate (flow conservation rows are always
-    rank-deficient), where the iterative default can run for minutes.
+    active rows generate, that residual is -P_T(-G): one projection per
+    profile, ``ProfileProjector.tangent_residual``, for either set family.
 
-    Reports the worst stationarity residual, the worst complementarity
-    product of the coupling multipliers with lam > 0, the smallest inequality
-    multiplier (0 for an agent whose active rows are dependent: its
-    multipliers are not unique and some valid choice has a zero entry)
-    and whether any agent's active rows are dependent.
+    Reports the worst stationarity residual and the worst complementarity
+    product of the coupling multipliers with lam > 0.
     """
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
     op = build_operator(game, flavor)
     G = op.evaluate_blocks(X) + game.coupling.adjoint_blocks(lam)
-    cone = game.projector.tangent_residual(X, G, ACTIVE_TOL)
-    if cone is not None:
-        stationarity, min_mu, degenerate = _cone_multipliers(G, *cone)
-    else:
-        stationarity, min_mu, degenerate = _bvls_multipliers(game, X, G)
+    R = game.projector.tangent_residual(X, G, ACTIVE_TOL)
     # Only rows with lam > 0: a row without a bound (b = +inf) has slack
     # +inf, and 0 * inf would read nan.
     held = lam > 0.0
     complementarity = float(np.max(
         np.abs(lam[held] * game.coupling.residual(X)[held]), initial=0.0))
     return {
-        "stationarity": stationarity,
+        "stationarity": float(np.max(np.abs(R), initial=0.0)),
         "complementarity": complementarity,
-        "dual_feasibility": float(min(np.min(lam, initial=0.0), 0.0)),
-        "min_mu": float(min_mu) if np.isfinite(min_mu) else 0.0,
-        "degenerate_active_set": degenerate,
     }
-
-
-def _cone_multipliers(G, R, at_lo, at_hi, pinned, budget) -> tuple:
-    """(stationarity, min_mu, degenerate) from the tangent-cone residual R.
-
-    The normal part N = R - G equals -mu_lo + mu_hi - mu_budget per
-    component.  A pinned component (lo == hi) is one equality row, whose
-    multiplier has no sign.  A component at both bounds that is not
-    pinned, or an active budget with no free component, makes the rows
-    dependent; otherwise mu_budget is -N on the free components (their
-    mean) and each one-sided bound's multiplier follows from its component.
-    """
-    free = ~(at_lo | at_hi)
-    n_free = free.sum(axis=1)
-    degenerate = (np.any(at_lo & at_hi & ~pinned, axis=1)
-                  | (budget & (n_free == 0)))
-    N = R - G
-    mu_budget = np.where(budget, -np.where(free, N, 0.0).sum(axis=1)
-                         / np.maximum(n_free, 1), 0.0)
-    mu_box = np.where(at_lo, -1.0, 1.0) * (N + mu_budget[:, None])
-    ok = ~degenerate
-    min_mu = min(np.min(mu_box[(at_lo ^ at_hi) & ok[:, None]],
-                        initial=np.inf),
-                 np.min(mu_budget[budget & ok], initial=np.inf),
-                 0.0 if np.any(degenerate) else np.inf)
-    return (float(np.max(np.abs(R), initial=0.0)), min_mu,
-            bool(np.any(degenerate)))
-
-
-def _bvls_multipliers(game: AggregativeGame, X, G) -> tuple:
-    """(stationarity, min_mu, degenerate) from a per-agent BVLS fit."""
-    from scipy.optimize import lsq_linear
-
-    stationarity = 0.0
-    min_mu = np.inf
-    degenerate = False
-    for i in range(game.M):
-        ineq, eq = game.individual.active_rows(i, X[i], ACTIVE_TOL)
-        Gamma = np.vstack([ineq, eq])
-        if not len(Gamma):
-            stationarity = max(stationarity,
-                               float(np.max(np.abs(G[i]), initial=0.0)))
-            continue
-        if np.linalg.matrix_rank(Gamma) < Gamma.shape[0]:
-            degenerate = True
-        lb = np.concatenate([np.zeros(len(ineq)),
-                             np.full(len(eq), -np.inf)])
-        ub = np.full(len(Gamma), np.inf)
-        sol = lsq_linear(Gamma.T, -G[i], bounds=(lb, ub), method="bvls")
-        resid = G[i] + Gamma.T @ sol.x
-        stationarity = max(stationarity,
-                           float(np.max(np.abs(resid), initial=0.0)))
-        if len(ineq):
-            min_mu = min(min_mu, float(np.min(sol.x[:len(ineq)])))
-    return stationarity, min_mu, degenerate
 
 
 # ---------------------------------------------------------------------------

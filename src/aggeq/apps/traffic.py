@@ -31,8 +31,9 @@ class RoadNetwork:
 
     B is the node-edge incidence matrix (+1 at the head, -1 at the tail);
     f[e] the per-capita capacity in vehicles per second; h the peak
-    duration in seconds; K[e] the per-edge caps on average flow.
-    ``out_edges`` is the ``incidence_graph`` of B, built once.
+    duration in seconds; K[e] the per-edge caps on average flow, >= 0
+    (inf for no cap).  ``out_edges`` is the ``incidence_graph`` of B,
+    built once.
     """
 
     node_ids: tuple
@@ -50,10 +51,17 @@ class RoadNetwork:
         V, E = B.shape
         if len(self.node_ids) != V or len(self.edges) != E:
             raise DimensionError("incidence matrix shape mismatch")
+        if f.shape != (E,) or K.shape != (E,):
+            raise DimensionError(f"f and K need one entry per edge ({E}),"
+                                 f" not shapes {f.shape} and {K.shape}")
         out_edges = incidence_graph(B)
         if np.any(f <= 0) or self.h <= 0:
             raise InfeasibleSetError("capacities and peak duration must be"
                                      " positive")
+        if not np.all(K >= 0):
+            raise InfeasibleSetError("edge caps K must be >= 0, inf for no"
+                                     " cap: flows are >= 0, so no profile"
+                                     " meets a negative cap")
         if any(e[3] <= 0 for e in self.edges):
             raise InfeasibleSetError("free-flow times must be positive")
         # Strongly connected: node 0 reaches every node, edges reversed too.

@@ -266,16 +266,6 @@ class FlowFamily:
     def violation(self, X) -> np.ndarray:
         return _flow_violation(X, self.B, self.b_ods)
 
-    def active_rows(self, i, x, tol):
-        """The (inequality, equality) gradient rows, as (k, n) arrays, of
-        agent i's constraints active at its strategy x within tol: -e_t
-        where x_t <= tol and +e_t where x_t >= 1 - tol, per component the
-        lower row first, then the rows of B, which every agent shares."""
-        t, hi_row = np.nonzero(np.stack([x <= tol, x >= 1.0 - tol], axis=1))
-        ineq = np.zeros((t.size, self.n))
-        ineq[np.arange(t.size), t] = np.where(hi_row, 1.0, -1.0)
-        return ineq, self.B
-
 
 SetFamily = Union[BoxFamily, FlowFamily]
 

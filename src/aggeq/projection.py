@@ -28,6 +28,13 @@ from .game import (BoxFamily, FlowFamily, SetFamily, check_box_budget,
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
+# Residual |B x - b|_inf at which a flow projection stops, and its Newton
+# step cap; the ridge of its Newton systems is _FLOW_RIDGE times that
+# residual, and at least _FLOW_RIDGE_FLOOR.
+FLOW_TOL = 1e-10
+FLOW_MAX_ITER = 200
+_FLOW_RIDGE = 1e-3
+_FLOW_RIDGE_FLOOR = 1e-12
 # A cached partition is kept when every component clears its bounds by this
 # many times the rounding bound n * eps * (sum(|y| + |lo| + |hi|) + |theta|)
 # of the row's sums.
@@ -226,55 +233,99 @@ def shortest_path_edges(out_edges, weights, origin: int,
 
 
 def project_flow_polytope(y, B, b_od) -> np.ndarray:
-    """Projection onto {x in [0, 1]^E : B x = b_od}.
-
-    Works on the concave dual over the node multipliers mu:
-    x(mu) = clip(y - B^T mu, 0, 1) and d(mu) = 0.5 |x(mu) - y|^2
-    + mu^T (B x(mu) - b_od).  One L-BFGS-B run maximizes it; an active-set
-    polish then restores the conservation equations to machine precision.
-    This is orders of magnitude faster than alternating projections when
-    y is far from the polytope.
-    """
-    from scipy.optimize import minimize
-
+    """Projection onto {x in [0, 1]^E : B x = b_od}: ``_project_flow`` with
+    unit bounds."""
     y, B, b_od = (np.asarray(v, dtype=float) for v in (y, B, b_od))
-
-    def neg_dual(mu):
-        x = np.clip(y - B.T @ mu, 0.0, 1.0)
-        r = B @ x - b_od
-        val = 0.5 * float((x - y) @ (x - y)) + float(mu @ r)
-        return -val, -r
-
-    res = minimize(neg_dual, np.zeros(B.shape[0]), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-12})
-    u = y - B.T @ res.x
-    return _polish_flow(np.clip(u, 0.0, 1.0), u, y, B, b_od)
+    return _project_flow(y, B, b_od, 0.0, 1.0)
 
 
-def _polish_flow(x, u, y, B, b_od):
-    """Equality-constrained least-squares refit on the components whose
-    unclipped value u clears the unit box by 1e-7.
+def _project_flow(y, B, b, lo, hi) -> np.ndarray:
+    """Projection of y onto {x : lo <= x <= hi, B x = b}, for B a node-edge
+    incidence matrix and bounds that broadcast to y: the body of
+    ``project_flow_polytope`` and of a flow family's tangent residual.
 
-    Falls back to the unpolished point when the refit leaves the box, which
-    only happens under active-set misidentification at degenerate points.
+    Semismooth Newton on the concave dual over the node multipliers nu
+    (Qi & Sun 1993; Li, Sun & Toh's SSNAL, 2018): x(nu) = clip(y - B^T nu,
+    lo, hi), the dual's gradient is r = B x(nu) - b, and its generalized
+    Hessian is -L, L = B diag(free) B^T the Laplacian of the edges strictly
+    inside their bounds, assembled from the edge endpoints.  L is singular
+    (constants, and each part the free edges leave apart, are in its
+    kernel), so each step solves (L + delta I) d = r with a ridge delta
+    proportional to |r|_inf, then moves nu by the exact maximizer of the
+    dual along d (``_flow_step``).  Returns x once |B x - b|_inf <=
+    FLOW_TOL; raises ConvergenceError, with the last x and that residual,
+    after FLOW_MAX_ITER steps without it.
     """
-    free = (u > 1e-7) & (u < 1.0 - 1e-7)
-    if not np.any(free):
-        if np.max(np.abs(B @ x - b_od), initial=0.0) <= 1e-9:
+    V = len(B)
+    tail, head = B.argmin(axis=0), B.argmax(axis=0)
+    # L's flat cells per edge (column): +1 at (tail, tail) and (head, head),
+    # -1 at (tail, head) and (head, tail); the ridge's cells on the diagonal.
+    cells = np.stack([tail * (V + 1), head * (V + 1), tail * V + head,
+                      head * V + tail])
+    signs = np.repeat([[1.0], [1.0], [-1.0], [-1.0]], len(tail), axis=1)
+    diagonal = np.arange(V) * (V + 1)
+    nu = np.zeros(V)
+    u = y
+    for step in range(FLOW_MAX_ITER + 1):
+        x = np.minimum(np.maximum(u, lo), hi)
+        r = B @ x - b
+        gap = float(np.abs(r).max())
+        if gap <= FLOW_TOL:
             return x
-        free = np.ones_like(free)
-    Bf = B[:, free]
-    rhs = Bf @ y[free] - (b_od - B[:, ~free] @ x[~free])
-    w, *_ = np.linalg.lstsq(Bf @ Bf.T, rhs, rcond=None)
-    xf = y[free] - Bf.T @ w
-    if np.all(xf >= -1e-9) and np.all(xf <= 1.0 + 1e-9):
-        out = x.copy()
-        out[free] = np.clip(xf, 0.0, 1.0)
-        if (np.max(np.abs(B @ out - b_od), initial=0.0)
-                <= np.max(np.abs(B @ x - b_od), initial=0.0) + 1e-12):
-            return out
-    return x
+        if step == FLOW_MAX_ITER:
+            raise ConvergenceError(
+                f"flow projection did not converge in {step} Newton steps"
+                f" (|B x - b| {gap:.3e})", last=x, gap=gap)
+        free = (u > lo) & (u < hi)
+        ridge = np.full(V, max(_FLOW_RIDGE * gap, _FLOW_RIDGE_FLOOR))
+        L = np.bincount(np.concatenate([diagonal, cells[:, free].ravel()]),
+                        np.concatenate([ridge, signs[:, free].ravel()]),
+                        V * V)
+        d = np.linalg.solve(L.reshape(V, V), r)
+        # Rounding leaves |g_e| up to 2 eps |d|_inf on an edge whose ends
+        # d moves alike; such an edge would put a breakpoint near infinity.
+        g = B.T @ d
+        g[np.abs(g) <= 4.0 * _EPS * np.max(np.abs(d))] = 0.0
+        nu = nu + _flow_step(u, g, lo, hi, float(d @ r)) * d
+        u = y - B.T @ nu
+
+
+def _flow_step(u, g, lo, hi, slope) -> float:
+    """The step s >= 0 that maximizes the flow dual along a direction d, at
+    u = y - B^T nu with g = B^T d and slope = d^T r > 0, the dual's
+    derivative at s = 0: where its derivative phi(s) = g^T clip(u - s g,
+    lo, hi) - d^T b falls to 0.
+
+    phi is piecewise linear and nonincreasing, with breakpoints where an
+    edge enters or leaves its bounds, (u_e - lo_e) / g_e and
+    (u_e - hi_e) / g_e.  A bisection over the sorted positive breakpoints,
+    evaluating phi in full at each, finds the segment where phi reaches 0,
+    and s interpolates phi there.  It is 0 when slope <= 0, and the last
+    breakpoint when phi stays positive, which only rounding allows on a
+    nonempty set."""
+    if slope <= 0.0:
+        return 0.0
+    rest = slope - g @ np.minimum(np.maximum(u, lo), hi)  # -d^T b
+
+    def phi(s):
+        return float(g @ np.minimum(np.maximum(u - s * g, lo), hi)) + rest
+
+    move = g != 0.0
+    bp = np.concatenate([(u - lo)[move] / g[move], (u - hi)[move] / g[move]])
+    bp = np.sort(bp[bp > 0.0])
+    # Invariant: phi > 0 at bp[below - 1] (slope at 0), <= 0 at bp[above].
+    below, above, left = 0, bp.size, slope
+    while below < above:
+        mid = (below + above) // 2
+        value = phi(bp[mid])
+        if value > 0.0:
+            below, left = mid + 1, value
+        else:
+            above, right = mid, value
+    if below == bp.size:
+        return float(bp[-1]) if below else 0.0
+    start = bp[below - 1] if below else 0.0
+    return float(start + (bp[below] - start) * left / (left - right))
 
 
 def project_halfspace(y, a, beta) -> np.ndarray:
@@ -379,30 +430,32 @@ class ProfileProjector:
 
     def tangent_residual(self, X: np.ndarray, G: np.ndarray, tol: float):
         """Every agent's stationarity residual -P_T(-G[i]), T the tangent
-        cone of its set at X[i], with the active sets it used; None for a
-        flow family.
+        cone of its set at X[i], as an (M, n) array.
 
-        The active sets are those of ``active_rows``: at_lo where
-        x <= lo + tol, at_hi where x >= hi - tol, and the budget row where
-        sum(x) <= theta + tol.  T bounds each active component's sign and,
-        under an active budget, the sum from below by 0.  The projection is
-        ``project_box_budget_batch`` with the free bounds at
-        +-(n + 1)(|G[i]|_inf + 1), which the projection never reaches.
-        Returns (R, at_lo, at_hi, pinned, budget) with R and the masks
-        (M, n), pinned where lo == hi, and budget (M,).
+        T bounds the sign of each component within tol of a bound: d >= 0
+        where x <= lo + tol, d <= 0 where x >= hi - tol.  On a box family
+        it bounds the sum from below by 0 where the budget is active
+        (sum(x) <= theta + tol); on a flow family it keeps B d = 0.  The
+        projection takes the free bounds at +-(n + 1)(|G[i]|_inf + 1),
+        which it never reaches: ``project_box_budget_batch`` for a box
+        family, and per agent ``_project_flow`` with b = 0 for a flow
+        family, on -G[i] / s, s = max(1, |G[i]|_inf), scaled back by s: T
+        is a cone, and so the flow projection's tolerance scales with G.
         """
-        if not self._box:
-            return None
-        lo, hi, theta = self.family.lo, self.family.hi, self.family.theta
-        at_lo = X <= lo + tol
-        at_hi = X >= hi - tol
-        budget = X.sum(axis=1) <= theta + tol
+        lo, hi = self.family.bounds()
         far = (X.shape[1] + 1) * (np.max(np.abs(G), axis=1,
                                          keepdims=True) + 1.0)
-        P = project_box_budget_batch(-G, np.where(at_lo, 0.0, -far),
-                                     np.where(at_hi, 0.0, far),
-                                     np.where(budget, 0.0, -np.inf))
-        return -P, at_lo, at_hi, lo == hi, budget
+        lo = np.where(X <= lo + tol, 0.0, -far)
+        hi = np.where(X >= hi - tol, 0.0, far)
+        if self._box:
+            budget = X.sum(axis=1) <= self.family.theta + tol
+            return -project_box_budget_batch(-G, lo, hi,
+                                             np.where(budget, 0.0, -np.inf))
+        B = self.family.B
+        zero = np.zeros(len(B))
+        scale = np.maximum(np.max(np.abs(G), axis=1), 1.0)
+        return -np.stack([s * _project_flow(-g / s, B, zero, l / s, h / s)
+                          for g, l, h, s in zip(G, lo, hi, scale)])
 
     def minimize_linear(self, Q_costs: np.ndarray) -> np.ndarray:
         """Every agent's exact minimizer of Q_costs[i]^T x over its set: a

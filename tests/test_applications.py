@@ -556,6 +556,16 @@ class TestNetwork:
         with pytest.raises(InfeasibleSetError):
             build_network([0, 1], [(0, 1, 1.0, 1.0)])
 
+    @pytest.mark.parametrize("f, K", [([0.1] * 3, None), (0.1, [1.0] * 5)])
+    def test_per_edge_arrays_of_another_length_rejected(self, f, K):
+        with pytest.raises(DimensionError):
+            build_network([0, 1], TWO_ROUTE_EDGES, f=f, K=K)
+
+    @pytest.mark.parametrize("K", [-1.0, [np.nan] * 4, [1.0, 1.0, -0.1, 1.0]])
+    def test_negative_or_nan_cap_rejected(self, K):
+        with pytest.raises(InfeasibleSetError):
+            build_network([0, 1], TWO_ROUTE_EDGES, K=K)
+
     def test_shortest_path_is_binary_flow(self):
         net = build_network([0, 1], TWO_ROUTE_EDGES)
         x = shortest_path(net, 0, 1)

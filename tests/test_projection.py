@@ -7,7 +7,7 @@ from aggeq.apps.traffic import build_network
 from aggeq.errors import (ConvergenceError, DimensionError,
                           InfeasibleSetError)
 from aggeq.game import BoxFamily, FlowFamily
-from aggeq.projection import (ProfileProjector, _polish_flow, dykstra,
+from aggeq.projection import (ProfileProjector, dykstra,
                               project_box_budget, project_box_budget_batch,
                               project_flow_polytope, project_halfspace,
                               project_individual)
@@ -341,29 +341,6 @@ class TestProjectorProperties:
                 count += 1
 
 
-def single_agent_flow_projection(y, B, b_od):
-    """Test oracle: the single-agent flow projection that preceded the
-    batched body, with its own dual objective and L-BFGS-B run."""
-    from scipy.optimize import minimize
-
-    y = np.asarray(y, dtype=float)
-    B = np.asarray(B, dtype=float)
-    b_od = np.asarray(b_od, dtype=float)
-
-    def neg_dual(mu):
-        x = np.clip(y - B.T @ mu, 0.0, 1.0)
-        r = B @ x - b_od
-        val = 0.5 * float((x - y) @ (x - y)) + float(mu @ r)
-        return -val, -r
-
-    res = minimize(neg_dual, np.zeros(B.shape[0]), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-12})
-    u = y - B.T @ res.x
-    x = np.clip(u, 0.0, 1.0)
-    return _polish_flow(x, u, y, B, b_od)
-
-
 def grid_incidence(rows, cols):
     """Incidence matrix of a rows x cols street grid, both directions of
     every street."""
@@ -376,19 +353,60 @@ def grid_incidence(rows, cols):
     return build_network(nodes, edges).B
 
 
+def random_b_od(rng, V):
+    """e_d - e_o for a random origin o and destination d != o."""
+    o, d = rng.choice(V, 2, replace=False)
+    b_od = np.zeros(V)
+    b_od[o], b_od[d] = -1.0, 1.0
+    return b_od
+
+
 class TestFlowProjection:
-    def test_one_row_body_matches_single_agent_oracle_bytes(self):
-        B = grid_incidence(4, 4)
+    @pytest.mark.parametrize("size, count, scale", [(4, 200, 30.0),
+                                                    (8, 40, 100.0)])
+    def test_every_result_meets_conservation(self, size, count, scale):
+        """On these instances the L-BFGS-B dual and its polish, which the
+        Newton method replaced, returned points that missed B x = b_od by
+        up to 7.8e-8."""
+        B = grid_incidence(size, size)
         V, E = B.shape
-        rng = np.random.default_rng(15)
-        for _ in range(60):
-            o, d = rng.choice(V, 2, replace=False)
-            b_od = np.zeros(V)
-            b_od[o], b_od[d] = -1.0, 1.0
-            y = rng.normal(0.3, 0.6, size=E) * 10.0 ** rng.uniform(-1, 2)
+        rng = np.random.default_rng(1)
+        for _ in range(count):
+            b_od = random_b_od(rng, V)
+            x = project_flow_polytope(scale * rng.normal(0.3, 0.6, size=E),
+                                      B, b_od)
+            assert np.all((x >= 0.0) & (x <= 1.0))
+            assert np.max(np.abs(B @ x - b_od)) <= 1e-10
+
+    @pytest.mark.parametrize("rows, cols, scale, count", [
+        (2, 3, 1.0, 20), (3, 3, 3.0, 20), (3, 4, 1.0, 10),
+        # The tiny-gamma regime of route games: y of order 1000.
+        (2, 2, 1000.0, 10), (3, 3, 1000.0, 5)])
+    def test_agrees_with_dykstra(self, rows, cols, scale, count):
+        B = grid_incidence(rows, cols)
+        V, E = B.shape
+        pinv = np.linalg.pinv(B)
+        rng = np.random.default_rng(rows * cols)
+        for _ in range(count):
+            b_od = random_b_od(rng, V)
+            y = scale * rng.normal(0.3, 0.6, size=E)
+            want = dykstra(y, [lambda v: np.clip(v, 0.0, 1.0),
+                               lambda v: v - pinv @ (B @ v - b_od)])
             got = project_flow_polytope(y, B, b_od)
-            want = single_agent_flow_projection(y, B, b_od)
-            assert got.tobytes() == want.tobytes()
+            assert np.max(np.abs(got - want)) <= 1e-9
+            assert np.max(np.abs(B @ got - b_od)) <= 1e-10
+
+    def test_iteration_cap_raises_with_the_last_point(self, monkeypatch):
+        monkeypatch.setattr(projection, "FLOW_MAX_ITER", 1)
+        B = grid_incidence(3, 3)
+        b_od = random_b_od(np.random.default_rng(0), len(B))
+        y = 30.0 * np.random.default_rng(1).normal(0.3, 0.6, size=B.shape[1])
+        with pytest.raises(ConvergenceError) as info:
+            project_flow_polytope(y, B, b_od)
+        last = info.value.last
+        assert last.shape == y.shape
+        assert np.all((last >= 0.0) & (last <= 1.0))
+        assert info.value.gap == np.max(np.abs(B @ last - b_od)) > 1e-10
 
     def test_matches_box_budget_structure_on_segment(self):
         # On two parallel edges the polytope is the segment x1 + x2 = 1.

@@ -1,4 +1,4 @@
-"""Byte harness: 27 `aggeq` CLI invocations and the sha256 of every file
+"""Byte harness: 30 `aggeq` CLI invocations and the sha256 of every file
 they write.
 
     python3 tools/byte_harness.py OUT_DIR [--src SRC_DIR]
@@ -33,7 +33,9 @@ The invocations:
     the EV kind (8);
   * ``compare`` (M=8, n_rep 2) and ``sweep-m`` (M = 4, 8, 12) on both
     kinds (4);
-  * three algorithms on a generated 3x3 road grid, M=4, max_iter 40 (3);
+  * three algorithms on a generated 3x3 road grid, M=4: at the edge cap
+    k = 0.05 with max_iter 40, where each stops at max_iter, and at
+    k = 1.0 with the default max_iter, where each converges (6);
   * ``verify`` of four stored equilibria from the runs above (4);
   * both timed benchmark workloads at seed 1 (2);
   * ``apa-nash`` and ``extragradient`` on three ``custom-file`` games at
@@ -124,14 +126,16 @@ def cases(inputs):
     grid = os.path.join(inputs, "grid")
     os.makedirs(grid)
     write_grid_network(grid, 3, 3, 3)
-    for algo in ("apa-wardrop", "extragradient", "two-level"):
-        ini = os.path.join(inputs, f"traffic-{algo}.ini")
-        write_ini(ini, {"kind": "traffic", "seed": 3, "m": 4,
-                        "algorithm": algo, "max_iter": 40},
-                  [("traffic", {"nodes_file": f"{grid}/nodes.csv",
-                                "edges_file": f"{grid}/edges.csv",
-                                "f_e": 0.02, "h": 2, "k": 0.05})])
-        out.append((f"traffic-{algo}", ["run", "--config", ini]))
+    for k, suffix, cap in ((0.05, "", {"max_iter": 40}), (1.0, "-k1", {})):
+        for algo in ("apa-wardrop", "extragradient", "two-level"):
+            name = f"traffic-{algo}{suffix}"
+            ini = os.path.join(inputs, f"{name}.ini")
+            write_ini(ini, {"kind": "traffic", "seed": 3, "m": 4,
+                            "algorithm": algo, **cap},
+                      [("traffic", {"nodes_file": f"{grid}/nodes.csv",
+                                    "edges_file": f"{grid}/edges.csv",
+                                    "f_e": 0.02, "h": 2, "k": k})])
+            out.append((name, ["run", "--config", ini]))
     for kind, algo in (("quadratic", "apa-nash"), ("quadratic", "two-level"),
                        ("ev", "apa-nash"), ("ev", "extragradient")):
         ini = os.path.join(inputs, f"run-{kind}-{algo}.ini")
