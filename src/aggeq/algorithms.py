@@ -11,13 +11,16 @@ Three solvers share the interface game -> EquilibriumResult:
 
 Each solver sets up its constants and step size, then hands a generator
 of (x, lambda, primal updates) steps to one iteration loop, ``_drive``.
-That loop owns the starting point, the divergence check, the stop on the
-inf-norm of successive (x, lambda) iterates, the trace (``TRACE_COLUMNS``;
-a row per outer two-level iteration, else every 25 updates and at
-convergence) and the result.  Iterates stay individually feasible
-(projections enforce it) and multipliers nonnegative.  ``SOLVERS``, the
-one registry, maps each algorithm name to its flavor and solver for the
-CLI and the tests.
+That loop owns the starting point, the divergence check, the stop test,
+the trace (``TRACE_COLUMNS``; a row per outer two-level iteration, else
+every 25 updates and at convergence) and the result.  The stop test is
+max(primal step, dual step) <= tol, the inf-norm of successive (x, lambda)
+iterates; the (M, n) primal step is taken only on a trace row or when the
+(m,) dual step is within tol, which gives the same result.  The APA and
+extragradient forward steps work in one (M, n) workspace per solve.
+Iterates stay individually feasible (projections enforce it) and
+multipliers nonnegative.  ``SOLVERS``, the one registry, maps each
+algorithm name to its flavor and solver for the CLI and the tests.
 
 The two-level scheme's optimal responses have one batched body,
 ``_batch_best_response``: the cost model's closed form where it has one,
@@ -176,22 +179,24 @@ def _strong_monotonicity(rep: MonotonicityReport, scheme: str) -> float:
     return alpha
 
 
-def _change(X_new, X, lam_new, lam) -> float:
-    """Inf-norm of the step between successive (x, lam) iterates."""
-    return max(float(np.abs(X_new - X).max(initial=0.0)),
-               float(np.abs(lam_new - lam).max(initial=0.0)))
+def _step_norm(new, old, work=None) -> float:
+    """Inf-norm of new - old, formed in ``work`` when given."""
+    diff = np.subtract(new, old, out=work)
+    return float(np.abs(diff, out=diff).max(initial=0.0))
 
 
-def _forward_step(op, proj, X, tau, Y, aY, lam):
+def _forward_step(op, proj, X, tau, Y, aY, lam, F):
     """proj(X - tau * (F(Y) + A^T lam)), with A^T lam passed to the mapping
-    as its charge and the step scaled and subtracted in F's array.  aY = A y;
+    as its charge.  The mapping, its scaling by tau and the subtraction are
+    all written into F, the solve's (M, n) workspace; the projection
+    returns a new array, so F is free again when this returns.  aY = A y;
     under the per-component cap it is the aggregate F needs, and A^T lam is
     the row lam / M."""
     coupling = op.game.coupling
     if coupling.A is None:
-        F = op.evaluate_blocks(Y, aY, lam / coupling.M)
+        op.evaluate_blocks(Y, aY, lam / coupling.M, out=F)
     else:
-        F = op.evaluate_blocks(Y, charge=coupling.adjoint_blocks(lam))
+        op.evaluate_blocks(Y, charge=coupling.adjoint_blocks(lam), out=F)
     F *= tau
     return proj(np.subtract(X, F, out=F))
 
@@ -218,15 +223,24 @@ def _drive(game: AggregativeGame, flavor: str, config: SolverConfig,
     lam = np.zeros(coupling.m)
     lo, hi = game.bounding_box()
     radius = float(max(np.max(np.abs(lo)), np.max(np.abs(hi)), 1.0))
-    primal, trace = 0, []
+    work = np.empty_like(X)  # the primal step's workspace
+    primal, trace, converged = 0, [], False
     for k, (X_new, lam_new, updates) in zip(range(1, config.max_iter + 1),
                                             steps(proj, X, lam)):
         primal += updates
         _check_divergence(X_new, radius, lam_new)
-        residual = _change(X_new, X, lam_new, lam)
-        X, lam = X_new, lam_new
+        dual_step = _step_norm(lam_new, lam)
+        X_old, X, lam = X, X_new, lam_new
+        due = k % trace_every == 0
+        # The residual is max(primal step, dual step).  The primal step
+        # costs three (M, n) passes and the (m,) dual step one, so skip the
+        # primal step when a cheap quantity already exceeds tol (the update
+        # cannot converge) and no trace row is due.  A nan exceeds nothing.
+        if dual_step > config.tol and not due:
+            continue
+        residual = max(_step_norm(X, X_old, work), dual_step)
         converged = residual <= config.tol
-        if converged or k % trace_every == 0:
+        if converged or due:
             # max(A x - b, 0): an exactly tight row reads 0.0, never -0.0.
             excess = coupling.apply(X) - coupling.b
             violation = float(excess.max(initial=0.0))
@@ -317,9 +331,10 @@ def asymmetric_projection(game: AggregativeGame, flavor: str,
     coupling = game.coupling
 
     def steps(proj, X, lam):
+        F = np.empty_like(X)
         ax = coupling.apply(X)
         while True:
-            X = _forward_step(op, proj, X, tau, X, ax, lam)
+            X = _forward_step(op, proj, X, tau, X, ax, lam, F)
             ax0, ax = ax, coupling.apply(X)
             lam = np.maximum(0.0, lam - tau * (coupling.b - 2.0 * ax + ax0))
             yield X, lam, 1
@@ -340,12 +355,13 @@ def extragradient(game: AggregativeGame, flavor: str, config: SolverConfig,
     coupling = game.coupling
 
     def steps(proj, X, lam):
+        F = np.empty_like(X)
         while True:
             ax = coupling.apply(X)
-            X_half = _forward_step(op, proj, X, tau, X, ax, lam)
+            X_half = _forward_step(op, proj, X, tau, X, ax, lam, F)
             lam_half = np.maximum(0.0, lam - tau * (coupling.b - ax))
             ax_half = coupling.apply(X_half)
-            X = _forward_step(op, proj, X, tau, X_half, ax_half, lam_half)
+            X = _forward_step(op, proj, X, tau, X_half, ax_half, lam_half, F)
             lam = np.maximum(0.0, lam - tau * (coupling.b - ax_half))
             yield X, lam, 1
 

@@ -75,12 +75,20 @@ class StrategyProfile:
 
 
 def aggregate_matrix(X: np.ndarray) -> np.ndarray:
-    """Average of the rows of an (M, n) strategy matrix.
+    """Average of the rows of an (M, n) strategy matrix, with the bytes of
+    ``np.add.reduce(X, axis=0) / M``.
 
-    Uses a fixed agent-index-order reduction so repeated runs are bitwise
-    identical.
+    On a C-contiguous X with n >= 2, the layout of every profile the
+    solvers make, that reduction adds the rows one at a time in agent
+    order; ``np.einsum("ij->j", X)`` makes the same adds faster and is used
+    there.  Where a column's sum is nan its sign bit may differ, and
+    inf - inf raises no floating-point warning.  Other layouts (n = 1,
+    Fortran order, strided views) keep add.reduce, which may sum them
+    pairwise.  Every layout gives the same bytes on every run.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim == 2 and X.shape[1] >= 2 and X.flags.c_contiguous:
+        return np.einsum("ij->j", X) / X.shape[0]
     return np.add.reduce(X, axis=0) / X.shape[0]
 
 
@@ -451,10 +459,11 @@ class QuadraticTracking:
 # average or an (M, n) matrix of per-agent averages z_i; row i of
 # value_all(X, z) is J^i(X[i], z_i), of grad_own_all(X, z) its gradient in
 # X[i] and of grad_agg_all(X, z) its gradient in z_i.  They also give:
-# * mapping_all(X, z, M, nash, charge=None): the game mapping's rows, each
-#   agent's own gradient, plus its gradient in z_i divided by M when nash,
-#   plus charge, an (n,) row or (M, n) blocks; the solvers' hot path, so
-#   each model sums it in as few array passes as its form allows;
+# * mapping_all(X, z, M, nash, charge=None, out=None): the game mapping's
+#   rows, each agent's own gradient, plus its gradient in z_i divided by M
+#   when nash, plus charge, an (n,) row or (M, n) blocks, written into out
+#   when given; the solvers' hot path, so each model sums it in as few
+#   array passes as its form allows;
 # * own_lipschitz(): a Lipschitz constant of grad_own_all in X, every agent;
 # * aggregate_lipschitz(hi): L_p, the Lipschitz constant of the
 #   price/aggregate coupling (PriceTimesUsage scans p' on a grid, or reads
@@ -530,7 +539,7 @@ class QuadraticCost:
     def grad_agg_all(self, X, z):
         return X @ self.C if self.c_scale is None else X * self.c_scale
 
-    def mapping_all(self, X, z, M, nash, charge=None):
+    def mapping_all(self, X, z, M, nash, charge=None, out=None):
         """X P + c + (C z + charge): the affine mapping with one coefficient
         P on X, Q^T + C/M (Nash) or Q^T (Wardrop), a scalar where Q and C
         allow, and the z term and charge summed before their one add.  An
@@ -538,9 +547,10 @@ class QuadraticCost:
         if self.q_scale is not None and (self.c_scale is not None
                                          or not nash):
             p = self.q_scale + self.c_scale / M if nash else self.q_scale
-            out = X * p
+            out = np.multiply(X, p, out=out)
         else:
-            out = X @ (self.Q.T + self.C / M if nash else self.Q.T)
+            out = np.matmul(X, self.Q.T + self.C / M if nash else self.Q.T,
+                            out=out)
         out += self.c
         shift = z @ self.C.T if self.c_scale is None else z * self.c_scale
         if charge is not None:
@@ -608,10 +618,10 @@ class PriceTimesUsage:
     def grad_agg_all(self, X, z):
         return X * self.price.diag(z)
 
-    def mapping_all(self, X, z, M, nash, charge=None):
+    def mapping_all(self, X, z, M, nash, charge=None, out=None):
         """Own gradient plus price, then the aggregate term over M when
         nash, then charge, each summed in place."""
-        out = self.grad_own_all(X, z)
+        out = np.add(self.utility.grad_all(X), self.price.value(z), out=out)
         if nash:
             agg = self.grad_agg_all(X, z)
             agg /= M

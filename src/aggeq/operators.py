@@ -42,19 +42,21 @@ class GameOperator:
         self.flavor = flavor
 
     def evaluate_blocks(self, X: np.ndarray, z: Optional[np.ndarray] = None,
-                        charge: Optional[np.ndarray] = None) -> np.ndarray:
-        """F(X) + charge as a fresh (M, n) matrix, the cost model's
-        ``mapping_all`` with the game's M.  z is X's aggregate (None
-        computes it) or an (M, n) matrix of per-agent averages, as
-        ``epsilon_nash`` passes its deviations' averages; charge, summed in
-        with the mapping's own terms, is the solvers' dual charge A^T lam:
-        the (n,) row lam / M under a per-component cap, else (M, n)
-        blocks."""
+                        charge: Optional[np.ndarray] = None,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """F(X) + charge as an (M, n) matrix, the cost model's
+        ``mapping_all`` with the game's M: a fresh one, or ``out``, a float
+        (M, n) array apart from X, written over and returned.  z is X's
+        aggregate (None computes it) or an (M, n) matrix of per-agent
+        averages, as ``epsilon_nash`` passes its deviations' averages;
+        charge, summed in with the mapping's own terms, is the solvers' dual
+        charge A^T lam: the (n,) row lam / M under a per-component cap, else
+        (M, n) blocks."""
         X = np.asarray(X, dtype=float)
         if z is None:
             z = aggregate_matrix(X)
         return self.game.cost.mapping_all(X, z, self.game.M,
-                                          self.flavor == NASH, charge)
+                                          self.flavor == NASH, charge, out)
 
     def evaluate(self, x) -> np.ndarray:
         X = self.game.profile(x).as_matrix()

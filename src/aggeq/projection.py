@@ -396,7 +396,8 @@ class ProfileProjector:
     """Projection of an (M, n) strategy matrix onto the product of the
     agents' sets, one set family; any other shape raises DimensionError.
     A box family takes one batched pass (the clamp alone when no budget is
-    finite), a flow family one ``project_individual`` call per row.
+    finite), a flow family one ``project_individual`` call per row.  The
+    result is a new array, never Y or a view of it.
 
     On a bounded box family with budgets, each call passes
     ``_box_budget_rows`` its hint ``_hint``, a ``_partition_cache`` that

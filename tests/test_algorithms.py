@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aggeq import algorithms
 from aggeq.algorithms import (INNER_MAX_ITER, SOLVERS, EquilibriumResult,
-                              SolverConfig, _batch_best_response,
+                              SolverConfig, _batch_best_response, _drive,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
@@ -657,3 +658,111 @@ class TestSolverBehavior:
         assert isinstance(res, EquilibriumResult)
         assert res.primal_updates > res.dual_updates > 0
         assert res.trace[-1]["dual_updates"] == res.dual_updates
+
+
+def scripted_steps(path):
+    """A ``steps`` generator for ``_drive`` that moves X[0, 0] and lam[0]
+    through the (x, l) points of path, one primal update per point."""
+    def steps(proj, X, lam):
+        for x, l in path:
+            X, lam = X.copy(), lam.copy()
+            X[0, 0], lam[0] = x, l
+            yield X, lam, 1
+    return steps
+
+
+def count_primal_steps(monkeypatch):
+    """Record (ndim, value) of every step norm ``_drive`` takes: ndim 2 for
+    the primal step, 1 for the dual step."""
+    calls = []
+    norm = algorithms._step_norm
+
+    def counting(new, old, work=None):
+        value = norm(new, old, work)
+        calls.append((new.ndim, value))
+        return value
+
+    monkeypatch.setattr(algorithms, "_step_norm", counting)
+    return calls
+
+
+class TestStopRule:
+    """The residual is max(primal step, dual step), and an update converges
+    when it is <= tol.  The primal step is taken only on a trace row or
+    when the dual step is within tol, so an update whose dual step exceeds
+    tol never converges and, between trace rows, skips the (M, n) passes.
+    Every point below is dyadic, so each step is exact."""
+
+    TOL = 2.0 ** -10
+    EPS = 2.0 ** -12  # a step within TOL
+
+    def drive(self, path, max_iter=100):
+        game = quadratic_cap_game(M=2, n=2, K=0.5)
+        config = SolverConfig(tol=self.TOL, max_iter=max_iter)
+        return _drive(game, NASH, config, scripted_steps(path),
+                      trace_every=4)
+
+    @staticmethod
+    def row(k, residual):
+        # X stays within the cap, so every row's violation is +0.0.
+        return {"k": k, "residual": residual, "max_violation": 0.0,
+                "primal_updates": k, "dual_updates": k}
+
+    def test_scripted_steps(self, monkeypatch):
+        calls = count_primal_steps(monkeypatch)
+        eps = self.EPS
+        path = [
+            (0.25, 0.125),              # 1: both steps exceed tol
+            (0.25 + eps, 0.375),        # 2: only the primal step within
+            (0.0, 0.375 + eps),         # 3: only the dual step within
+            (0.5, 0.5),                 # 4: trace row, primal step larger
+            (0.5, 1.0), (0.25, 1.5), (0.25, 2.0),  # 5-7
+            (0.375, 2.5),               # 8: trace row, dual step larger
+            (0.375 + eps, 2.5 + eps),   # 9: both within, no row due
+            (0.0, 0.0),                 # never reached
+        ]
+        res = self.drive(path)
+        assert res.converged
+        assert (res.primal_updates, res.dual_updates) == (9, 9)
+        assert res.trace == [self.row(4, 0.5), self.row(8, 0.5),
+                             self.row(9, eps)]
+        assert res.trace[1]["residual"] == 2.5 - 2.0  # the dual step's
+        assert sum(ndim == 1 for ndim, _ in calls) == 9  # one per update
+        primal = [value for ndim, value in calls if ndim == 2]
+        # Updates 3, 4, 8 and 9 take the primal step, in that order.
+        assert primal == [0.25 + eps, 0.5, 0.125, eps]
+
+    def test_dual_step_alone_never_converges(self):
+        path = [(0.25 * (k % 2), 0.0) for k in range(1, 7)]
+        res = self.drive(path, max_iter=6)
+        assert not res.converged and res.dual_updates == 6
+        assert res.trace == [self.row(4, 0.25)]
+
+    @pytest.mark.parametrize("max_iter, rows", [(3, 0), (6, 1)])
+    def test_max_iter_on_a_skipped_update(self, monkeypatch, max_iter, rows):
+        # Every dual step exceeds tol, so updates 1-3, 5 and 6 are skipped
+        # and the run ends on one of them, unconverged.
+        calls = count_primal_steps(monkeypatch)
+        path = [(0.0, 0.25 * k) for k in range(1, 10)]
+        res = self.drive(path, max_iter=max_iter)
+        assert not res.converged
+        assert res.dual_updates == res.primal_updates == max_iter
+        assert res.trace == [self.row(4, 0.25)][:rows]
+        assert sum(ndim == 2 for ndim, _ in calls) == rows
+
+    def test_the_quadratic_builder_skips_the_primal_step(self, monkeypatch):
+        """Through ``build_quadratic_game`` and ``apa-nash``: the primal
+        step is taken on the 25-update trace rows and on the few updates
+        whose dual step is within tol, fewer than one update in 20."""
+        calls = count_primal_steps(monkeypatch)
+        tol = 1e-4
+        res = SOLVERS["apa-nash"].solve(build_quadratic_game(50),
+                                        SolverConfig(tol=tol))
+        assert res.converged
+        duals = [value for ndim, value in calls if ndim == 1]
+        primal = sum(ndim == 2 for ndim, _ in calls)
+        assert len(duals) == res.dual_updates
+        within = sum(value <= tol for k, value in enumerate(duals, start=1)
+                     if k % 25)
+        assert primal == res.dual_updates // 25 + within
+        assert 0 < within and primal <= res.dual_updates / 20

@@ -58,6 +58,69 @@ class TestStrategyProfile:
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+def sum_input(rng, M, n, specials=(np.inf, -np.inf, -0.0)):
+    """An (M, n) matrix of entries spread over 17 decades, so summation
+    order shows in the last bits; in every even column a few entries are
+    drawn from specials, and when n >= 3 the last column is all -0.0."""
+    X = rng.standard_normal((M, n)) * 10.0 ** rng.integers(-8, 9, (M, n))
+    special = rng.random((M, n)) < 0.02
+    special[:, 1::2] = False
+    X[special] = rng.choice(specials, size=int(special.sum()))
+    if n >= 3:
+        X[:, -1] = -0.0
+    return X
+
+
+def reduce_mean(X):
+    with np.errstate(invalid="ignore"):  # inf - inf in a column
+        return np.add.reduce(X, axis=0) / X.shape[0]
+
+
+class TestAggregateMatrix:
+    """``aggregate_matrix`` gives the bytes of np.add.reduce(X, axis=0) / M
+    on every layout: through einsum on C-contiguous X with n >= 2, through
+    add.reduce itself on the rest.  The one exception is the sign of a nan
+    sum where a nan entry meets the nan of inf - inf."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 9, 150, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 5, 24, 213])
+    def test_c_contiguous_bytes(self, M, n):
+        rng = np.random.default_rng(M * 1000 + n)
+        for _ in range(3):
+            X = sum_input(rng, M, n)
+            assert aggregate_matrix(X).tobytes() == reduce_mean(X).tobytes()
+
+    def test_c_contiguous_bytes_at_ten_thousand_agents(self):
+        X = sum_input(np.random.default_rng(10), 10_000, 24)
+        assert aggregate_matrix(X).tobytes() == reduce_mean(X).tobytes()
+
+    @pytest.mark.parametrize("M, n", [(9, 3), (150, 24), (1000, 24)])
+    def test_nan_entries_give_nan_in_the_same_columns(self, M, n):
+        rng = np.random.default_rng(M + n)
+        X = sum_input(rng, M, n, (np.inf, -np.inf, np.nan, -0.0))
+        got, want = aggregate_matrix(X), reduce_mean(X)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() \
+            == want[~np.isnan(want)].tobytes()
+
+    def test_other_layouts_keep_add_reduce(self):
+        rng = np.random.default_rng(11)
+        X = sum_input(rng, 1000, 24)
+        layouts = [sum_input(rng, 1000, 1), np.asfortranarray(X),
+                   X[::3], X[:, ::2], sum_input(rng, 24, 1000).T]
+        moved = 0
+        for Y in layouts:
+            assert not (Y.flags.c_contiguous and Y.shape[1] >= 2)
+            with np.errstate(invalid="ignore"):
+                got = aggregate_matrix(Y)
+            assert got.tobytes() == reduce_mean(Y).tobytes()
+            moved += (np.einsum("ij->j", Y) / Y.shape[0]).tobytes() \
+                != reduce_mean(Y).tobytes()
+        # einsum itself would move bytes on some of them: numpy sums those
+        # layouts pairwise.
+        assert moved > 0
+
+
 class TestCostValue:
     def test_quadratic_substitution(self):
         game = make_quadratic_game()

@@ -209,6 +209,25 @@ class TestMappingCharge:
         assert op.evaluate_blocks(X, z, charge).tobytes() \
             == (op.evaluate_blocks(X, z) + charge).tobytes()
 
+    @pytest.mark.parametrize("shape", ["row", "blocks"])
+    @pytest.mark.parametrize("flavor", [NASH, WARDROP])
+    @pytest.mark.parametrize("case", ["builder", "general", "ev"])
+    def test_out_gets_the_fresh_bytes(self, case, flavor, shape):
+        """The solvers' workspace: ``out`` is written over and returned,
+        with the bytes of a fresh evaluation."""
+        if case == "ev":
+            game = build_ev_game(generate_ev_params(9, seed=2))
+            X = default_sampler(game)(np.random.default_rng(9))
+        else:
+            game = scalar_structure_game(case)
+            X = np.random.default_rng(5).uniform(-0.5, 1.5,
+                                                 size=(game.M, game.n))
+        charge = dual_charge(shape, game.M, game.n)
+        op = build_operator(game, flavor)
+        out = np.full((game.M, game.n), np.nan)
+        assert op.evaluate_blocks(X, None, charge, out=out) is out
+        assert out.tobytes() == op.evaluate_blocks(X, None, charge).tobytes()
+
 
 class TestJacobians:
     @pytest.mark.parametrize("flavor", [NASH, WARDROP])

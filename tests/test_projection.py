@@ -569,6 +569,19 @@ class TestProfileRowCount:
         self.assert_refused((3, width))
 
 
+def test_projection_returns_a_new_array():
+    """A profile projection never returns Y or a view of it, even when Y is
+    already feasible: the solvers project their workspace and then write
+    over it."""
+    Y = np.full((3, 2), 0.5)  # inside each set
+    for family in (BoxFamily.common(np.zeros(2), np.ones(2), 3),
+                   BoxFamily(np.zeros((3, 2)), np.ones((3, 2)), np.ones(3)),
+                   FlowFamily(TWO_NODE_B, np.tile([-1.0, 1.0], (3, 1)))):
+        X = ProfileProjector(family)(Y)
+        assert X.tobytes() == Y.tobytes()
+        assert not np.shares_memory(X, Y)
+
+
 def near_breakpoints(rng, Y, lo, hi, theta):
     """Y with, in each row that needs its budget step, one component moved
     so that one of its breakpoints lies 0, 1, 4, 1e3 or 1e6 ulps of the
