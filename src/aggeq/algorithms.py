@@ -32,7 +32,7 @@ agent.  Nothing here dispatches on the type of a cost model or a set.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -47,6 +47,8 @@ DIVERGENCE_FACTOR = 1e6
 # Cap on the passes of each inner loop of the two-level scheme: the
 # projected-gradient optimal responses and the averaging of the signal.
 INNER_MAX_ITER = 100_000
+# Their tolerance, tightened to 0.01 tol when the outer tol is below 1e-4.
+INNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,10 @@ class SolverConfig:
     tau: Optional[float] = None  # None = automatic from the step-size rule
     tol: float = 1e-4
     max_iter: int = 100_000
-    inner_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        given = ("tol", "inner_tol") + ("tau",) * (self.tau is not None)
+        given = ("tol",) + ("tau",) * (self.tau is not None)
         for name in given:  # a nan fails the comparison, as inf does
             if not 0 < getattr(self, name) < np.inf:
                 raise DimensionError(f"{name} must be finite and positive")
@@ -137,7 +138,7 @@ def _batch_best_response(game: AggregativeGame, proj: ProfileProjector,
 
 
 def best_response(game: AggregativeGame, i: int, z, lam,
-                  inner_tol: float = SolverConfig.inner_tol) -> np.ndarray:
+                  inner_tol: float = INNER_TOL) -> np.ndarray:
     """Agent i's optimal response to (z, lam): row i of all agents'
     responses, ``_batch_best_response`` from the projected origin, so its
     cost is O(M)."""
@@ -274,19 +275,18 @@ def two_level_wardrop(game: AggregativeGame, config: SolverConfig,
                              game.coupling.norm(), "two-level")
     # The outer residual cannot drop below the inner solve's noise floor, so
     # the inner loops must run tighter than the outer tolerance.
-    config = replace(config,
-                     inner_tol=min(config.inner_tol, 0.01 * config.tol))
+    inner_tol = min(INNER_TOL, 0.01 * config.tol)
 
     def steps(proj, X, lam):
         while True:
-            X, inner_steps = _inner_wardrop(game, proj, X, lam, config)
+            X, inner_steps = _inner_wardrop(game, proj, X, lam, inner_tol)
             lam = np.maximum(0.0, lam - tau * game.coupling.residual(X))
             yield X, lam, inner_steps
 
     return _drive(game, WARDROP, config, steps, trace_every=1)
 
 
-def _inner_wardrop(game, proj, X, lam, config):
+def _inner_wardrop(game, proj, X, lam, inner_tol):
     """Averaged optimal-response loop at frozen multipliers.
 
     The averaging weight at pass h is 1/h, so the first pass simply adopts
@@ -295,12 +295,12 @@ def _inner_wardrop(game, proj, X, lam, config):
     z = aggregate_matrix(X)
     steps = 0
     for h in range(1, INNER_MAX_ITER + 1):
-        X = _batch_best_response(game, proj, X, z, lam, config.inner_tol)
+        X = _batch_best_response(game, proj, X, z, lam, inner_tol)
         steps += 1
         sigma = aggregate_matrix(X)
         z_new = sigma if h == 1 else (1.0 - 1.0 / h) * z + sigma / h
         if h > 1 and float(np.max(np.abs(z_new - z), initial=0.0)
-                           ) <= config.inner_tol:
+                           ) <= inner_tol:
             return X, steps
         z = z_new
     raise ConvergenceError(

@@ -370,6 +370,9 @@ def verify_equilibrium(game: AggregativeGame, flavor: str, x_bar, lambda_bar,
                        feas_tol: float = 1e-6) -> VerificationReport:
     X = game.profile(x_bar).as_matrix()
     lam = np.asarray(lambda_bar, dtype=float)
+    if lam.shape != (game.coupling.m,) or not (lam >= 0.0).all():
+        raise DimensionError(f"lambda_bar must be m = {game.coupling.m}"
+                             f" multipliers >= 0, not {lam}")
     # Feasibility first: an infeasible x_bar is rejected before the KKT fit
     # is spent on it.
     feas = feasibility_report(game, X, tol=feas_tol)

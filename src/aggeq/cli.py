@@ -72,6 +72,7 @@ _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _real = _checked(float, np.isfinite, "a finite number")
 _cap = _checked(float, lambda v: not np.isnan(v), "a number, inf for no cap")
 _positive = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
+_nonneg = _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
 
 # Every key each config section may hold: its parser, which raises
 # ValueError on a value out of range, and its default (None: none; those
@@ -88,8 +89,7 @@ CONFIG_KEYS = {
         "tau": (lambda raw: None if raw.lower() == "auto" else _positive(raw),
                 None),
         "tol": (_positive, None), "max_iter": (_count, None),
-        "inner_tol": (_positive, None), "output_dir": (str, None),
-        "n_rep": (_count, None)},
+        "output_dir": (str, None), "n_rep": (_count, None)},
     "quadratic": {"n": (_count, 24), "q": (_real, 0.1), "k": (_cap, 0.3)},
     "ev": {"n": (_count, 24), "kappa": (_positive, 12.0), "k": (_cap, 0.55)},
     "traffic": {
@@ -427,63 +427,63 @@ def _read(load, *args, **kwargs):
             f"{exc.filename}: cannot read: {exc.strerror}") from exc
 
 
-def _read_indexed(path, index_cols, value_col) -> list:
-    """(line, index tuple, value) per data row of a CSV with nonnegative
-    integer index columns and one float column.  Unreadable files, missing
-    columns and bad or negative entries raise ConfigError naming the file
-    and line."""
-    rows = []
+def _read_array(path, columns, parse, shape=None) -> np.ndarray:
+    """The array a CSV lists by row, integer index columns >= 0 then a
+    value column read by parse, of shape ``shape`` or else one past each
+    index's largest entry.  A bad file, row or index, or an entry without
+    a row, raises ConfigError naming the file and line."""
+    *index_cols, value_col = columns
+
+    def entry(index):  # as "agent 2, component 0"
+        return ", ".join(f"{c} {k}" for c, k in zip(index_cols, index))
+
+    values, lines = {}, {}
     with _read(open, path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader, index_cols + (value_col,), path)
+        _require_columns(reader, columns, path)
         for lineno, row in enumerate(reader, start=2):
             try:
                 index = tuple(int(row[c]) for c in index_cols)
-                value = float(row[value_col])
+                values[index] = parse(row[value_col])
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad row: {exc}") from exc
-            if min(index) < 0:
-                raise ConfigError(f"{path}:{lineno}: negative index {index}")
-            rows.append((lineno, index, value))
-    return rows
+                raise ConfigError(f"{path}:{lineno}: bad row"
+                                  f" {list(row.values())}: {exc}") from exc
+            if not all(0 <= k < s for k, s in
+                       zip(index, shape or (np.inf,) * len(index))):
+                raise ConfigError(f"{path}:{lineno}: index out of range,"
+                                  f" {entry(index)}")
+            if index in lines:
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate row for {entry(index)}"
+                    f" (first on line {lines[index]})")
+            lines[index] = lineno
+    if shape is None and not values:
+        raise ConfigError(f"{path}:2: no rows")
+    out = np.zeros(shape or tuple(1 + max(col) for col in zip(*values)))
+    for index, value in values.items():
+        out[index] = value
+    if len(values) != out.size:
+        missing = next(i for i in np.ndindex(out.shape) if i not in values)
+        raise ConfigError(
+            f"{path}:{max(lines.values(), default=2)}: {len(values)} rows,"
+            f" expected {out.size} for shape {out.shape}; {entry(missing)}"
+            " has none")
+    return out
 
 
 def cmd_verify(cfg: ExperimentConfig, equilibrium_file: str) -> int:
-    x_rows = _read_indexed(equilibrium_file, ("agent", "component"), "value")
-    if not x_rows:
-        raise ConfigError(f"{equilibrium_file}:2: no equilibrium rows")
-    M, n = (1 + max(col) for col in zip(*(index for _, index, _ in x_rows)))
-    X = np.zeros((M, n))
-    seen = {}
-    for lineno, (i, t), v in x_rows:
-        if (i, t) in seen:
-            raise ConfigError(
-                f"{equilibrium_file}:{lineno}: duplicate row for agent {i},"
-                f" component {t} (first on line {seen[i, t]})")
-        seen[i, t] = lineno
-        X[i, t] = v
-    if len(x_rows) != M * n:
-        i, t = next((i, t) for i in range(M) for t in range(n)
-                    if (i, t) not in seen)
+    """Verify equilibrium.csv and the duals.csv beside it, whose M and n
+    must be the configured game's, and write report.csv."""
+    X = _read_array(equilibrium_file, ("agent", "component", "value"),
+                    _real)
+    game = build_game(cfg, M=X.shape[0])
+    if (game.M, game.n) != X.shape:
         raise ConfigError(
-            f"{equilibrium_file}:{x_rows[-1][0]}: {len(x_rows)} rows for"
-            f" M={M} agents and n={n} components, expected {M * n}; agent"
-            f" {i}, component {t} is missing")
-    game = build_game(cfg, M=M)
-    if (game.M, game.n) != (M, n):
-        raise ConfigError(
-            f"equilibrium file has M={M}, n={n} but the configured game has"
-            f" M={game.M}, n={game.n}")
+            f"equilibrium file has M={X.shape[0]}, n={X.shape[1]} but the"
+            f" configured game has M={game.M}, n={game.n}")
     duals_file = os.path.join(os.path.dirname(equilibrium_file), "duals.csv")
-    lam = np.zeros(game.coupling.m)
-    if os.path.exists(duals_file):
-        for lineno, (j,), v in _read_indexed(duals_file, ("constraint",),
-                                             "lambda"):
-            if j >= lam.size:
-                raise ConfigError(
-                    f"{duals_file}:{lineno}: constraint index {j} out of"
-                    f" range [0, {lam.size})")
-            lam[j] = v
+    lam = _read_array(duals_file, ("constraint", "lambda"), _nonneg,
+                      (game.coupling.m,))
     _verify_and_report(cfg, game, SOLVERS[cfg.algorithm].flavor, X, lam, {})
     return 0
 

@@ -476,9 +476,8 @@ class QuadraticTracking:
 #   aggregate_lipschitz);
 # * the structure of the game mapping's Jacobian, Nash when nash is true and
 #   Wardrop otherwise, where each model answers None for the structure it
-#   lacks: constant_jacobian(M, nash) and exact_constants(M, nash) (the
-#   mapping is affine), or slot_terms(X, M, nash) (the mapping acts on each
-#   component t separately).
+#   lacks: exact_constants(M, nash) for an affine mapping, or
+#   slot_terms(X, M, nash) for one that acts on each component apart.
 # Arguments hi bound the strategies, and so the averages, from above.
 
 
@@ -570,14 +569,6 @@ class QuadraticCost:
     def deviation_lipschitz(self, M, hi) -> float:
         return float(np.linalg.norm(self.Q + (self.C + self.C.T) / M, 2))
 
-    def constant_jacobian(self, M, nash) -> np.ndarray:
-        """The mapping's (M*n) x (M*n) Jacobian, the same at every point."""
-        P = np.full((M, M), 1.0 / M)
-        J = np.kron(np.eye(M), self.Q) + np.kron(P, self.C)
-        if nash:
-            J = J + np.kron(np.eye(M), self.C.T) / M
-        return J
-
     def exact_constants(self, M, nash) -> tuple:
         """Exact (alpha, L_F) of the affine mapping.
 
@@ -663,9 +654,6 @@ class PriceTimesUsage:
                        np.abs(self.price.diag2(Z))))
         xmax = float(np.max(np.abs(hi)))
         return self.own_lipschitz() + 2.0 * dmax / M + ddmax * xmax / M**2
-
-    def constant_jacobian(self, M, nash):
-        return None
 
     def exact_constants(self, M, nash):
         return None

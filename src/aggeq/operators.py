@@ -5,7 +5,7 @@ term through the population average; the Wardrop mapping freezes the average.
 Also provides constants estimation (strong monotonicity, Lipschitz).  The
 solvers pass the coupling term A^T lambda in as the mapping's charge.  The
 Jacobian structure behind the constants comes from the cost model, so
-nothing here dispatches on its type.
+nothing here dispatches on its type or forms a dense Jacobian.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .game import AggregativeGame, aggregate_matrix
 NASH = "nash"
 WARDROP = "wardrop"
 
-FD_STEP_SCALE = 1e-6
 # Sampled constants handle this many slot-block entries (samples x n x M)
 # per pass: enough samples for one bisection probe to be a single array
 # pass over many slots, few enough to keep each temporary near 0.5 MB.
@@ -29,11 +28,8 @@ SAMPLE_CHUNK_ENTRIES = 1 << 16
 
 
 class GameOperator:
-    """Stacked gradient mapping of a game, Nash or Wardrop flavored.
-
-    ``evaluate`` takes and returns stacked (M*n,) vectors; ``evaluate_blocks``
-    works on (M, n) matrices and is the hot path for the solvers.
-    """
+    """Stacked gradient mapping of a game, Nash or Wardrop flavored, on
+    (M, n) profiles; ``evaluate_blocks`` is the solvers' hot path."""
 
     def __init__(self, game: AggregativeGame, flavor: str):
         if flavor not in (NASH, WARDROP):
@@ -58,19 +54,6 @@ class GameOperator:
         return self.game.cost.mapping_all(X, z, self.game.M,
                                           self.flavor == NASH, charge, out)
 
-    def evaluate(self, x) -> np.ndarray:
-        X = self.game.profile(x).as_matrix()
-        return self.evaluate_blocks(X).reshape(-1)
-
-    def jacobian(self, x) -> np.ndarray:
-        """(M*n) x (M*n) analytic Jacobian: the cost model's constant one,
-        or else assembled from the slot blocks."""
-        X = self.game.profile(x).as_matrix()
-        J = self.game.cost.constant_jacobian(self.game.M, self.flavor == NASH)
-        if J is not None:
-            return J
-        return _assemble_from_slot_blocks(self.slot_blocks(X))
-
     def slot_terms(self, X: np.ndarray) -> Optional[tuple]:
         """The cost model's slot terms (g, u) of X, slot block
         H_t = diag(g_t) + u_t 1^T, or None when it has no slot structure."""
@@ -84,30 +67,6 @@ class GameOperator:
             return None
         g, u = terms
         return g[:, :, None] * np.eye(self.game.M) + u[:, :, None]
-
-    def _fd_jacobian(self, X: np.ndarray) -> np.ndarray:
-        """Central finite differences: the reference the analytic Jacobians
-        are tested against, not a path of the library."""
-        x = X.reshape(-1)
-        d = x.size
-        h = FD_STEP_SCALE * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-        J = np.empty((d, d))
-        for j in range(d):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (self.evaluate(xp) - self.evaluate(xm)) / (2.0 * h)
-        return J
-
-
-def _assemble_from_slot_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Dense Jacobian in agent-major ordering from (n, M, M) slot blocks."""
-    n, M, _ = blocks.shape
-    J = np.zeros((M * n, M * n))
-    for t in range(n):
-        J[t::n, t::n] = blocks[t]
-    return J
 
 
 @dataclass(frozen=True)

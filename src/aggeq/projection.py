@@ -338,17 +338,16 @@ def project_halfspace(y, a, beta) -> np.ndarray:
     return y - (gap / float(a @ a)) * a
 
 
-def dykstra(y, projectors: Sequence[Callable],
-            max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
+def dykstra(y, projectors: Sequence[Callable]) -> np.ndarray:
     """Dykstra's alternating projection onto an intersection of convex sets.
 
     ``projectors`` are exact projections onto the individual sets.  Stops
     when successive sweeps move the iterate by at most ``DYKSTRA_TOL`` in
-    inf-norm.
+    inf-norm; raises ConvergenceError after ``DYKSTRA_MAX_ITER`` sweeps.
     """
     x = np.asarray(y, dtype=float).copy()
     corrections = [np.zeros_like(x) for _ in projectors]
-    for _ in range(max_iter):
+    for _ in range(DYKSTRA_MAX_ITER):
         x_prev = x.copy()
         # Stop only when the corrections settle as well: the iterate alone
         # can stall for many sweeps while the corrections still grow.
@@ -365,7 +364,8 @@ def dykstra(y, projectors: Sequence[Callable],
         if gap <= DYKSTRA_TOL:
             return x
     raise ConvergenceError(
-        f"dykstra did not converge in {max_iter} sweeps (gap {gap:.3e})",
+        f"dykstra did not converge in {DYKSTRA_MAX_ITER} sweeps"
+        f" (gap {gap:.3e})",
         last=x, gap=gap)
 
 

@@ -25,6 +25,7 @@ from aggeq.operators import (NASH, WARDROP, build_operator, default_sampler,
 from aggeq.projection import (dykstra, project_box_budget, project_halfspace,
                               project_individual)
 from aggeq.synthetic import build_quadratic_game
+from jacobians import dense_jacobian, fd_jacobian
 
 OLDENBURG_DIR = os.path.join(os.path.dirname(__file__), "..", "data",
                              "oldenburg")
@@ -285,8 +286,8 @@ def test_criterion_10_operator_suite():
         for flavor in (NASH, WARDROP):
             op = build_operator(game, flavor)
             X = sampler(rng)
-            J = op.jacobian(X.reshape(-1))
-            J_fd = op._fd_jacobian(X)
+            J = dense_jacobian(op, X)
+            J_fd = fd_jacobian(op, X)
             rel = float(np.max(np.abs(J - J_fd))
                         / (1.0 + np.max(np.abs(J))))
             worst_fd = max(worst_fd, rel)

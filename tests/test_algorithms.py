@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from aggeq import algorithms
-from aggeq.algorithms import (INNER_MAX_ITER, SOLVERS, EquilibriumResult,
-                              SolverConfig, _batch_best_response, _drive,
+from aggeq.algorithms import (INNER_MAX_ITER, INNER_TOL, SOLVERS,
+                              EquilibriumResult, SolverConfig,
+                              _batch_best_response, _drive,
                               asymmetric_projection, auto_step_size,
                               best_response, extragradient, two_level_wardrop)
 from aggeq.errors import ConvergenceError, DimensionError
@@ -175,7 +176,7 @@ def two_level_reference_loop(game, config, rep):
     check left out."""
     tau = auto_step_size(rep.safe_alpha(), rep.safe_lipschitz(),
                          game.coupling.norm(), "two-level")
-    inner_tol = min(config.inner_tol, 0.01 * config.tol)
+    inner_tol = min(INNER_TOL, 0.01 * config.tol)
     proj = ProfileProjector(game.individual)
     X = proj(np.zeros((game.M, game.n)))
     lam = np.zeros(game.coupling.m)
@@ -560,7 +561,7 @@ class TestSolverBehavior:
 
     def test_inner_loop_reaches_fixed_point(self):
         game = build_quadratic_game(M=8, n=5, K=100.0, seed=2)
-        cfg = SolverConfig(tol=1e-6, inner_tol=1e-8)
+        cfg = SolverConfig(tol=1e-6)  # inner loops to 1e-8
         res = two_level_wardrop(game, cfg)
         assert res.converged
         X = res.x.as_matrix()
@@ -570,6 +571,23 @@ class TestSolverBehavior:
             for i in range(game.M)])
         sigma = aggregate_matrix(responded)
         assert np.max(np.abs(sigma - z_bar)) <= 1e-4
+
+    @pytest.mark.parametrize("tol, inner_tol", [(1e-3, 1e-6), (1e-6, 1e-8)])
+    def test_inner_tolerance_derived_from_tol(self, tol, inner_tol,
+                                              monkeypatch):
+        """The inner loops run to min(INNER_TOL, 0.01 tol): the constant
+        at a loose tol, tighter than the outer residual at a strict one."""
+        received = []
+
+        def recorded(game, proj, X0, z, lam, inner):
+            received.append(inner)
+            return batch(game, proj, X0, z, lam, inner)
+
+        batch = algorithms._batch_best_response
+        monkeypatch.setattr(algorithms, "_batch_best_response", recorded)
+        game = build_quadratic_game(M=8, n=5, K=100.0, seed=2)
+        two_level_wardrop(game, SolverConfig(tol=tol, max_iter=3))
+        assert len(received) >= 3 and set(received) == {inner_tol}
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_iterates_feasible_and_duals_nonnegative(self, name):
@@ -619,10 +637,8 @@ class TestSolverBehavior:
             SolverConfig(tol=0.0)
         with pytest.raises(DimensionError):
             SolverConfig(max_iter=0)
-        with pytest.raises(DimensionError):
-            SolverConfig(inner_tol=0.0)
 
-    @pytest.mark.parametrize("name", ["tau", "tol", "inner_tol"])
+    @pytest.mark.parametrize("name", ["tau", "tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_config_refuses_non_finite_settings(self, name, value):
         with pytest.raises(DimensionError, match=f"^{name} must be finite"):

@@ -915,3 +915,15 @@ class TestVerifyEquilibrium:
         assert calls == []
         verify_equilibrium(game, NASH, np.array([1.0]), np.ones(1))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam", [
+        [0.0, 0.0], [0.0] * 4, [0.0, -5.0, 0.0], [0.0, np.nan, 0.0]],
+        ids=["short", "long", "negative", "nan"])
+    def test_bad_multipliers_refused(self, lam):
+        # Numpy's broadcast error, or residuals of another lambda: the KKT
+        # residual reads lambda as given and the VI gap clips it at 0.
+        game = build_quadratic_game(M=4, n=3, seed=0)  # m = n = 3 caps
+        X = game.projector(np.zeros((game.M, game.n)))
+        with pytest.raises(DimensionError,
+                           match=r"^lambda_bar must be m = 3 multipliers"):
+            verify_equilibrium(game, NASH, X, np.array(lam))

@@ -227,9 +227,8 @@ class TestRun:
     @pytest.mark.parametrize("command, keys", [
         ("run", {"tau": "-1"}), ("run", {"max_iter": "0"}),
         ("run", {"m": "0"}),
-        ("run", {"algorithm": "two-level", "inner_tol": "-1"}),
         ("sweep-m", {"m_list": "0,4"}), ("compare", {"n_rep": "0"}),
-    ], ids=["tau", "max_iter", "m", "inner_tol", "m_list", "n_rep"])
+    ], ids=["tau", "max_iter", "m", "m_list", "n_rep"])
     def test_bad_numeric_value_exits_2_without_outputs(self, tmp_path,
                                                        command, keys):
         keys = {"kind": "quadratic", "seed": "7", "m": "6", "tol": "1e-5",
@@ -347,6 +346,8 @@ kind = quadratic
 
     @pytest.mark.parametrize("section, key", [
         ("experiment", "max-iter"), ("experiment", "tolerance"),
+        # The two-level scheme's inner tolerance is a library constant.
+        ("experiment", "inner_tol"),
         ("ev", "kapa"), ("evv", "kappa")])
     def test_misspelt_key_exits_2_naming_it(self, tmp_path, capsys,
                                             section, key):
@@ -564,6 +565,20 @@ class TestVerifyBadInput:
                      "--out", str(tmp_path / "vout")]) == 2
         assert f"{path}: cannot read" in capsys.readouterr().err
 
+    def test_missing_duals_file(self, run_dir, tmp_path, capsys):
+        # Multipliers of 0 in place of the missing file would verify, and
+        # report residuals of a pair that no run wrote.
+        root, cfg = run_dir
+        work = tmp_path / "bad"
+        work.mkdir()
+        (work / "equilibrium.csv").write_bytes(
+            (root / "run" / "equilibrium.csv").read_bytes())
+        assert main(["verify", str(work / "equilibrium.csv"), "--config",
+                     cfg, "--out", str(tmp_path / "vout")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {work / 'duals.csv'}: cannot read")
+        assert not (tmp_path / "vout" / "report.csv").exists()
+
     @pytest.mark.parametrize("target, edit, line", [
         ("equilibrium.csv", lambda text: "", 1),
         ("equilibrium.csv", lambda text: text.splitlines()[0] + "\n", 2),
@@ -575,12 +590,24 @@ class TestVerifyBadInput:
         # Without agent 2 the last of the 20 rows is on line 21.
         ("equilibrium.csv", delete_lines(10, 13), 21),
         ("equilibrium.csv", replace_line(5, "0,1,0.5"), 5),
+        ("equilibrium.csv", replace_line(3, "0,1,nan"), 3),
+        ("equilibrium.csv", replace_line(4, "0,2,-inf"), 4),
         ("duals.csv", replace_line(3, "-1,0.5"), 3),
         ("duals.csv", replace_line(2, "4,0.5"), 2),  # m = n = 4 caps
+        ("duals.csv", lambda text: text.splitlines()[0] + "\n", 2),
+        # Constraint 2's row gone: the last of the 3 rows is on line 4.
+        ("duals.csv", delete_lines(4, 4), 4),
+        ("duals.csv", replace_line(4, "0,0.5"), 4),
+        ("duals.csv", replace_line(2, "0,-5"), 2),
+        ("duals.csv", replace_line(3, "1,nan"), 3),
+        ("duals.csv", replace_line(5, "3,inf"), 5),
     ], ids=["empty", "header-only", "non-numeric-value", "non-numeric-index",
             "negative-agent", "negative-component", "missing-agent-rows",
-            "duplicate-row", "negative-constraint",
-            "constraint-index-not-below-m"])
+            "duplicate-row", "nan-value", "infinite-value",
+            "negative-constraint", "constraint-index-not-below-m",
+            "duals-header-only", "missing-constraint-row",
+            "duplicate-constraint", "negative-lambda", "nan-lambda",
+            "infinite-lambda"])
     def test_bad_file_exits_2_naming_file_and_line(
             self, run_dir, tmp_path, capsys, target, edit, line):
         assert self.verify(run_dir, tmp_path, target, edit) == 2

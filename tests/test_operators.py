@@ -14,6 +14,7 @@ from aggeq.operators import (NASH, WARDROP, _min_eig_diag_plus_rank2,
                              quadratic_monotonicity_conditions)
 from aggeq.projection import ProfileProjector
 from aggeq.synthetic import build_quadratic_game
+from jacobians import dense_jacobian, fd_jacobian
 
 
 def quadratic_game(M=2, n=1, q=1.0, C=None, c=None, K=10.0):
@@ -45,9 +46,9 @@ def sqrt_price_game(M=3, n=4, seed=0, utility=None):
 class TestEvaluation:
     def test_quadratic_two_agent_values(self):
         game = quadratic_game()
-        x = np.array([1.0, 0.0])
-        f_w = build_operator(game, WARDROP).evaluate(x)
-        f_n = build_operator(game, NASH).evaluate(x)
+        X = np.array([[1.0], [0.0]])
+        f_w = build_operator(game, WARDROP).evaluate_blocks(X).reshape(-1)
+        f_n = build_operator(game, NASH).evaluate_blocks(X).reshape(-1)
         assert np.allclose(f_w, [1.5, 0.5], atol=1e-12)
         assert np.allclose(f_n, [2.0, 0.5], atol=1e-12)
 
@@ -55,14 +56,12 @@ class TestEvaluation:
         game = quadratic_game(C=np.zeros((1, 1)), c=[[0.3], [0.7]])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            x = rng.normal(size=2)
-            f_w = build_operator(game, WARDROP).evaluate(x)
-            f_n = build_operator(game, NASH).evaluate(x)
+            X = rng.normal(size=(2, 1))
+            f_w = build_operator(game, WARDROP).evaluate_blocks(X)
+            f_n = build_operator(game, NASH).evaluate_blocks(X)
             assert np.allclose(f_w, f_n, atol=0.0)
-            X = x.reshape(2, 1)
-            assert np.allclose(
-                f_w, (X @ game.cost.Q.T + game.cost.c).reshape(-1),
-                atol=1e-12)
+            assert np.allclose(f_w, X @ game.cost.Q.T + game.cost.c,
+                               atol=1e-12)
 
     def test_identity_price_single_agent(self):
         price = DiagonalPrice(lambda z: z, lambda z: np.ones_like(z),
@@ -71,9 +70,11 @@ class TestEvaluation:
         game = AggregativeGame(
             M=1, n=1, cost=cost, individual=BoxFamily.common([0.0], [10.0], 1),
             coupling=CouplingConstraint.per_component_cap([10.0], 1))
-        assert np.allclose(build_operator(game, WARDROP).evaluate([2.0]),
-                           [2.0])
-        assert np.allclose(build_operator(game, NASH).evaluate([2.0]), [4.0])
+        X = np.array([[2.0]])
+        assert np.allclose(build_operator(game, WARDROP).evaluate_blocks(X),
+                           [[2.0]])
+        assert np.allclose(build_operator(game, NASH).evaluate_blocks(X),
+                           [[4.0]])
 
     def test_quadratic_closed_form_matches_chain_rule(self):
         rng = np.random.default_rng(1)
@@ -91,12 +92,12 @@ class TestEvaluation:
         H_w = np.kron(np.eye(M), Q) + np.kron(P, C)
         H_n = H_w + np.kron(np.eye(M), C.T) / M
         for _ in range(10):
-            x = rng.normal(size=M * n)
-            cc = c.reshape(-1)
-            assert np.max(np.abs(build_operator(game, WARDROP).evaluate(x)
-                                 - (H_w @ x + cc))) <= 1e-12
-            assert np.max(np.abs(build_operator(game, NASH).evaluate(x)
-                                 - (H_n @ x + cc))) <= 1e-12
+            X = rng.normal(size=(M, n))
+            x, cc = X.reshape(-1), c.reshape(-1)
+            f_w = build_operator(game, WARDROP).evaluate_blocks(X)
+            f_n = build_operator(game, NASH).evaluate_blocks(X)
+            assert np.max(np.abs(f_w.reshape(-1) - (H_w @ x + cc))) <= 1e-12
+            assert np.max(np.abs(f_n.reshape(-1) - (H_n @ x + cc))) <= 1e-12
 
 
 def scalar_structure_game(case, M=7, n=5):
@@ -243,9 +244,9 @@ class TestJacobians:
                                individual=base.individual,
                                coupling=base.coupling)
         op = build_operator(game, flavor)
-        x = rng.uniform(size=M * n)
-        J = op.jacobian(x)
-        J_fd = op._fd_jacobian(x.reshape(M, n))
+        X = rng.uniform(size=(M, n))
+        J = dense_jacobian(op, X)
+        J_fd = fd_jacobian(op, X)
         rel = np.max(np.abs(J - J_fd)) / (1.0 + np.max(np.abs(J)))
         assert rel <= 1e-4
 
@@ -254,9 +255,9 @@ class TestJacobians:
         game = sqrt_price_game()
         op = build_operator(game, flavor)
         rng = np.random.default_rng(3)
-        x = rng.uniform(0.1, 0.9, size=game.M * game.n)
-        J = op.jacobian(x)
-        J_fd = op._fd_jacobian(x.reshape(game.M, game.n))
+        X = rng.uniform(0.1, 0.9, size=(game.M, game.n))
+        J = dense_jacobian(op, X)
+        J_fd = fd_jacobian(op, X)
         rel = np.max(np.abs(J - J_fd)) / (1.0 + np.max(np.abs(J)))
         assert rel <= 1e-4
 
@@ -268,7 +269,7 @@ class TestJacobians:
         blocks = op.slot_blocks(X)
         assert blocks is not None and blocks.shape == (game.n, game.M,
                                                        game.M)
-        J = op.jacobian(X.reshape(-1))
+        J = dense_jacobian(op, X)
         for t in range(game.n):
             assert np.allclose(J[t::game.n, t::game.n], blocks[t],
                                atol=1e-12)
@@ -416,8 +417,9 @@ class TestStructuredConstants:
 
 
 class TestNoFiniteDifferences:
-    """The library's constants and Jacobians come from the cost models'
-    structure; finite differences serve only as a test reference."""
+    """The library's constants come from the cost models' structure, which
+    each builder's game has; finite differences serve only as a test
+    reference (``jacobians.fd_jacobian``)."""
 
     @pytest.mark.parametrize("make_game", [
         lambda: build_quadratic_game(M=4, n=3, seed=0),
@@ -425,18 +427,14 @@ class TestNoFiniteDifferences:
         lambda: route_choice_game(4),
     ], ids=["quadratic", "ev", "route-choice"])
     @pytest.mark.parametrize("flavor", [NASH, WARDROP])
-    def test_builders_never_reach_finite_differences(self, make_game, flavor,
-                                                     monkeypatch):
-        def refuse(self, X):
-            raise AssertionError("finite-difference Jacobian reached")
-
-        monkeypatch.setattr(operators.GameOperator, "_fd_jacobian", refuse)
+    def test_builders_never_reach_finite_differences(self, make_game,
+                                                     flavor):
         game = make_game()
         op = build_operator(game, flavor)
         rep = monotonicity_analysis(op, n_samples=3)
         assert np.isfinite(rep.alpha) and rep.lipschitz > 0
         X = default_sampler(game)(np.random.default_rng(0))
-        J = op.jacobian(X.reshape(-1))
+        J = dense_jacobian(op, X)
         assert J.shape == (game.M * game.n, game.M * game.n)
 
 
@@ -522,7 +520,7 @@ class TestMonotonicity:
                     individual=base.individual, coupling=base.coupling)
                 op = build_operator(game, flavor)
                 rep = monotonicity_analysis(op)
-                J = op.jacobian(np.zeros(M * n))
+                J = dense_jacobian(op, np.zeros((M, n)))
                 alpha_dense = float(np.min(np.linalg.eigvalsh(
                     0.5 * (J + J.T))))
                 lip_dense = float(np.linalg.norm(J, 2))

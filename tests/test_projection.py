@@ -238,13 +238,14 @@ class TestDykstra:
         best = pts[np.argmin(np.sum((pts - y) ** 2, axis=1))]
         assert np.max(np.abs(out - best)) <= 1e-4
 
-    def test_max_iter_error_carries_state(self):
+    def test_max_iter_error_carries_state(self, monkeypatch):
         # Slightly separated sets have no intersection; Dykstra cannot stop.
-        with pytest.raises(ConvergenceError) as err:
+        monkeypatch.setattr(projection, "DYKSTRA_MAX_ITER", 50)
+        with pytest.raises(ConvergenceError, match="in 50 sweeps") as err:
             dykstra([0.0], [
                 lambda v: np.clip(v, 0.0, 1.0),
                 lambda v: np.clip(v, 2.0, 3.0),
-            ], max_iter=50)
+            ])
         assert err.value.last is not None
         assert err.value.gap is not None and err.value.gap > 0
 
